@@ -199,38 +199,29 @@ impl AuditorState {
                 }
 
                 // Re-execute (with the cache — the paper's optimisation).
-                let result = if self.cfg.auditor_cache {
+                let caching = self.cfg.auditor_cache;
+                let cached = if caching {
                     ctx.charge(ctx.costs().cache_lookup);
-                    match self.cache.get(va, &pledge.query) {
-                        Some(r) => {
-                            ctx.metrics().inc("audit.cache_hit");
-                            Some(r)
-                        }
-                        None => match execute(&self.db, &pledge.query) {
-                            Ok((r, qcost)) => {
-                                ctx.charge(crate::cost::query_charge(
-                                    &qcost,
-                                    r.size(),
-                                    ctx.costs(),
-                                ));
-                                self.cache.put(va, &pledge.query, r.clone());
-                                Some(r)
-                            }
-                            Err(_) => None,
-                        },
-                    }
+                    self.cache.get(va, &pledge.query)
                 } else {
-                    match execute(&self.db, &pledge.query) {
-                        Ok((r, qcost)) => {
-                            ctx.charge(crate::cost::query_charge(&qcost, r.size(), ctx.costs()));
-                            Some(r)
-                        }
-                        Err(_) => None,
-                    }
+                    None
                 };
-                let Some(result) = result else {
-                    ctx.metrics().inc("audit.query_errors");
-                    continue;
+                let result = match cached {
+                    Some(r) => {
+                        ctx.metrics().inc("audit.cache_hit");
+                        r
+                    }
+                    None => {
+                        let Ok((r, qcost)) = execute(&self.db, &pledge.query) else {
+                            ctx.metrics().inc("audit.query_errors");
+                            continue;
+                        };
+                        ctx.charge(crate::cost::query_charge(&qcost, r.size(), ctx.costs()));
+                        if caching {
+                            self.cache.put(va, &pledge.query, r.clone());
+                        }
+                        r
+                    }
                 };
                 ctx.charge(ctx.costs().hash_cost(result.size()));
                 ctx.metrics().inc("audit.checked");

@@ -1,7 +1,9 @@
 //! Clients: issue reads/writes, verify everything, sample double-checks.
 //!
-//! Reads are verified by one of two strategies, selected per query by
-//! [`crate::verify::strategy_for`]:
+//! Every read runs one pipeline — *dispatch → verify the evidence against
+//! a master-signed stamp → accept, retry another replica, or escalate* —
+//! parameterised by the evidence its path expects ([`crate::verify`] has
+//! the table):
 //!
 //! * **Pledged** (computed queries) — Section 3.2 verbatim: compute the
 //!   result hash and compare with the pledge, verify the slave's
@@ -11,13 +13,16 @@
 //!   double-checked with the master (probability `p`) or their pledge is
 //!   forwarded to the auditor — acceptance happens only after the pledge
 //!   is on its way, as Section 3.4 requires.
-//! * **Proof-verified** (static `GetRow`/`ReadFile` lookups) — the slave
-//!   answers with an O(log n) Merkle path against a master-signed state
-//!   digest; the client verifies it locally and accepts *finally*: no
-//!   pledge, no double-check, no auditor traffic.  A failed proof (a
+//! * **Proof-verified** (static `GetRow`/`ReadFile` lookups, `ScanRange`
+//!   scans, `ReadFileRange` streams) — the slave answers with a Merkle
+//!   path, range skeleton, or manifest slice against a master-signed
+//!   state digest; the client verifies it locally and accepts *finally*:
+//!   no pledge, no double-check, no auditor traffic.  A failed proof (a
 //!   lying or corrupt slave) first retries one *other* replica of the
 //!   same shard on the proof path; only a second failure falls the read
-//!   back to the pledged pipeline.
+//!   back to the pledged path.
+//! * **Trusted** (Section 4's security-sensitive reads) — straight to the
+//!   owning shard's trusted master, whose answer is authoritative.
 //!
 //! With the content space sharded, the client is the router: every
 //! query and write batch is mapped to its owning shard by the
@@ -26,19 +31,18 @@
 //! shard independently carries the paper's trust argument; a Byzantine
 //! replica in one shard never appears on another shard's read path.
 //!
-//! The Section 4 variants live here too: security-sensitive reads go
-//! straight to the owning shard's trusted master, and `read_quorum > 1`
-//! sends the same query to several of that shard's slaves,
-//! auto-double-checking on any disagreement.
+//! `read_quorum > 1` sends a pledged query to several of the shard's
+//! slaves, auto-double-checking on any disagreement (Section 4).
 
 use crate::config::SystemConfig;
+use crate::cost::proof_fold_charge;
 use crate::messages::{CheckVerdict, Msg, RefuseReason, StateDigestStamp, WriteOutcome};
-use crate::pledge::Pledge;
+use crate::pledge::{Pledge, ResultHash};
 use crate::shard::ShardMap;
 use crate::verify::{self, ReadStrategy, RejectReason, VerifyEnv};
 use crate::workload::Workload;
 use rand::Rng;
-use sdr_crypto::{CertRole, Certificate, Digest as _, PublicKey, Sha256};
+use sdr_crypto::{CertRole, Certificate, Digest as _, Hash256, PublicKey, Sha256};
 use sdr_sim::{Ctx, NodeId, Process, SimDuration, SimTime};
 use sdr_store::{LruByteCache, ProofError, Query, QueryResult, StateProof, StreamProof, UpdateOp};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -90,33 +94,105 @@ struct PendingRead {
     query: Query,
     /// Owning shard (routing key of the whole pipeline).
     shard: usize,
-    sensitive: bool,
-    /// Which verification pipeline this read runs; flips from `Proof` to
-    /// `Pledged` when the proof attempts are exhausted (fallback).
-    strategy: ReadStrategy,
-    /// Whether the one extra same-shard proof-path replica retry has
-    /// been spent (proof-path hardening).
-    proof_retried: bool,
+    /// Which evidence this read waits for, and its progress.
+    path: PathState,
     attempts: u32,
     issued_at: SimTime,
+    /// Every node that still owes this read a reply: the slaves it was
+    /// sent to, the trusted master of a sensitive read, the master a
+    /// quorum-mismatch double-check went to.  Nobody else may answer it.
     awaiting: HashSet<NodeId>,
-    responses: Vec<(NodeId, QueryResult, Pledge)>,
-    mismatch_check_sent: bool,
-    /// In-flight chunk stream (`ReadFileRange` on the proof path): the
-    /// verified header plus per-chunk progress.  The client never holds
-    /// the file — only the manifest and which chunk indexes verified.
-    stream: Option<StreamState>,
-    /// Chunks that arrived before their stream header (per-message
-    /// network latency can reorder the slave's sends).  Held unverified
-    /// until the header opens the window, then replayed; bounded so a
-    /// flood before any header cannot grow client memory.
-    early_chunks: Vec<(NodeId, u32, Vec<u8>)>,
     /// Set when this read is one per-shard sub-scan of a scattered
     /// cross-shard `ScanRange`: the parent scan's id.  Sub-scans accept
     /// into the parent's stitcher instead of counting their own read,
     /// and never fall back to the pledged path — a stitched scan is
     /// only as strong as its weakest piece.
     parent_scan: Option<u64>,
+}
+
+/// Per-path state of a pending read.  A read changes path at most once:
+/// `Proof` becomes `Pledged` when its proof attempts are exhausted.
+enum PathState {
+    /// Sensitive read on the owning shard's trusted master.
+    Trusted,
+    /// Pledged quorum read.
+    Pledged {
+        /// Verified responses so far.
+        responses: Vec<(NodeId, QueryResult, Pledge)>,
+        /// Set once the quorum disagreed and its pledges went to the
+        /// master for a double-check; that master then joins `awaiting`.
+        checking: bool,
+    },
+    /// Proof-anchored read: point path, range skeleton, or chunk stream.
+    Proof {
+        /// Whether the one extra same-shard replica retry has been
+        /// spent (proof-path hardening).
+        retried: bool,
+        /// In-flight chunk stream (`ReadFileRange`): the verified header
+        /// plus per-chunk progress.  The client never holds the file —
+        /// only the manifest and which chunk indexes verified.
+        stream: Option<Box<StreamState>>,
+        /// Chunks that arrived before their stream header (per-message
+        /// network latency can reorder the slave's sends).  Held
+        /// unverified until the header opens the window, then replayed;
+        /// bounded so a flood before any header cannot grow client memory.
+        early_chunks: Vec<(NodeId, u32, Vec<u8>)>,
+    },
+}
+
+impl PathState {
+    fn pledged() -> Self {
+        PathState::Pledged {
+            responses: Vec::new(),
+            checking: false,
+        }
+    }
+
+    fn proof() -> Self {
+        PathState::Proof {
+            retried: false,
+            stream: None,
+            early_chunks: Vec::new(),
+        }
+    }
+
+    /// Forgets partial progress before the read is sent again (a spent
+    /// proof retry stays spent).
+    fn reset(&mut self) {
+        match self {
+            PathState::Trusted => {}
+            PathState::Pledged { responses, checking } => {
+                responses.clear();
+                *checking = false;
+            }
+            PathState::Proof {
+                stream,
+                early_chunks,
+                ..
+            } => {
+                *stream = None;
+                early_chunks.clear();
+            }
+        }
+    }
+}
+
+/// How a read came to be accepted; picks the per-path counters
+/// [`ClientProcess::accept`] emits beside the common ones.
+enum Accept<'a> {
+    /// Unanimous verified pledges, already on their way to the auditor
+    /// or the master.
+    Pledged,
+    /// The master settled a quorum mismatch (`corrected`: with its own
+    /// authoritative answer).
+    Checked { corrected: bool },
+    /// Authoritative answer from trusted hardware.
+    Trusted,
+    /// This result from this slave folded up to the signed digest.
+    Proof(NodeId, &'a QueryResult),
+    /// Every announced chunk verified against the manifest slice (or the
+    /// header alone proved an empty or absent range).
+    Stream { chunks: u64, bytes: u64 },
 }
 
 /// One scattered cross-shard range scan: the parent of `parts.len()`
@@ -236,6 +312,41 @@ pub struct ClientProcess {
     /// slave lie logs to count wrong answers that slipped through.
     acceptances: Vec<(NodeId, Vec<u8>)>,
     counters: ClientCounters,
+}
+
+/// One signature check memoised in a verified-statement set: a statement
+/// whose `key` is in `cache` pays a lookup instead of `verify`; anything
+/// else pays the full check and, when it passes, joins the set.  `None`
+/// means the cache is configured off.  `metrics` names the hit and miss
+/// counters.
+fn memoised_verify(
+    ctx: &mut Ctx<'_, Msg>,
+    cache: Option<&mut LruByteCache<()>>,
+    cache_verify: bool,
+    metrics: (&str, &str),
+    key: impl FnOnce() -> Hash256,
+    verify: impl Fn() -> bool,
+) -> bool {
+    let Some(cache) = cache else {
+        ctx.charge(ctx.costs().verify);
+        return verify();
+    };
+    let key = key();
+    if cache.get(&key).is_some() {
+        ctx.charge(ctx.costs().cache_lookup);
+        ctx.metrics().inc(metrics.0);
+        if cache_verify && !verify() {
+            ctx.metrics().inc("client.cache_divergence");
+        }
+        return true;
+    }
+    ctx.metrics().inc(metrics.1);
+    ctx.charge(ctx.costs().verify);
+    let ok = verify();
+    if ok {
+        cache.put(key, (), 1);
+    }
+    ok
 }
 
 impl ClientProcess {
@@ -443,32 +554,10 @@ impl ClientProcess {
         }
     }
 
-    /// The message a proof-path read sends: file ranges stream
-    /// (header + chunks); everything else is a single proof reply.
-    fn proof_read_msg(req: u64, query: Query) -> Msg {
-        match query {
-            q @ Query::ReadFileRange { .. } => Msg::StreamRead { req_id: req, query: q },
-            q => Msg::ProofRead { req_id: req, query: q },
-        }
-    }
-
     /// Rotation cursor shared by every proof-path target pick: request
     /// id plus attempt count, wrapped over the replica list.
     fn proof_rotation(req: u64, attempts: u32, n: usize) -> usize {
         (req as usize + attempts as usize) % n.max(1)
-    }
-
-    /// Picks the slave a proof read targets within the owning shard:
-    /// rotated by request id and attempt so retries (after timeouts) try
-    /// a different replica.  `None` when the shard currently has no
-    /// slaves (mid-reassignment; the read then waits for its timeout
-    /// like the pledged path does).
-    fn proof_target(&self, shard: usize, req: u64, attempts: u32) -> Option<NodeId> {
-        let slaves = &self.shards[shard].slaves;
-        if slaves.is_empty() {
-            return None;
-        }
-        Some(slaves[Self::proof_rotation(req, attempts, slaves.len())].0)
     }
 
     /// Picks the replica a *rejected* proof retries: the next assigned
@@ -511,75 +600,92 @@ impl ClientProcess {
         if self.shards[shard].slaves.is_empty() {
             return;
         }
-        let req = self.next_req;
-        self.next_req += 1;
         self.counters.reads_issued += 1;
         ctx.metrics().inc("read.issued");
 
         let sensitive =
             self.cfg.sensitive_fraction > 0.0 && ctx.coin() < self.cfg.sensitive_fraction;
-        let strategy = if sensitive {
-            // Trusted hardware is its own (stronger) guarantee.
-            ReadStrategy::Pledged
-        } else {
-            verify::strategy_for(&query, self.cfg.proof_reads)
-        };
-        let mut awaiting = HashSet::new();
-        if sensitive {
-            // Section 4 variant: run on the owning shard's trusted master.
+        let path = if sensitive {
+            // Section 4 variant: trusted hardware is its own (stronger)
+            // guarantee.
             ctx.metrics().inc("read.sensitive");
-            let (m, _) = self.shards[shard].master.expect("ready implies master");
-            ctx.send(
-                m,
-                Msg::TrustedRead {
-                    req_id: req,
-                    query: query.clone(),
-                },
-            );
-            awaiting.insert(m);
-        } else if strategy == ReadStrategy::Proof {
-            // One slave suffices: the proof is self-certifying, so there
-            // is nothing a quorum would vote on.
+            PathState::Trusted
+        } else if verify::strategy_for(&query, self.cfg.proof_reads) == ReadStrategy::Proof {
             self.counters.proof_reads_issued += 1;
             ctx.metrics().inc("read.proof_issued");
             if matches!(query, Query::ReadFileRange { .. }) {
                 ctx.metrics().inc("read.stream_issued");
             }
-            let s = self
-                .proof_target(shard, req, 0)
-                .expect("checked non-empty above");
-            ctx.send(s, Self::proof_read_msg(req, query.clone()));
-            awaiting.insert(s);
+            PathState::proof()
         } else {
-            for (s, _) in &self.shards[shard].slaves {
-                ctx.send(
-                    *s,
-                    Msg::ReadRequest {
-                        req_id: req,
-                        query: query.clone(),
-                    },
-                );
-                awaiting.insert(*s);
-            }
-        }
+            PathState::pledged()
+        };
+        self.start_read(ctx, query, shard, path, None);
+    }
+
+    /// Registers a read on `path` under a fresh request id and sends it.
+    fn start_read(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        query: Query,
+        shard: usize,
+        path: PathState,
+        parent_scan: Option<u64>,
+    ) -> u64 {
+        let req = self.next_req;
+        self.next_req += 1;
         self.pending.insert(
             req,
             PendingRead {
                 query,
                 shard,
-                sensitive,
-                strategy,
-                proof_retried: false,
+                path,
                 attempts: 0,
                 issued_at: ctx.now(),
-                awaiting,
-                responses: Vec::new(),
-                mismatch_check_sent: false,
-                stream: None,
-                early_chunks: Vec::new(),
-                parent_scan: None,
+                awaiting: HashSet::new(),
+                parent_scan,
             },
         );
+        self.dispatch(ctx, req, None);
+        req
+    }
+
+    /// Sends pending read `req` on its current path and arms its
+    /// timeout — the one place a read request leaves the client.
+    /// Targets: the trusted master for a sensitive read; for a proof
+    /// read one replica (the proof is self-certifying, so there is
+    /// nothing a quorum would vote on) — `retry_target`, else the
+    /// rotation by request id and attempt, so retries after timeouts try
+    /// a different one; every assigned slave for a pledged read.  With
+    /// no target right now (mid-reassignment) the read idles on its
+    /// timeout.  Every target joins `awaiting`.
+    fn dispatch(&mut self, ctx: &mut Ctx<'_, Msg>, req: u64, retry_target: Option<NodeId>) {
+        let Some(p) = self.pending.get_mut(&req) else { return };
+        let sv = &self.shards[p.shard];
+        let targets: Vec<NodeId> = match p.path {
+            PathState::Trusted => sv.master.iter().map(|(m, _)| *m).collect(),
+            PathState::Proof { .. } => {
+                let rotated = Self::proof_rotation(req, p.attempts, sv.slaves.len());
+                let target = retry_target.or_else(|| sv.slaves.get(rotated).map(|(s, _)| *s));
+                target.into_iter().collect()
+            }
+            PathState::Pledged { .. } => sv.slaves.iter().map(|(s, _)| *s).collect(),
+        };
+        for target in targets {
+            let (req_id, query) = (req, p.query.clone());
+            let msg = match (&p.path, &query) {
+                (PathState::Trusted, _) => Msg::TrustedRead { req_id, query },
+                (PathState::Pledged { .. }, _) => Msg::ReadRequest { req_id, query },
+                // File ranges stream (header + chunks); everything else
+                // is a single proof reply.
+                (PathState::Proof { .. }, Query::ReadFileRange { .. }) => {
+                    Msg::StreamRead { req_id, query }
+                }
+                (PathState::Proof { .. }, _) => Msg::ProofRead { req_id, query },
+            };
+            ctx.send(target, msg);
+            p.awaiting.insert(target);
+        }
         ctx.set_timer(self.cfg.read_timeout, tag(K_READ_TIMEOUT, req));
     }
 
@@ -615,65 +721,51 @@ impl ClientProcess {
             by_req: HashMap::new(),
         };
         for (i, (shard, lo, hi)) in parts.into_iter().enumerate() {
-            let req = self.next_req;
-            self.next_req += 1;
             let sub = Query::ScanRange {
                 table: table.clone(),
                 start: lo,
                 end: hi,
             };
-            let s = self
-                .proof_target(shard, req, 0)
-                .expect("checked non-empty above");
-            ctx.send(s, Self::proof_read_msg(req, sub.clone()));
-            let mut awaiting = HashSet::new();
-            awaiting.insert(s);
+            let req = self.start_read(ctx, sub, shard, PathState::proof(), Some(parent));
             scan.parts.push((lo, hi, None));
             scan.by_req.insert(req, i);
-            self.pending.insert(
-                req,
-                PendingRead {
-                    query: sub,
-                    shard,
-                    sensitive: false,
-                    strategy: ReadStrategy::Proof,
-                    proof_retried: false,
-                    attempts: 0,
-                    issued_at: ctx.now(),
-                    awaiting,
-                    responses: Vec::new(),
-                    mismatch_check_sent: false,
-                    stream: None,
-                    early_chunks: Vec::new(),
-                    parent_scan: Some(parent),
-                },
-            );
-            ctx.set_timer(self.cfg.read_timeout, tag(K_READ_TIMEOUT, req));
         }
         self.scans.insert(parent, scan);
     }
 
-    /// Fails a scattered scan: the parent and every sibling sub-scan die
-    /// together (a stitched result with a missing piece is no result).
-    fn fail_scan(&mut self, ctx: &mut Ctx<'_, Msg>, parent: u64) {
-        let Some(scan) = self.scans.remove(&parent) else { return };
-        for req in scan.by_req.keys() {
-            self.pending.remove(req);
+    /// The one failure tail: removes the pending read and counts it
+    /// failed.  A sub-scan takes its parent and every sibling down with
+    /// it (a stitched result with a missing piece is no result); the
+    /// scan is the read that is counted, once.
+    fn fail_read(&mut self, ctx: &mut Ctx<'_, Msg>, req: u64) {
+        let Some(p) = self.pending.remove(&req) else { return };
+        if let Some(parent) = p.parent_scan {
+            let Some(scan) = self.scans.remove(&parent) else { return };
+            for sibling in scan.by_req.keys() {
+                self.pending.remove(sibling);
+            }
+            ctx.metrics().inc("read.range_failed");
         }
         self.counters.reads_failed += 1;
         ctx.metrics().inc("read.failed");
-        ctx.metrics().inc("read.range_failed");
     }
 
-    /// Records one verified sub-scan; when the last part lands, runs the
+    /// Records one verified sub-scan.  When the last part lands, runs the
     /// stitch check — the parts must tile `[start, end)` exactly — and
-    /// accepts the parent scan.
-    fn scan_part_done(&mut self, ctx: &mut Ctx<'_, Msg>, parent: u64, req: u64, rows: u64) {
-        let Some(scan) = self.scans.get_mut(&parent) else { return };
-        let Some(&idx) = scan.by_req.get(&req) else { return };
+    /// returns when the scan was issued, for [`Self::accept`] to count
+    /// the parent as one accepted proof read.
+    fn scan_part_done(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        parent: u64,
+        req: u64,
+        rows: u64,
+    ) -> Option<SimTime> {
+        let scan = self.scans.get_mut(&parent)?;
+        let idx = *scan.by_req.get(&req)?;
         scan.parts[idx].2 = Some(rows);
         if scan.parts.iter().any(|(_, _, r)| r.is_none()) {
-            return;
+            return None;
         }
         let scan = self.scans.remove(&parent).expect("present");
         // Every part carries its own shard's range proof, so each piece
@@ -690,78 +782,89 @@ impl ClientProcess {
             ctx.metrics().inc("read.range_stitch_rejected");
             self.counters.reads_failed += 1;
             ctx.metrics().inc("read.failed");
-            return;
+            return None;
         }
         let total: u64 = scan.parts.iter().filter_map(|(_, _, r)| *r).sum();
-        self.counters.reads_accepted += 1;
-        self.counters.proof_reads_accepted += 1;
-        ctx.metrics().inc("read.accepted");
-        ctx.metrics().inc("read.proof_accepted");
         ctx.metrics().inc("read.range_stitched");
         ctx.metrics().observe("range.scan_rows", total);
-        let latency = ctx.now().since(scan.issued_at);
-        ctx.metrics().observe("read.latency_us", latency.as_micros());
-        ctx.metrics()
-            .observe("read.proof_latency_us", latency.as_micros());
+        Some(scan.issued_at)
     }
 
+    /// Sends a read again after a timeout, refusal, reassignment or
+    /// fallback — or fails it once its retries are spent.
     fn retry_read(&mut self, ctx: &mut Ctx<'_, Msg>, req: u64) {
         let Some(p) = self.pending.get_mut(&req) else { return };
         p.attempts += 1;
         if p.attempts > self.cfg.read_retries {
-            let parent = self.pending.remove(&req).expect("present").parent_scan;
-            match parent {
-                Some(par) => self.fail_scan(ctx, par),
-                None => {
-                    self.counters.reads_failed += 1;
-                    ctx.metrics().inc("read.failed");
-                }
-            }
-            return;
+            return self.fail_read(ctx, req);
         }
         ctx.metrics().inc("read.retry");
-        p.responses.clear();
-        p.mismatch_check_sent = false;
+        p.path.reset();
         p.awaiting.clear();
-        p.stream = None;
-        p.early_chunks.clear();
-        let shard = p.shard;
-        if p.sensitive {
-            let (m, _) = self.shards[shard].master.expect("ready implies master");
-            ctx.send(
-                m,
-                Msg::TrustedRead {
-                    req_id: req,
-                    query: p.query.clone(),
-                },
-            );
-            p.awaiting.insert(m);
-        } else if p.strategy == ReadStrategy::Proof {
-            let (query, attempts) = (p.query.clone(), p.attempts);
-            if let Some(s) = self.proof_target(shard, req, attempts) {
-                ctx.send(s, Self::proof_read_msg(req, query));
-                self.pending
-                    .get_mut(&req)
-                    .expect("present")
-                    .awaiting
-                    .insert(s);
+        self.dispatch(ctx, req, None);
+    }
+
+    /// The one reply gate: the path of pending read `req`, if `from`
+    /// still owes it a reply.  A reply from anyone else — a Byzantine
+    /// slave that saw the id in a request, a replica already given up
+    /// on — is unsolicited whatever it carries.
+    fn solicited(&self, req: u64, from: NodeId) -> Option<&PathState> {
+        let p = self.pending.get(&req)?;
+        p.awaiting.contains(&from).then_some(&p.path)
+    }
+
+    /// The one acceptance tail: removes the pending read and emits the
+    /// acceptance log, the counters and the latency histograms.  A
+    /// verified sub-scan reports to its parent's stitcher instead, and
+    /// the parent is counted here once its last piece tiles.
+    fn accept(&mut self, ctx: &mut Ctx<'_, Msg>, req: u64, how: Accept<'_>) {
+        let Some(p) = self.pending.remove(&req) else { return };
+        let mut issued_at = p.issued_at;
+        let (on_proof_path, extra) = match how {
+            Accept::Pledged => {
+                if let PathState::Pledged { responses, .. } = &p.path {
+                    for (slave, _, pl) in responses {
+                        self.acceptances.push((*slave, pl.result_hash.bytes().to_vec()));
+                    }
+                }
+                (false, None)
             }
-            // No slaves right now (mid-reassignment): the read idles on
-            // its timeout, exactly like the pledged branch below.
-        } else {
-            let targets: Vec<NodeId> =
-                self.shards[shard].slaves.iter().map(|(n, _)| *n).collect();
-            for s in targets {
-                let q = self.pending.get(&req).expect("present").query.clone();
-                ctx.send(s, Msg::ReadRequest { req_id: req, query: q });
-                self.pending
-                    .get_mut(&req)
-                    .expect("present")
-                    .awaiting
-                    .insert(s);
+            Accept::Checked { corrected } => {
+                (false, corrected.then_some("read.corrected_by_master"))
             }
+            Accept::Trusted => (false, Some("read.accepted_sensitive")),
+            Accept::Proof(from, result) => {
+                let hash = ResultHash::of(result, self.cfg.pledge_hash);
+                self.acceptances.push((from, hash.bytes().to_vec()));
+                if let Some(parent) = p.parent_scan {
+                    let rows = result.row_count() as u64;
+                    match self.scan_part_done(ctx, parent, req, rows) {
+                        Some(scan_issued_at) => issued_at = scan_issued_at,
+                        None => return,
+                    }
+                }
+                (true, None)
+            }
+            Accept::Stream { chunks, bytes } => {
+                ctx.metrics().observe("stream.chunks", chunks);
+                ctx.metrics().observe("stream.bytes", bytes);
+                (true, Some("read.stream_accepted"))
+            }
+        };
+        self.counters.reads_accepted += 1;
+        ctx.metrics().inc("read.accepted");
+        if let Some(metric) = extra {
+            ctx.metrics().inc(metric);
         }
-        ctx.set_timer(self.cfg.read_timeout, tag(K_READ_TIMEOUT, req));
+        let latency = ctx.now().since(issued_at).as_micros();
+        ctx.metrics().observe("read.latency_us", latency);
+        if on_proof_path {
+            self.counters.proof_reads_accepted += 1;
+            ctx.metrics().inc("read.proof_accepted");
+            ctx.metrics().observe("read.proof_latency_us", latency);
+        } else if matches!(how, Accept::Trusted) {
+            ctx.metrics().observe("read.sensitive_latency_us", latency);
+        }
     }
 
     /// The verification environment for one shard's pipeline at `now`:
@@ -802,40 +905,21 @@ impl ClientProcess {
         shard: usize,
         stamp: &StateDigestStamp,
     ) -> Result<(), RejectReason> {
-        let mkey = {
-            let env = self.verify_env(shard, ctx.now());
-            env.master_key_of(stamp.master).copied()
+        let env = self.verify_env(shard, ctx.now());
+        let mkey = *env
+            .master_key_of(stamp.master)
+            .ok_or(RejectReason::BadStampSignature)?;
+        let cache = (self.cfg.stamp_cache_entries > 0).then_some(&mut self.stamp_cache);
+        let key = || {
+            let statement = stamp.signing_bytes();
+            Sha256::digest_parts(&[b"sdr/stamp-cache/v1", &mkey.encode(), &statement])
         };
-        let Some(mkey) = mkey else {
-            return Err(RejectReason::BadStampSignature);
-        };
-        if self.cfg.stamp_cache_entries == 0 {
-            ctx.charge(ctx.costs().verify);
-            return stamp
-                .verify(&mkey)
-                .map_err(|_| RejectReason::BadStampSignature);
-        }
-        let key = Sha256::digest_parts(&[
-            b"sdr/stamp-cache/v1",
-            &mkey.encode(),
-            &stamp.signing_bytes(),
-        ]);
-        if self.stamp_cache.get(&key).is_some() {
-            ctx.charge(ctx.costs().cache_lookup);
-            ctx.metrics().inc("client.stamp_cache_hit");
-            if self.cfg.cache_verify && stamp.verify(&mkey).is_err() {
-                ctx.metrics().inc("client.cache_divergence");
-            }
-            return Ok(());
-        }
-        ctx.metrics().inc("client.stamp_cache_miss");
-        ctx.charge(ctx.costs().verify);
-        match stamp.verify(&mkey) {
-            Ok(()) => {
-                self.stamp_cache.put(key, (), 1);
-                Ok(())
-            }
-            Err(_) => Err(RejectReason::BadStampSignature),
+        let metrics = ("client.stamp_cache_hit", "client.stamp_cache_miss");
+        let verify = || stamp.verify(&mkey).is_ok();
+        if memoised_verify(ctx, cache, self.cfg.cache_verify, metrics, key, verify) {
+            Ok(())
+        } else {
+            Err(RejectReason::BadStampSignature)
         }
     }
 
@@ -852,27 +936,11 @@ impl ClientProcess {
         shard: u32,
         cert: &Certificate,
     ) -> bool {
-        if self.cfg.cert_cache_entries == 0 {
-            ctx.charge(ctx.costs().verify);
-            return cert.verify_scoped(issuer, role, shard).is_ok();
-        }
-        let key = cert.scoped_cache_key(issuer, role, shard);
-        if self.cert_cache.get(&key).is_some() {
-            ctx.charge(ctx.costs().cache_lookup);
-            ctx.metrics().inc("client.cert_cache_hit");
-            if self.cfg.cache_verify && cert.verify_scoped(issuer, role, shard).is_err() {
-                ctx.metrics().inc("client.cache_divergence");
-            }
-            return true;
-        }
-        ctx.metrics().inc("client.cert_cache_miss");
-        ctx.charge(ctx.costs().verify);
-        if cert.verify_scoped(issuer, role, shard).is_ok() {
-            self.cert_cache.put(key, (), 1);
-            true
-        } else {
-            false
-        }
+        let cache = (self.cfg.cert_cache_entries > 0).then_some(&mut self.cert_cache);
+        let key = || cert.scoped_cache_key(issuer, role, shard);
+        let metrics = ("client.cert_cache_hit", "client.cert_cache_miss");
+        let verify = || cert.verify_scoped(issuer, role, shard).is_ok();
+        memoised_verify(ctx, cache, self.cfg.cache_verify, metrics, key, verify)
     }
 
     /// Full verification of one pledged slave response (Section 3.2's
@@ -900,15 +968,45 @@ impl ClientProcess {
         }
     }
 
-    /// Handles one proof-read reply: verify the digest stamp and the
-    /// Merkle path, then accept *finally* — proof-verified reads never
-    /// touch the double-check or audit machinery.
-    ///
-    /// Rejection runs the hardened path: the first rejected reply
-    /// retries one *other* replica of the same shard, still on the proof
-    /// path (a single bad replica should not cost the read its
-    /// deterministic verification); only when that is spent does the
-    /// read fall back to pledge+audit.
+    /// Verification of any digest-anchored reply to pending read `req`:
+    /// the proof-fold charge, then known responder → memoised stamp
+    /// signature → the evidence's `_stampless` tail.  The fold always
+    /// runs — it is what ties *this* evidence to the signed digest; the
+    /// stamp signature is the memoized part, so a repeat read under the
+    /// same anchor pays a cache lookup instead of a signature check.  A
+    /// failure takes the rejection path and returns false; a pass
+    /// records the proof's `(depth, wire bytes)`.
+    fn verify_anchored(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        from: NodeId,
+        req: u64,
+        stamp: &StateDigestStamp,
+        (depth, bytes): (usize, usize),
+        tail: impl FnOnce(&VerifyEnv<'_>, &Query) -> Result<(), RejectReason>,
+    ) -> bool {
+        let Some(p) = self.pending.get(&req) else { return false };
+        let (shard, query) = (p.shard, p.query.clone());
+        ctx.charge(proof_fold_charge(depth, ctx.costs()));
+        let verdict = if !self.verify_env(shard, ctx.now()).knows_slave(from) {
+            Err(RejectReason::UnknownSlave)
+        } else {
+            self.check_stamp_cached(ctx, shard, stamp)
+                .and_then(|()| tail(&self.verify_env(shard, ctx.now()), &query))
+        };
+        if let Err(reason) = verdict {
+            self.reject_proof_path(ctx, req, from, reason);
+            return false;
+        }
+        ctx.metrics().observe("proof.bytes", bytes as u64);
+        ctx.metrics().observe("proof.depth", depth as u64);
+        true
+    }
+
+    /// Handles one proof-read reply, already routed to a read that
+    /// solicited it: verify the digest stamp and the Merkle path or
+    /// range skeleton, then accept *finally* — proof-verified reads
+    /// never touch the double-check or audit machinery.
     fn handle_proof_reply(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -918,68 +1016,30 @@ impl ClientProcess {
         proof: StateProof,
         stamp: StateDigestStamp,
     ) {
-        let Some(p) = self.pending.get(&req) else { return };
-        if p.strategy != ReadStrategy::Proof || !p.awaiting.contains(&from) {
-            return; // Duplicate, unsolicited, or already fallen back.
-        }
-        let (shard, query) = (p.shard, p.query.clone());
-        // O(log n) path hashes: the fold always runs — it is what ties
-        // *this* result to the signed digest.  The stamp signature is
-        // the memoized part: a repeat read under the same anchor pays a
-        // cache lookup instead of a signature verification.
-        ctx.charge(ctx.costs().hash_cost(64) * (1 + proof.depth() as u64));
         ctx.charge(ctx.costs().hash_cost(result.size()));
-        let verdict = if !self.verify_env(shard, ctx.now()).knows_slave(from) {
-            Err(RejectReason::UnknownSlave)
-        } else {
-            self.check_stamp_cached(ctx, shard, &stamp).and_then(|()| {
-                let env = self.verify_env(shard, ctx.now());
-                verify::verify_proof_read_stampless(&env, &query, &result, &proof, &stamp)
-            })
-        };
-        match verdict {
-            Ok(()) => {
-                let p = self.pending.remove(&req).expect("present");
-                self.acceptances.push((
-                    from,
-                    crate::pledge::ResultHash::of(&result, self.cfg.pledge_hash)
-                        .bytes()
-                        .to_vec(),
-                ));
-                ctx.metrics()
-                    .observe("proof.bytes", proof.wire_len() as u64);
-                ctx.metrics().observe("proof.depth", proof.depth() as u64);
-                if matches!(query, Query::ScanRange { .. }) {
-                    ctx.metrics()
-                        .observe("range.proof_bytes", proof.wire_len() as u64);
-                    ctx.metrics()
-                        .add("range.rows_verified", result.row_count() as u64);
-                }
-                if let Some(parent) = p.parent_scan {
-                    // One verified piece of a scattered scan: report to
-                    // the parent's stitcher instead of accepting a read.
-                    self.scan_part_done(ctx, parent, req, result.row_count() as u64);
-                    return;
-                }
-                self.counters.reads_accepted += 1;
-                self.counters.proof_reads_accepted += 1;
-                ctx.metrics().inc("read.accepted");
-                ctx.metrics().inc("read.proof_accepted");
-                let latency = ctx.now().since(p.issued_at);
-                ctx.metrics().observe("read.latency_us", latency.as_micros());
-                ctx.metrics()
-                    .observe("read.proof_latency_us", latency.as_micros());
-            }
-            Err(reason) => self.reject_proof_path(ctx, req, from, reason),
+        let size = (proof.depth(), proof.wire_len());
+        let verified = self.verify_anchored(ctx, from, req, &stamp, size, |env, query| {
+            verify::verify_proof_read_stampless(env, query, &result, &proof, &stamp)
+        });
+        if !verified {
+            return;
         }
+        if matches!(self.pending[&req].query, Query::ScanRange { .. }) {
+            ctx.metrics().observe("range.proof_bytes", size.1 as u64);
+            ctx.metrics()
+                .add("range.rows_verified", result.row_count() as u64);
+        }
+        self.accept(ctx, req, Accept::Proof(from, &result));
     }
 
     /// Shared rejection path for proof-verified replies — point proofs,
-    /// stream headers, and streamed chunks alike.  Deterministic lie
-    /// detection: the slave shipped something its proof cannot cover (or
-    /// a stale/forged anchor).  The first rejection retries one *other*
-    /// replica of the same shard, still on the proof path; only when
-    /// that is spent does the read fall back to pledge+audit.
+    /// range proofs, stream headers, and streamed chunks alike.
+    /// Deterministic lie detection: the slave shipped something its
+    /// proof cannot cover (or a stale/forged anchor).  The first
+    /// rejection retries one *other* replica of the same shard, still on
+    /// the proof path (a single bad replica should not cost the read its
+    /// deterministic verification); only when that is spent does the
+    /// read fall back to pledge+audit.
     fn reject_proof_path(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -992,45 +1052,32 @@ impl ClientProcess {
         // the reason (the reason-specific metric has the detail).
         ctx.metrics().inc("read.proof_rejected");
         let Some(p) = self.pending.get_mut(&req) else { return };
+        let PathState::Proof { retried, .. } = &mut p.path else { return };
+        let first_rejection = !std::mem::replace(retried, true);
+        p.path.reset();
         p.awaiting.remove(&from);
-        p.stream = None;
-        p.early_chunks.clear();
-        let (shard, attempts) = (p.shard, p.attempts);
-        let retry_target = (!p.proof_retried)
+        let (shard, attempts, is_part) = (p.shard, p.attempts, p.parent_scan.is_some());
+        let retry_target = first_rejection
             .then(|| self.proof_retry_target(shard, req, attempts, from))
             .flatten();
-        let p = self.pending.get_mut(&req).expect("present");
-        match retry_target {
-            Some(s) => {
-                // Proof-path hardening: one same-shard replica
-                // retry before any pledged fallback.
-                p.proof_retried = true;
-                p.awaiting.insert(s);
-                let query = p.query.clone();
-                self.counters.proof_retries += 1;
-                ctx.metrics().inc("read.proof_retry");
-                ctx.send(s, Self::proof_read_msg(req, query));
-                ctx.set_timer(self.cfg.read_timeout, tag(K_READ_TIMEOUT, req));
-            }
-            None => {
-                if let Some(parent) = p.parent_scan {
-                    // No pledged fallback for sub-scans: a stitched scan
-                    // is only as strong as its weakest piece, so a part
-                    // whose proof path is exhausted fails the whole scan.
-                    self.pending.remove(&req);
-                    self.fail_scan(ctx, parent);
-                    return;
-                }
-                // Fall back to the pledged pipeline for the
-                // remaining retries.
-                ctx.metrics().inc("read.proof_fallback");
-                p.strategy = ReadStrategy::Pledged;
-                self.retry_read(ctx, req);
-            }
+        if retry_target.is_some() {
+            self.counters.proof_retries += 1;
+            ctx.metrics().inc("read.proof_retry");
+            self.dispatch(ctx, req, retry_target);
+        } else if is_part {
+            // No pledged fallback for sub-scans: a stitched scan is only
+            // as strong as its weakest piece, so a part whose proof path
+            // is exhausted fails the whole scan.
+            self.fail_read(ctx, req);
+        } else {
+            // Fall back to the pledged path for the remaining retries.
+            ctx.metrics().inc("read.proof_fallback");
+            self.pending.get_mut(&req).expect("present").path = PathState::pledged();
+            self.retry_read(ctx, req);
         }
     }
 
-    /// Handles a stream header: verify the manifest proof against the
+    /// Handles a stream header: verify the manifest slice against the
     /// signed digest, then open the per-chunk verification window.  An
     /// empty stream (absent file or empty range) accepts immediately.
     #[allow(clippy::too_many_arguments)]
@@ -1044,69 +1091,54 @@ impl ClientProcess {
         first_chunk: u32,
         chunk_count: u32,
     ) {
-        let Some(p) = self.pending.get(&req) else { return };
-        if p.strategy != ReadStrategy::Proof || !p.awaiting.contains(&from) || p.stream.is_some()
-        {
+        let Some(PathState::Proof { stream: None, .. }) = self.solicited(req, from) else {
             return; // Duplicate, unsolicited, or already fallen back.
-        }
-        let (shard, query) = (p.shard, p.query.clone());
-        // O(log n) header fold always runs; the stamp signature check
-        // is memoized, exactly as on the point-proof path.
-        ctx.charge(ctx.costs().hash_cost(64) * (1 + proof.depth() as u64));
-        let verdict = if !self.verify_env(shard, ctx.now()).knows_slave(from) {
-            Err(RejectReason::UnknownSlave)
-        } else {
-            self.check_stamp_cached(ctx, shard, &stamp).and_then(|()| {
-                let env = self.verify_env(shard, ctx.now());
-                verify::verify_stream_header_stampless(&env, &query, &proof, &stamp)
-            })
         };
-        if let Err(reason) = verdict {
-            self.reject_proof_path(ctx, req, from, reason);
-            return;
-        }
-        ctx.metrics().observe("proof.bytes", proof.wire_len() as u64);
-        ctx.metrics().observe("proof.depth", proof.depth() as u64);
-        // The announced window must lie within the verified manifest
-        // slice — a slave cannot promise chunks the slice's proof does
-        // not commit to.
-        let (slice_lo, slice_hi) = proof.slice.as_ref().map_or((0, 0), |s| {
-            (s.first as usize, s.first as usize + s.entries.len())
+        let size = (proof.depth(), proof.wire_len());
+        let verified = self.verify_anchored(ctx, from, req, &stamp, size, |env, query| {
+            verify::verify_stream_header_stampless(env, query, &proof, &stamp)?;
+            // The announced window must lie within the verified manifest
+            // slice — a slave cannot promise chunks the slice's proof
+            // does not commit to.
+            let (lo, hi) = proof.slice.as_ref().map_or((0, 0), |s| {
+                (s.first as usize, s.first as usize + s.entries.len())
+            });
+            let (first, count) = (first_chunk as usize, chunk_count as usize);
+            if first < lo || first + count > hi {
+                return Err(RejectReason::BadProof(ProofError::ShapeMismatch));
+            }
+            Ok(())
         });
-        if (first_chunk as usize) < slice_lo
-            || first_chunk as usize + chunk_count as usize > slice_hi
-        {
-            self.reject_proof_path(
-                ctx,
-                req,
-                from,
-                RejectReason::BadProof(ProofError::ShapeMismatch),
-            );
+        if !verified {
             return;
         }
         if chunk_count == 0 {
             // Nothing to stream: proven absence or an empty range.
-            self.accept_stream(ctx, req, 0, 0);
-        } else {
-            let p = self.pending.get_mut(&req).expect("present");
-            p.stream = Some(StreamState {
-                proof,
-                source: from,
-                first: first_chunk,
-                count: chunk_count,
-                received: HashSet::new(),
-                bytes: 0,
-            });
-            // Chunks are in flight: give them a fresh timeout window.
-            ctx.set_timer(self.cfg.read_timeout, tag(K_READ_TIMEOUT, req));
-            // Replay any chunks the network delivered ahead of this
-            // header; they verify exactly as if they had just arrived.
-            let early = std::mem::take(
-                &mut self.pending.get_mut(&req).expect("present").early_chunks,
-            );
-            for (src, index, data) in early {
-                self.handle_stream_chunk(ctx, src, req, index, data);
-            }
+            return self.accept(ctx, req, Accept::Stream { chunks: 0, bytes: 0 });
+        }
+        let Some(PathState::Proof {
+            stream,
+            early_chunks,
+            ..
+        }) = self.pending.get_mut(&req).map(|p| &mut p.path)
+        else {
+            return;
+        };
+        *stream = Some(Box::new(StreamState {
+            proof,
+            source: from,
+            first: first_chunk,
+            count: chunk_count,
+            received: HashSet::new(),
+            bytes: 0,
+        }));
+        let early = std::mem::take(early_chunks);
+        // Chunks are in flight: give them a fresh timeout window.
+        ctx.set_timer(self.cfg.read_timeout, tag(K_READ_TIMEOUT, req));
+        // Replay any chunks the network delivered ahead of this
+        // header; they verify exactly as if they had just arrived.
+        for (src, index, data) in early {
+            self.handle_stream_chunk(ctx, src, req, index, data);
         }
     }
 
@@ -1122,15 +1154,22 @@ impl ClientProcess {
         index: u32,
         data: Vec<u8>,
     ) {
-        let Some(p) = self.pending.get_mut(&req) else { return };
-        let Some(st) = p.stream.as_mut() else {
+        if self.solicited(req, from).is_none() {
+            return;
+        }
+        let Some(PathState::Proof {
+            stream,
+            early_chunks,
+            ..
+        }) = self.pending.get_mut(&req).map(|p| &mut p.path)
+        else {
+            return;
+        };
+        let Some(st) = stream else {
             // Header not here yet (per-message latency reorders the
             // slave's sends): hold the chunk for replay, bounded.
-            if p.strategy == ReadStrategy::Proof
-                && p.awaiting.contains(&from)
-                && p.early_chunks.len() < 1024
-            {
-                p.early_chunks.push((from, index, data));
+            if early_chunks.len() < 1024 {
+                early_chunks.push((from, index, data));
             }
             return;
         };
@@ -1149,7 +1188,7 @@ impl ClientProcess {
                 ctx.metrics().inc("read.stream_chunks_verified");
                 if st.received.len() as u32 == st.count {
                     let (chunks, bytes) = (u64::from(st.count), st.bytes);
-                    self.accept_stream(ctx, req, chunks, bytes);
+                    self.accept(ctx, req, Accept::Stream { chunks, bytes });
                 }
             }
             Err(e) => {
@@ -1159,83 +1198,49 @@ impl ClientProcess {
         }
     }
 
-    /// Final acceptance of a verified stream (all chunks checked, or an
-    /// empty/absent result proven by the header alone).
-    fn accept_stream(&mut self, ctx: &mut Ctx<'_, Msg>, req: u64, chunks: u64, bytes: u64) {
-        let Some(p) = self.pending.remove(&req) else { return };
-        self.counters.reads_accepted += 1;
-        self.counters.proof_reads_accepted += 1;
-        ctx.metrics().inc("read.accepted");
-        ctx.metrics().inc("read.proof_accepted");
-        ctx.metrics().inc("read.stream_accepted");
-        ctx.metrics().observe("stream.chunks", chunks);
-        ctx.metrics().observe("stream.bytes", bytes);
-        let latency = ctx.now().since(p.issued_at);
-        ctx.metrics().observe("read.latency_us", latency.as_micros());
-        ctx.metrics()
-            .observe("read.proof_latency_us", latency.as_micros());
-    }
-
+    /// Every slave of a pledged read has answered or refused: accept a
+    /// unanimous quorum, escalate a split one to the master.
     fn finalize_read(&mut self, ctx: &mut Ctx<'_, Msg>, req: u64) {
-        let Some(p) = self.pending.get(&req) else { return };
-        debug_assert!(!p.responses.is_empty());
+        let Some(p) = self.pending.get_mut(&req) else { return };
+        let PathState::Pledged { responses, checking } = &mut p.path else { return };
+        debug_assert!(!responses.is_empty());
+        let (master, auditor) = (self.shards[p.shard].master, self.shards[p.shard].auditor);
 
-        let first_hash = p.responses[0].2.result_hash;
-        let unanimous = p
-            .responses
-            .iter()
-            .all(|(_, _, pl)| pl.result_hash == first_hash);
-
-        if !unanimous {
+        let first_hash = responses[0].2.result_hash;
+        if !responses.iter().all(|(_, _, pl)| pl.result_hash == first_hash) {
             // Section 4: "If not all answers match, the client
             // automatically double-checks, since at least one of the
             // slaves has to be malicious."
-            if !p.mismatch_check_sent {
+            if !*checking {
                 ctx.metrics().inc("read.quorum_mismatch");
-                let (m, _) = self.shards[p.shard]
-                    .master
-                    .expect("ready implies master");
-                let pledges: Vec<Pledge> =
-                    p.responses.iter().map(|(_, _, pl)| pl.clone()).collect();
-                self.pending.get_mut(&req).expect("present").mismatch_check_sent = true;
-                for pl in pledges {
+                let (m, _) = master.expect("ready implies master");
+                *checking = true;
+                p.awaiting.insert(m);
+                for (_, _, pl) in responses.iter() {
                     self.counters.dc_sent += 1;
                     ctx.metrics().inc("dc.sent");
-                    ctx.send(m, Msg::DoubleCheck { req_id: req, pledge: Box::new(pl) });
+                    let pledge = Box::new(pl.clone());
+                    ctx.send(m, Msg::DoubleCheck { req_id: req, pledge });
                 }
             }
             return;
         }
 
-        let p = self.pending.remove(&req).expect("present");
         // Forward pledges to the owning shard's auditor *before*
         // accepting (Section 3.4), unless this read is the sampled
         // double-check.
-        let double_check = ctx.coin() < self.dc_prob;
-        if double_check {
-            let (m, _) = self.shards[p.shard].master.expect("ready implies master");
+        if ctx.coin() < self.dc_prob {
+            let (m, _) = master.expect("ready implies master");
             self.counters.dc_sent += 1;
             ctx.metrics().inc("dc.sent");
-            ctx.send(
-                m,
-                Msg::DoubleCheck {
-                    req_id: req,
-                    pledge: Box::new(p.responses[0].2.clone()),
-                },
-            );
+            let pledge = Box::new(responses[0].2.clone());
+            ctx.send(m, Msg::DoubleCheck { req_id: req, pledge });
         } else {
-            let auditor = self.shards[p.shard].auditor;
-            for (_, _, pl) in &p.responses {
+            for (_, _, pl) in responses.iter() {
                 ctx.send(auditor, Msg::AuditSubmit { pledge: Box::new(pl.clone()) });
             }
         }
-        for (slave, _, pl) in &p.responses {
-            self.acceptances.push((*slave, pl.result_hash.bytes().to_vec()));
-        }
-        self.counters.reads_accepted += 1;
-        ctx.metrics().inc("read.accepted");
-        let latency = ctx.now().since(p.issued_at);
-        ctx.metrics().observe("read.latency_us", latency.as_micros());
+        self.accept(ctx, req, Accept::Pledged);
     }
 
     /// Shard whose subgroup contains master node `m` (by directory
@@ -1285,7 +1290,9 @@ impl ClientProcess {
         let mut stalled: Vec<u64> = self
             .pending
             .iter()
-            .filter(|(_, p)| p.awaiting.contains(&excluded) && !p.sensitive)
+            .filter(|(_, p)| {
+                p.awaiting.contains(&excluded) && !matches!(p.path, PathState::Trusted)
+            })
             .map(|(r, _)| *r)
             .collect();
         // Sort: HashMap iteration order is process-random, and each retry
@@ -1364,31 +1371,21 @@ impl Process<Msg> for ClientProcess {
                 }
                 self.schedule_next_write(ctx);
             }
-            (K_READ_TIMEOUT, req)
-                if self.pending.contains_key(&req) => {
-                    let (sensitive, shard) = self
-                        .pending
-                        .get(&req)
-                        .map(|p| (p.sensitive, p.shard))
-                        .unwrap_or((false, 0));
-                    let got_nothing = self
-                        .pending
-                        .get(&req)
-                        .map(|p| p.responses.is_empty())
-                        .unwrap_or(false);
-                    ctx.metrics().inc("read.timeout");
-                    if sensitive && got_nothing {
-                        // Master unresponsive: fail over.
-                        if let Some((m, _)) = self.shards[shard].master {
-                            self.blacklist.insert(m);
-                        }
-                        self.pending.remove(&req);
-                        self.counters.re_setups += 1;
-                        self.boot(ctx);
-                    } else {
-                        self.retry_read(ctx, req);
+            (K_READ_TIMEOUT, req) => {
+                let Some(p) = self.pending.get(&req) else { return };
+                ctx.metrics().inc("read.timeout");
+                if matches!(p.path, PathState::Trusted) {
+                    // Master unresponsive: fail over.
+                    if let Some((m, _)) = self.shards[p.shard].master {
+                        self.blacklist.insert(m);
                     }
+                    self.pending.remove(&req);
+                    self.counters.re_setups += 1;
+                    self.boot(ctx);
+                } else {
+                    self.retry_read(ctx, req);
                 }
+            }
             (K_WRITE_TIMEOUT, req) => {
                 if let Some((_, shard)) = self.pending_writes.remove(&req) {
                     ctx.metrics().inc("write.timeout");
@@ -1555,16 +1552,20 @@ impl Process<Msg> for ClientProcess {
                 let Some(shard) = self.pending.get(&req_id).map(|p| p.shard) else {
                     return;
                 };
+                // Verified (and charged) before the gate: modeled time
+                // has always paid for duplicates too.
                 let valid = self.verify_response(ctx, shard, from, &result, &pledge);
-                let Some(p) = self.pending.get_mut(&req_id) else { return };
-                if !p.awaiting.remove(&from) {
+                let Some(PathState::Pledged { .. }) = self.solicited(req_id, from) else {
                     return; // Duplicate or unsolicited.
-                }
+                };
+                let p = self.pending.get_mut(&req_id).expect("solicited");
+                p.awaiting.remove(&from);
+                let PathState::Pledged { responses, .. } = &mut p.path else { return };
                 if valid {
-                    p.responses.push((from, result, *pledge));
+                    responses.push((from, result, *pledge));
                 }
                 if p.awaiting.is_empty() {
-                    if p.responses.is_empty() {
+                    if responses.is_empty() {
                         self.retry_read(ctx, req_id);
                     } else {
                         self.finalize_read(ctx, req_id);
@@ -1576,26 +1577,19 @@ impl Process<Msg> for ClientProcess {
                 result,
                 proof,
                 digest_stamp,
-            }
-            | Msg::RangeReadReply {
-                query,
-                result,
-                proof,
-                digest_stamp,
             } => {
                 // The reply is content-addressed (no request id), so one
                 // cached `Arc<Msg>` can answer every reader of a hot key
                 // or hot range.  Route it to the lowest-numbered pending
-                // proof read for this exact query still awaiting this
-                // slave — lowest so duplicate replies resolve reads in
-                // issue order, deterministically.
+                // proof read for this exact query that solicited it from
+                // this slave — lowest so duplicate replies resolve reads
+                // in issue order, deterministically.
                 let req = self
                     .pending
                     .iter()
-                    .filter(|(_, p)| {
-                        p.strategy == ReadStrategy::Proof
-                            && p.awaiting.contains(&from)
-                            && p.query == *query
+                    .filter(|(req, p)| {
+                        p.query == *query
+                            && matches!(self.solicited(**req, from), Some(PathState::Proof { .. }))
                     })
                     .map(|(r, _)| *r)
                     .min();
@@ -1621,16 +1615,16 @@ impl Process<Msg> for ClientProcess {
             Msg::StreamChunk { req_id, index, data } => {
                 self.handle_stream_chunk(ctx, from, req_id, index, data)
             }
+            // A refusal accepts nothing, so it needs only a pending read,
+            // not the gate: a refusal that outlived a retry still counts.
             Msg::ReadRefused { req_id, reason } => {
-                if !self.pending.contains_key(&req_id) {
-                    return;
-                }
+                let Some(p) = self.pending.get_mut(&req_id) else { return };
                 ctx.metrics().inc("read.refused");
                 match reason {
                     RefuseReason::Excluded => {
                         // Learn of exclusions we missed; ask the owning
                         // shard's master for a new slave.
-                        let shard = self.pending.get(&req_id).map(|p| p.shard).unwrap_or(0);
+                        let shard = p.shard;
                         self.shards[shard].slaves.retain(|(n, _)| *n != from);
                         self.shards[shard].spares.retain(|(n, _)| *n != from);
                         if let Some((m, _)) = self.shards[shard].master {
@@ -1642,65 +1636,63 @@ impl Process<Msg> for ClientProcess {
                         self.retry_read(ctx, req_id);
                     }
                     RefuseReason::OutOfSync => {
-                        let Some(p) = self.pending.get_mut(&req_id) else { return };
                         p.awaiting.remove(&from);
-                        if p.awaiting.is_empty() && p.responses.is_empty() {
-                            // Everyone refused: retry after timeout fires.
-                        } else if p.awaiting.is_empty() {
+                        // Everyone refused: the timeout retries.  Otherwise
+                        // go on with the responses that did arrive.
+                        let answered = matches!(&p.path,
+                            PathState::Pledged { responses, .. } if !responses.is_empty());
+                        if p.awaiting.is_empty() && answered {
                             self.finalize_read(ctx, req_id);
                         }
                     }
                 }
             }
-            Msg::TrustedReadResponse { req_id, result } => {
-                if let Some(p) = self.pending.remove(&req_id) {
-                    // Results from trusted hardware are authoritative.
-                    self.counters.reads_accepted += 1;
-                    ctx.metrics().inc("read.accepted");
-                    ctx.metrics().inc("read.accepted_sensitive");
-                    let latency = ctx.now().since(p.issued_at);
-                    ctx.metrics().observe("read.latency_us", latency.as_micros());
-                    ctx.metrics()
-                        .observe("read.sensitive_latency_us", latency.as_micros());
-                    let _ = result;
+            Msg::TrustedReadResponse { req_id, .. } => {
+                // Results from trusted hardware are authoritative — when
+                // they come from the master the read was sent to.
+                if let Some(PathState::Trusted) = self.solicited(req_id, from) {
+                    self.accept(ctx, req_id, Accept::Trusted);
                 }
             }
-            Msg::DoubleCheckResponse { req_id, verdict } => match verdict {
-                CheckVerdict::Match => {
-                    ctx.metrics().inc("client.dc_match");
-                    // Quorum-mismatch path: a Match identifies an honest
-                    // pledge; accept pending read if still open.
-                    if self.pending.contains_key(&req_id) {
-                        let p = self.pending.remove(&req_id).expect("present");
-                        self.counters.reads_accepted += 1;
-                        ctx.metrics().inc("read.accepted");
-                        let latency = ctx.now().since(p.issued_at);
-                        ctx.metrics().observe("read.latency_us", latency.as_micros());
+            Msg::DoubleCheckResponse { req_id, verdict } => {
+                // Only the master a quorum-mismatch check went to may
+                // settle (or drop) the read it was about.  A sampled
+                // double-check was accepted when it was sent, so its
+                // verdict finds nothing pending.
+                let settles = matches!(
+                    self.solicited(req_id, from),
+                    Some(PathState::Pledged { checking: true, .. })
+                );
+                let corrected = match verdict {
+                    // A Match identifies an honest pledge.
+                    CheckVerdict::Match => {
+                        ctx.metrics().inc("client.dc_match");
+                        Some(false)
                     }
-                }
-                CheckVerdict::Mismatch { correct } => {
-                    ctx.metrics().inc("client.dc_mismatch");
-                    ctx.charge(ctx.costs().hash_cost(correct.size()));
-                    if self.pending.contains_key(&req_id) {
-                        let p = self.pending.remove(&req_id).expect("present");
-                        // The master's answer is authoritative.
-                        self.counters.reads_accepted += 1;
-                        ctx.metrics().inc("read.accepted");
-                        ctx.metrics().inc("read.corrected_by_master");
-                        let latency = ctx.now().since(p.issued_at);
-                        ctx.metrics().observe("read.latency_us", latency.as_micros());
+                    // The master's answer is authoritative.
+                    CheckVerdict::Mismatch { correct } => {
+                        ctx.metrics().inc("client.dc_mismatch");
+                        ctx.charge(ctx.costs().hash_cost(correct.size()));
+                        Some(true)
                     }
+                    CheckVerdict::VersionUnavailable => {
+                        ctx.metrics().inc("client.dc_version_unavailable");
+                        None
+                    }
+                    CheckVerdict::Throttled => {
+                        self.counters.dc_throttled += 1;
+                        ctx.metrics().inc("client.dc_throttled");
+                        None
+                    }
+                };
+                match corrected {
+                    Some(corrected) if settles => {
+                        self.accept(ctx, req_id, Accept::Checked { corrected })
+                    }
+                    None if settles => drop(self.pending.remove(&req_id)),
+                    _ => {}
                 }
-                CheckVerdict::VersionUnavailable => {
-                    ctx.metrics().inc("client.dc_version_unavailable");
-                    self.pending.remove(&req_id);
-                }
-                CheckVerdict::Throttled => {
-                    self.counters.dc_throttled += 1;
-                    ctx.metrics().inc("client.dc_throttled");
-                    self.pending.remove(&req_id);
-                }
-            },
+            }
             Msg::WriteResponse { req_id, outcome } => {
                 if let Some((sent_at, shard)) = self.pending_writes.remove(&req_id) {
                     match outcome {

@@ -13,10 +13,12 @@ pub fn query_charge(cost: &QueryCost, result_bytes: usize, m: &CostModel) -> Sim
         + m.serde_cost(result_bytes)
 }
 
-/// CPU time to hash `bytes` of result data (client verification, pledge
-/// construction).
-pub fn hash_charge(bytes: usize, m: &CostModel) -> SimDuration {
-    m.hash_cost(bytes)
+/// CPU time to assemble or fold one Merkle proof of `depth` levels: a
+/// 64-byte node hash per level plus the leaf.  The one proof charge —
+/// slaves pay it building a path, range skeleton or manifest slice,
+/// clients pay it folding the same evidence back up to the signed digest.
+pub fn proof_fold_charge(depth: usize, m: &CostModel) -> SimDuration {
+    m.hash_cost(64) * (1 + depth as u64)
 }
 
 #[cfg(test)]

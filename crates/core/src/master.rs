@@ -776,39 +776,35 @@ impl MasterProcess {
         false
     }
 
-    fn handle_double_check(&mut self, ctx: &mut Ctx<'_, Msg>, client: NodeId, req_id: u64, pledge: Pledge) {
+    /// Re-executes a pledged query at the pledge's version and tells the
+    /// client how the slave's answer compares (Section 3.3).
+    fn handle_double_check(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        client: NodeId,
+        req_id: u64,
+        pledge: Pledge,
+    ) {
+        let verdict = self.double_check(ctx, client, pledge);
+        ctx.send(client, Msg::DoubleCheckResponse { req_id, verdict });
+    }
+
+    fn double_check(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        client: NodeId,
+        pledge: Pledge,
+    ) -> CheckVerdict {
         ctx.metrics().inc("dc.received");
         if self.greedy_should_ignore(ctx, client) {
             ctx.metrics().inc("dc.throttled");
-            ctx.send(
-                client,
-                Msg::DoubleCheckResponse {
-                    req_id,
-                    verdict: CheckVerdict::Throttled,
-                },
-            );
-            return;
+            return CheckVerdict::Throttled;
         }
-        let version = pledge.stamp.version;
-        let Some(reference) = self.reference_state(version) else {
-            ctx.send(
-                client,
-                Msg::DoubleCheckResponse {
-                    req_id,
-                    verdict: CheckVerdict::VersionUnavailable,
-                },
-            );
-            return;
+        let Some(reference) = self.reference_state(pledge.stamp.version) else {
+            return CheckVerdict::VersionUnavailable;
         };
         let Ok((correct, qcost)) = execute(reference, &pledge.query) else {
-            ctx.send(
-                client,
-                Msg::DoubleCheckResponse {
-                    req_id,
-                    verdict: CheckVerdict::VersionUnavailable,
-                },
-            );
-            return;
+            return CheckVerdict::VersionUnavailable;
         };
         ctx.charge(crate::cost::query_charge(&qcost, correct.size(), ctx.costs()));
         ctx.charge(ctx.costs().hash_cost(correct.size()));
@@ -816,14 +812,7 @@ impl MasterProcess {
         let correct_hash = ResultHash::of(&correct, pledge.result_hash.algo());
         if correct_hash == pledge.result_hash {
             ctx.metrics().inc("dc.match");
-            ctx.send(
-                client,
-                Msg::DoubleCheckResponse {
-                    req_id,
-                    verdict: CheckVerdict::Match,
-                },
-            );
-            return;
+            return CheckVerdict::Match;
         }
 
         // Mismatch: the pledge is the proof — if it verifies (no framing).
@@ -847,13 +836,7 @@ impl MasterProcess {
         } else {
             ctx.metrics().inc("dc.unverifiable_pledge");
         }
-        ctx.send(
-            client,
-            Msg::DoubleCheckResponse {
-                req_id,
-                verdict: CheckVerdict::Mismatch { correct },
-            },
-        );
+        CheckVerdict::Mismatch { correct }
     }
 
     fn handle_setup(&mut self, ctx: &mut Ctx<'_, Msg>, client: NodeId) {

@@ -211,7 +211,7 @@ pub enum MasterEvent {
 }
 
 /// All messages carried by the simulated network.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Msg {
     // ----- Directory -----
     /// Client → directory: who replicates this shard of the content?
@@ -370,13 +370,16 @@ pub enum Msg {
         /// The query (must be `GetRow` or `ReadFile`).
         query: Query,
     },
-    /// Slave → client: result, Merkle path proof, and the master-signed
-    /// digest stamp the proof folds up to.
+    /// Slave → client: result, proof, and the master-signed digest stamp
+    /// the proof folds up to.  The proof is an O(log n) Merkle path for a
+    /// point read, or for a `ScanRange` an O(log n + k) range skeleton
+    /// covering *and completing* the rows (none in the scanned interval
+    /// can be omitted).
     ///
     /// Content-addressed rather than request-addressed: the reply echoes
     /// the *query* instead of a per-request id, so one cached reply
-    /// allocation serves every concurrent reader of the same hot key
-    /// (the slave's proof cache re-sends the identical `Arc<Msg>`).
+    /// allocation serves every concurrent reader of the same hot key or
+    /// hot range (the slave's proof cache re-sends the identical `Arc<Msg>`).
     /// Clients match it to their oldest pending proof read for that
     /// query — the pairing is deterministic because a client never has
     /// two distinguishable reads of the same query in flight.
@@ -386,28 +389,8 @@ pub enum Msg {
         query: Box<Query>,
         /// The (claimed) query result.
         result: QueryResult,
-        /// O(log n) path proof from the result to the digest (boxed —
+        /// Path or range proof from the result to the digest (boxed —
         /// see [`Msg::ReadResponse`] on why wide payloads stay indirect).
-        proof: Box<StateProof>,
-        /// Master-signed state digest the proof anchors in.
-        digest_stamp: StateDigestStamp,
-    },
-    /// Slave → client: a verified range scan — the rows in key order, an
-    /// O(log n + k) range proof covering *and completing* them (no row
-    /// in the scanned interval can be omitted), and the master-signed
-    /// digest stamp the proof folds up to.
-    ///
-    /// Content-addressed exactly like [`Msg::ProofReadReply`]: the reply
-    /// echoes the query, so one cached allocation serves every
-    /// concurrent scanner of the same hot range.
-    RangeReadReply {
-        /// The `ScanRange` query this reply answers (echoed; boxed — see
-        /// [`Msg::ReadResponse`] on why wide payloads stay indirect).
-        query: Box<Query>,
-        /// The (claimed) rows, ascending by key.
-        result: QueryResult,
-        /// Range proof from the rows to the digest (boxed — see
-        /// [`Msg::ReadResponse`]).
         proof: Box<StateProof>,
         /// Master-signed state digest the proof anchors in.
         digest_stamp: StateDigestStamp,
@@ -540,19 +523,18 @@ impl Payload for Msg {
             Msg::KeepAlive { .. } => 224,
             Msg::SlaveSyncRequest { .. } => 16,
             Msg::ExcludeNotice => 8,
-            Msg::ReadRequest { query, .. } => 16 + query.encode().len(),
+            Msg::ReadRequest { query, .. }
+            | Msg::ProofRead { query, .. }
+            | Msg::StreamRead { query, .. }
+            | Msg::TrustedRead { query, .. } => 16 + query.encode().len(),
             Msg::ReadResponse { result, pledge, .. } => 16 + result.size() + pledge.wire_len(),
             Msg::ReadRefused { .. } => 16,
-            Msg::ProofRead { query, .. } => 16 + query.encode().len(),
-            Msg::ProofReadReply { query, result, proof, .. }
-            | Msg::RangeReadReply { query, result, proof, .. } => {
+            Msg::ProofReadReply { query, result, proof, .. } => {
                 8 + query.encode().len() + result.size() + proof.wire_len() + 128
             }
-            Msg::StreamRead { query, .. } => 16 + query.encode().len(),
             // Header proof plus the digest stamp (~128) and stream bounds.
             Msg::StreamHeader { proof, .. } => 24 + proof.wire_len() + 128,
             Msg::StreamChunk { data, .. } => 20 + data.len(),
-            Msg::TrustedRead { query, .. } => 16 + query.encode().len(),
             Msg::TrustedReadResponse { result, .. } => 16 + result.size(),
             Msg::DoubleCheck { pledge, .. } => 16 + pledge.wire_len(),
             Msg::DoubleCheckResponse { verdict, .. } => match verdict {

@@ -16,39 +16,164 @@
 //!   sync with some probability.
 
 use crate::config::SystemConfig;
+use crate::cost::{proof_fold_charge, query_charge};
 use crate::messages::{Msg, RefuseReason, StateDigestStamp, VersionStamp};
 use crate::pledge::{Pledge, ResultHash};
 use sdr_crypto::{Digest, Hash256, PublicKey, Sha256, Signer};
-use sdr_sim::{Ctx, NodeId, Payload, Process, SimTime};
+use sdr_sim::{CostModel, Ctx, NodeId, Payload, Process, SimDuration, SimTime};
 use sdr_store::fsview::GrepMatch;
 use sdr_store::{
-    execute, Database, Document, LruByteCache, Query, QueryResult, StateProof, StreamProof,
-    UpdateOp, Value,
+    execute, Database, Document, LruByteCache, Query, QueryResult, StreamProof, UpdateOp, Value,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Wrong-answer machinery shared by the pledge and proof read paths: a
-/// liar corrupts the shipped result (and on the pledge path may also
-/// pledge the corrupted hash); the proof path always ships the *honest*
-/// proof because forging one against the signed digest would need a
-/// hash collision — which is exactly why proof-read lies die at the
-/// client instead of waiting for the auditor.
+/// The evidence a read request asks for: the one parameter of
+/// [`SlaveProcess::serve`].  `Proof` covers point paths and range
+/// skeletons alike — the query picks which.
+#[derive(Clone, Copy)]
+enum ReadKind {
+    /// `ReadRequest`: a signed pledge over the result hash.
+    Pledge,
+    /// `ProofRead`: a Merkle path or range skeleton to the signed digest.
+    Proof,
+    /// `StreamRead`: a manifest-slice header, then the chunks it commits to.
+    Stream,
+}
+
+/// An honest answer, built or taken from the cache, before the lie step.
+enum Answer {
+    /// The result; its pledge is hashed and signed after the lie step.
+    Pledged(QueryResult),
+    /// The assembled `ProofReadReply`; `cached` when
+    /// the allocation was accounted for by an earlier send.
+    Proof { reply: Arc<Msg>, cached: bool },
+    /// The header proof and the chunks at their absolute manifest indexes.
+    Stream {
+        proof: Box<StreamProof>,
+        chunks: Vec<(u32, Vec<u8>)>,
+    },
+}
+
+/// The lie step, shared by every evidence kind: one coin, then the liar
+/// corrupts what it ships and the forgery is returned for the lie log.
+/// Only a pledge can cover a lie (a consistent liar pledges the corrupted
+/// hash); proofs and stream headers stay *honest* because forging one
+/// against the signed digest would need a hash collision — which is
+/// exactly why those lies die at the client instead of waiting for the
+/// auditor.
 fn apply_lie_behavior(
     behavior: SlaveBehavior,
     ctx: &mut Ctx<'_, Msg>,
-    result: &QueryResult,
+    answer: &mut Answer,
 ) -> Option<QueryResult> {
-    match behavior {
+    let salt = match behavior {
         SlaveBehavior::ConsistentLiar { prob, collude } if ctx.coin() < prob => {
-            let salt = if collude { 0 } else { u64::from(ctx.id().0) };
-            Some(corrupt(result, salt))
+            if collude {
+                0
+            } else {
+                u64::from(ctx.id().0)
+            }
         }
-        SlaveBehavior::InconsistentLiar { prob } if ctx.coin() < prob => {
-            Some(corrupt(result, 1))
+        SlaveBehavior::InconsistentLiar { prob } if ctx.coin() < prob => 1,
+        _ => return None,
+    };
+    match answer {
+        // Shipped and pledged at reply assembly.
+        Answer::Pledged(result) => Some(corrupt(result, salt)),
+        // A per-request copy: the cache keeps the honest reply.
+        Answer::Proof { reply, cached } => {
+            let mut forged = (**reply).clone();
+            let Msg::ProofReadReply { result, .. } = &mut forged else {
+                return None; // Poisoned by the test hook with junk.
+            };
+            *result = corrupt(result, salt);
+            let bad = result.clone();
+            (*reply, *cached) = (Arc::new(forged), false);
+            Some(bad)
         }
-        _ => None,
+        // One chunk's bytes; the client rejects at exactly that chunk.
+        Answer::Stream { chunks, .. } => {
+            let (_, data) = chunks.last_mut()?;
+            data[0] ^= 0x5a;
+            Some(QueryResult::Text(Some(
+                String::from_utf8_lossy(data).into_owned(),
+            )))
+        }
     }
+}
+
+/// Counts `metric` and yields the refusal every failed serve step sends.
+fn out_of_sync(ctx: &mut Ctx<'_, Msg>, metric: &str) -> RefuseReason {
+    ctx.metrics().inc(metric);
+    RefuseReason::OutOfSync
+}
+
+/// Executes `query`, adding its modeled cost to `cost`; the error is the
+/// metric to count.
+fn run_query(
+    db: &Database,
+    query: &Query,
+    costs: &CostModel,
+    cost: &mut SimDuration,
+) -> Result<QueryResult, &'static str> {
+    let (result, qcost) = execute(db, query).map_err(|_| "slave.query_errors")?;
+    *cost += query_charge(&qcost, result.size(), costs);
+    Ok(result)
+}
+
+/// Cache key of a memoized answer: the anchor stamp's version,
+/// timestamp, *and* digest plus what was asked.  Version alone would
+/// suffice given wholesale invalidation; the timestamp makes a
+/// keep-alive refresh (same version, newer stamp) miss by construction,
+/// and the digest is belt-and-braces against any anchor/state
+/// divergence.
+fn cache_key(anchor: &StateDigestStamp, subject: &[u8]) -> Hash256 {
+    Sha256::digest_parts(&[
+        b"sdr/slave-cache/v3",
+        &anchor.version.to_be_bytes(),
+        &anchor.timestamp.as_micros().to_be_bytes(),
+        anchor.digest.as_ref(),
+        subject,
+    ])
+}
+
+/// The build step behind the one cache probe.  `build` assembles the
+/// honest answer and its cache weight, adding what it costs in modeled
+/// time to its argument; its error is the metric to count before
+/// refusing.  With a `slot` (hot-read fast path: under one anchor the
+/// honest answer is immutable) a hit skips the build and its cost, and a
+/// miss stores what was built.  Building draws no randomness, so hit and
+/// miss consume identical RNG streams and a run's trace never depends on
+/// cache contents.  Returns the answer and whether it was a hit.
+fn fetch<V: Clone + PartialEq>(
+    ctx: &mut Ctx<'_, Msg>,
+    cache_verify: bool,
+    mut slot: Option<(&mut LruByteCache<V>, Hash256)>,
+    build: impl Fn(&mut SimDuration) -> Result<(V, usize), &'static str>,
+) -> Result<(V, bool), RefuseReason> {
+    if let Some((cache, key)) = &mut slot {
+        ctx.charge(ctx.costs().cache_lookup);
+        if let Some(hit) = cache.get(key).cloned() {
+            ctx.metrics().inc("slave.proof_cache_hit");
+            // Host-side oracle: rebuild fresh and compare.  No charges —
+            // virtual time must not see the recheck.
+            if cache_verify && build(&mut SimDuration::default()).map_or(true, |(v, _)| v != hit) {
+                ctx.metrics().inc("slave.cache_divergence");
+            }
+            return Ok((hit, true));
+        }
+        ctx.metrics().inc("slave.proof_cache_miss");
+    }
+    let mut cost = SimDuration::ZERO;
+    let built = build(&mut cost);
+    ctx.charge(cost);
+    let (fresh, bytes) = built.map_err(|metric| out_of_sync(ctx, metric))?;
+    if let Some((cache, key)) = slot {
+        let evicted = cache.put(key, fresh.clone(), bytes);
+        ctx.metrics().add("slave.proof_cache_evict", evicted);
+    }
+    Ok((fresh, false))
 }
 
 /// Behaviour model of a slave.
@@ -266,41 +391,6 @@ impl SlaveProcess {
         (self.reply_cache.bytes() + self.stream_proof_cache.bytes()) as u64
     }
 
-    /// Cache key of a memoized proof reply: the anchor stamp's version,
-    /// timestamp, *and* digest plus the query encoding.  Version alone
-    /// would suffice given wholesale invalidation; the timestamp makes a
-    /// keep-alive refresh (same version, newer stamp) miss by
-    /// construction, and the digest is belt-and-braces against any
-    /// anchor/state divergence.
-    fn proof_reply_key(anchor: &StateDigestStamp, query: &Query) -> Hash256 {
-        Sha256::digest_parts(&[
-            b"sdr/proof-reply/v1",
-            &anchor.version.to_be_bytes(),
-            &anchor.timestamp.as_micros().to_be_bytes(),
-            anchor.digest.as_ref(),
-            &query.encode(),
-        ])
-    }
-
-    /// Cache key of a memoized stream-proof header (same anchor binding
-    /// as [`Self::proof_reply_key`], path plus *chunk window* instead of
-    /// a query).  A slice header depends only on which chunk-table rows
-    /// the byte range overlaps, so keying on the window — not the raw
-    /// `(offset, len)` — lets every read landing in the same chunks
-    /// share one cached header.  `(u64::MAX, u64::MAX)` keys the
-    /// absent-file header.
-    fn stream_proof_key(anchor: &StateDigestStamp, path: &str, window: (u64, u64)) -> Hash256 {
-        Sha256::digest_parts(&[
-            b"sdr/stream-proof/v2",
-            &anchor.version.to_be_bytes(),
-            &anchor.timestamp.as_micros().to_be_bytes(),
-            anchor.digest.as_ref(),
-            &window.0.to_be_bytes(),
-            &window.1.to_be_bytes(),
-            path.as_bytes(),
-        ])
-    }
-
     /// Wipes both hot-read caches.  Called whenever the proof-read anchor
     /// moves (any newer digest stamp, including same-version keep-alive
     /// refreshes) *and* whenever the replica applies a write — the latter
@@ -326,16 +416,9 @@ impl SlaveProcess {
     /// own cache.  No-op while the slave has no anchor.
     pub fn poison_reply_cache_for_test(&mut self, query: &Query, reply: Msg) {
         if let Some(anchor) = self.latest_digest_stamp.clone() {
-            let key = Self::proof_reply_key(&anchor, query);
+            let key = cache_key(&anchor, &query.encode());
             let bytes = reply.wire_len();
             self.reply_cache.put(key, Arc::new(reply), bytes);
-        }
-    }
-
-    fn is_fresh(&self, now: SimTime) -> bool {
-        match &self.latest_stamp {
-            Some(stamp) => now.since(stamp.timestamp) <= self.cfg.max_latency,
-            None => false,
         }
     }
 
@@ -379,6 +462,20 @@ impl SlaveProcess {
             self.invalidate_caches(ctx);
             self.latest_digest_stamp = Some(stamp);
         }
+    }
+
+    /// Charges and runs the two signature checks every master push pays:
+    /// only stamps genuinely signed by one known master count.
+    fn stamps_valid(
+        &self,
+        ctx: &mut Ctx<'_, Msg>,
+        stamp: &VersionStamp,
+        digest_stamp: &StateDigestStamp,
+    ) -> bool {
+        ctx.charge(ctx.costs().verify * 2);
+        self.master_keys
+            .get(&stamp.master)
+            .is_some_and(|k| stamp.verify(k).is_ok() && digest_stamp.verify(k).is_ok())
     }
 
     /// The version this slave *appears* to be at: applied updates plus any
@@ -442,479 +539,229 @@ impl SlaveProcess {
         }
     }
 
-    fn serve_read(&mut self, ctx: &mut Ctx<'_, Msg>, client: NodeId, req_id: u64, query: Query) {
+    /// Serves one read of any evidence kind, or refuses it.
+    fn serve(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        client: NodeId,
+        req_id: u64,
+        kind: ReadKind,
+        query: Query,
+    ) {
+        if let Err(reason) = self.try_serve(ctx, client, req_id, kind, query) {
+            ctx.send(client, Msg::ReadRefused { req_id, reason });
+        }
+    }
+
+    /// The read pipeline: gate → cache probe / build → lie step → reply.
+    /// Each step exists once; `kind` picks the anchor the gate checks and
+    /// the evidence that is built, corrupted and shipped.
+    fn try_serve(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        client: NodeId,
+        req_id: u64,
+        kind: ReadKind,
+        query: Query,
+    ) -> Result<(), RefuseReason> {
         if self.excluded {
-            ctx.send(
-                client,
-                Msg::ReadRefused {
-                    req_id,
-                    reason: RefuseReason::Excluded,
-                },
-            );
-            return;
+            return Err(RefuseReason::Excluded);
         }
         // Freshness self-gate (correct-slave duty from Section 3): "if they
         // behave correctly they should stop handling user requests until
-        // they are back in sync".
-        if !self.is_fresh(ctx.now()) {
-            ctx.metrics().inc("slave.refused_stale");
-            ctx.send(
-                client,
-                Msg::ReadRefused {
-                    req_id,
-                    reason: RefuseReason::OutOfSync,
-                },
-            );
-            return;
+        // they are back in sync".  A pledge rides the version stamp;
+        // everything else needs a digest anchor the client will still
+        // consider fresh.
+        let (now, bound) = (ctx.now(), self.cfg.max_latency);
+        let fresh = match kind {
+            ReadKind::Pledge => self
+                .latest_stamp
+                .as_ref()
+                .is_some_and(|s| now.since(s.timestamp) <= bound),
+            _ => self
+                .latest_digest_stamp
+                .as_ref()
+                .is_some_and(|s| s.is_fresh(now, bound)),
+        };
+        if !fresh {
+            return Err(out_of_sync(ctx, "slave.refused_stale"));
         }
         if let SlaveBehavior::Refuser { prob } = self.behavior {
             if ctx.coin() < prob {
-                ctx.metrics().inc("slave.refused_malicious");
+                return Err(out_of_sync(ctx, "slave.refused_malicious"));
+            }
+        }
+
+        let costs = *ctx.costs();
+        let (db, verify) = (&self.db, self.cfg.cache_verify);
+        let caching = self.cfg.proof_cache_bytes > 0;
+        let anchor = self.latest_digest_stamp.as_ref();
+        let mut answer = match kind {
+            ReadKind::Pledge => {
+                let build = |cost: &mut _| Ok((run_query(db, &query, &costs, cost)?, 0));
+                Answer::Pledged(fetch(ctx, verify, None, build)?.0)
+            }
+            ReadKind::Proof => {
+                let anchor = anchor.expect("checked fresh");
+                let slot =
+                    caching.then(|| (&mut self.reply_cache, cache_key(anchor, &query.encode())));
+                let (reply, cached) = fetch(ctx, verify, slot, |cost| {
+                    let result = run_query(db, &query, &costs, cost)?;
+                    // Not a point read or scan, or the table itself is gone.
+                    let Some(Ok(proof)) = db.prove_query(&query) else {
+                        return Err("slave.proof_unsupported");
+                    };
+                    *cost += proof_fold_charge(proof.depth(), &costs);
+                    let reply = Arc::new(Msg::ProofReadReply {
+                        query: Box::new(query.clone()),
+                        result,
+                        proof: Box::new(proof),
+                        digest_stamp: anchor.clone(),
+                    });
+                    let bytes = reply.wire_len();
+                    Ok((reply, bytes))
+                })?;
+                ctx.metrics().inc("slave.proof_reads");
+                if !cached && matches!(query, Query::ScanRange { .. }) {
+                    ctx.metrics().inc("slave.range_reads");
+                }
+                Answer::Proof { reply, cached }
+            }
+            ReadKind::Stream => {
+                let Query::ReadFileRange { path, offset, len } = &query else {
+                    return Err(out_of_sync(ctx, "slave.proof_unsupported"));
+                };
+                // A slice header depends only on which chunk-table rows
+                // the byte range overlaps, so keying on that window — not
+                // the raw `(offset, len)` — lets every read landing in the
+                // same chunks share one cached header.  `u64::MAX` keys
+                // the absent-file header.
+                let slot = caching.then(|| {
+                    let (a, b) = db.fs().manifest(path).map_or((u64::MAX, u64::MAX), |m| {
+                        let (a, b) = m.chunk_range(*offset, *len);
+                        (a as u64, b as u64)
+                    });
+                    let subject = [&a.to_be_bytes(), &b.to_be_bytes(), path.as_bytes()].concat();
+                    let key = cache_key(anchor.expect("checked fresh"), &subject);
+                    (&mut self.stream_proof_cache, key)
+                });
+                let (proof, _) = fetch(ctx, verify, slot, |cost| {
+                    let proof = db.prove_stream(path, *offset, *len);
+                    *cost += proof_fold_charge(proof.depth(), &costs);
+                    let bytes = proof.wire_len();
+                    Ok((proof, bytes))
+                })?;
+                // The slice covers exactly the chunks overlapping the
+                // requested byte range; the bytes really move, so chunk
+                // collection is per request.
+                let (first, entries) = proof
+                    .slice
+                    .as_ref()
+                    .map_or((0, &[][..]), |s| (s.first, &s.entries[..]));
+                let chunks: Vec<(u32, Vec<u8>)> = entries
+                    .iter()
+                    .zip(first..)
+                    .filter_map(|(entry, index)| {
+                        Some((index, db.fs().chunk_bytes(&entry.id)?.to_vec()))
+                    })
+                    .collect();
+                if chunks.len() != entries.len() {
+                    // A manifest chunk missing from the store means replica
+                    // corruption; refusing beats streaming a doomed proof.
+                    return Err(out_of_sync(ctx, "slave.query_errors"));
+                }
+                ctx.charge(costs.serde_cost(chunks.iter().map(|(_, d)| d.len()).sum()));
+                ctx.metrics().inc("slave.stream_reads");
+                let proof = Box::new(proof);
+                Answer::Stream { proof, chunks }
+            }
+        };
+        self.reads_served += 1;
+        ctx.metrics().inc("slave.reads");
+
+        let lie = apply_lie_behavior(self.behavior, ctx, &mut answer);
+        if let Some(forged) = &lie {
+            ctx.metrics().inc("slave.lies");
+            let hash = ResultHash::of(forged, self.cfg.pledge_hash);
+            self.lies_told.insert(hash.bytes().to_vec());
+        }
+
+        match answer {
+            Answer::Pledged(result) => {
+                // A consistent liar pledges the corrupted hash too; an
+                // inconsistent one pledges the correct hash, ships garbage.
+                let pledged = match (&lie, self.behavior) {
+                    (Some(bad), SlaveBehavior::ConsistentLiar { .. }) => bad,
+                    _ => &result,
+                };
+                let result_hash = ResultHash::of(pledged, self.cfg.pledge_hash);
+                ctx.charge(costs.hash_cost(pledged.size()));
+                let stamp = self.latest_stamp.clone().expect("fresh implies stamp");
+                ctx.charge(costs.sign);
+                let pledge =
+                    Pledge::build(query, result_hash, stamp, ctx.id(), self.signer.as_mut())
+                        .map_err(|_| out_of_sync(ctx, "slave.sign_failures"))?;
+                let (result, pledge) = (lie.unwrap_or(result), Box::new(pledge));
                 ctx.send(
                     client,
-                    Msg::ReadRefused {
+                    Msg::ReadResponse {
                         req_id,
-                        reason: RefuseReason::OutOfSync,
+                        result,
+                        pledge,
                     },
                 );
-                return;
             }
-        }
-
-        let Ok((result, qcost)) = execute(&self.db, &query) else {
-            ctx.metrics().inc("slave.query_errors");
-            ctx.send(
-                client,
-                Msg::ReadRefused {
-                    req_id,
-                    reason: RefuseReason::OutOfSync,
-                },
-            );
-            return;
-        };
-        ctx.charge(crate::cost::query_charge(&qcost, result.size(), ctx.costs()));
-        self.reads_served += 1;
-        ctx.metrics().inc("slave.reads");
-
-        // Behaviour: decide what to ship and what to pledge.
-        let lie = apply_lie_behavior(self.behavior, ctx, &result);
-        let (shipped, pledged_hash_src, lie) = match (self.behavior, lie) {
-            // A consistent liar pledges the corrupted hash too.
-            (SlaveBehavior::ConsistentLiar { .. }, Some(bad)) => (bad.clone(), bad, true),
-            // An inconsistent liar pledges the correct hash, ships garbage.
-            (SlaveBehavior::InconsistentLiar { .. }, Some(bad)) => (bad, result, true),
-            (_, _) => (result.clone(), result, false),
-        };
-
-        let result_hash = ResultHash::of(&pledged_hash_src, self.cfg.pledge_hash);
-        ctx.charge(ctx.costs().hash_cost(pledged_hash_src.size()));
-        if lie {
-            ctx.metrics().inc("slave.lies");
-            self.lies_told
-                .insert(ResultHash::of(&shipped, self.cfg.pledge_hash).bytes().to_vec());
-        }
-
-        let stamp = self.latest_stamp.clone().expect("fresh implies stamp");
-        ctx.charge(ctx.costs().sign);
-        let Ok(pledge) = Pledge::build(
-            query,
-            result_hash,
-            stamp,
-            ctx.id(),
-            self.signer.as_mut(),
-        ) else {
-            ctx.metrics().inc("slave.sign_failures");
-            ctx.send(
-                client,
-                Msg::ReadRefused {
-                    req_id,
-                    reason: RefuseReason::OutOfSync,
-                },
-            );
-            return;
-        };
-        ctx.send(
-            client,
-            Msg::ReadResponse {
-                req_id,
-                result: shipped,
-                pledge: Box::new(pledge),
-            },
-        );
-    }
-
-    /// Serves a static point read with a Merkle path proof against the
-    /// freshest master-signed digest stamp — no pledge involved.
-    ///
-    /// Refuses (like a pledged read) when excluded, when no sufficiently
-    /// fresh digest anchor exists, or when the query is not provable
-    /// (not a point read, or its table is missing).
-    fn serve_proof_read(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        client: NodeId,
-        req_id: u64,
-        query: Query,
-    ) {
-        let refuse = |ctx: &mut Ctx<'_, Msg>, reason: RefuseReason| {
-            ctx.send(client, Msg::ReadRefused { req_id, reason });
-        };
-        if self.excluded {
-            refuse(ctx, RefuseReason::Excluded);
-            return;
-        }
-        // The proof-read self-gate: serve only with an anchor the client
-        // will still consider fresh.
-        let anchor_fresh = self
-            .latest_digest_stamp
-            .as_ref()
-            .is_some_and(|s| s.is_fresh(ctx.now(), self.cfg.max_latency));
-        if !anchor_fresh {
-            ctx.metrics().inc("slave.refused_stale");
-            refuse(ctx, RefuseReason::OutOfSync);
-            return;
-        }
-        if let SlaveBehavior::Refuser { prob } = self.behavior {
-            if ctx.coin() < prob {
-                ctx.metrics().inc("slave.refused_malicious");
-                refuse(ctx, RefuseReason::OutOfSync);
-                return;
-            }
-        }
-        let anchor = self.latest_digest_stamp.clone().expect("checked fresh");
-
-        // Hot-read fast path: under one anchor, the honest reply for a
-        // query is immutable, so the first build is memoized and every
-        // repeat reader costs one cache probe.  RNG parity: execution
-        // and proving draw no randomness, so the hit and miss paths
-        // consume identical RNG streams (Refuser coin above, lie coin
-        // below) and a run's trace never depends on cache contents.
-        let cached = if self.cfg.proof_cache_bytes > 0 {
-            ctx.charge(ctx.costs().cache_lookup);
-            let key = Self::proof_reply_key(&anchor, &query);
-            let hit = self.reply_cache.get(&key).cloned();
-            match &hit {
-                Some(_) => ctx.metrics().inc("slave.proof_cache_hit"),
-                None => ctx.metrics().inc("slave.proof_cache_miss"),
-            }
-            hit
-        } else {
-            None
-        };
-
-        if let Some(reply) = cached {
-            if self.cfg.cache_verify {
-                // Host-side oracle: rebuild fresh and compare.  No
-                // charges — virtual time must not see the recheck.
-                let fresh = self.build_proof_reply(&query, &anchor);
-                if fresh.as_ref().map(|m| format!("{m:?}")) != Some(format!("{:?}", *reply)) {
-                    ctx.metrics().inc("slave.cache_divergence");
+            Answer::Proof { reply, cached } => {
+                if cached {
+                    ctx.send_cached(client, reply)
+                } else {
+                    ctx.send_shared(client, reply)
                 }
             }
-            self.reads_served += 1;
-            ctx.metrics().inc("slave.reads");
-            ctx.metrics().inc("slave.proof_reads");
-            // Liars corrupt the shipped *result* even on a hit (fresh
-            // allocation; the cache always holds the honest reply).
-            let lie = match &*reply {
-                Msg::ProofReadReply { result, .. } | Msg::RangeReadReply { result, .. } => {
-                    apply_lie_behavior(self.behavior, ctx, result)
-                }
-                _ => None, // Poisoned by the test hook with junk.
-            };
-            match lie {
-                Some(bad) => {
-                    ctx.metrics().inc("slave.lies");
-                    self.lies_told
-                        .insert(ResultHash::of(&bad, self.cfg.pledge_hash).bytes().to_vec());
-                    let (Msg::ProofReadReply {
-                        query,
+            Answer::Stream { proof, chunks } => {
+                ctx.send(
+                    client,
+                    Msg::StreamHeader {
+                        req_id,
+                        first_chunk: proof.slice.as_ref().map_or(0, |s| s.first),
+                        chunk_count: chunks.len() as u32,
                         proof,
-                        digest_stamp,
-                        ..
-                    }
-                    | Msg::RangeReadReply {
-                        query,
-                        proof,
-                        digest_stamp,
-                        ..
-                    }) = (*reply).clone()
-                    else {
-                        unreachable!("lie derives from a proof-read reply");
-                    };
+                        digest_stamp: self.latest_digest_stamp.clone().expect("checked fresh"),
+                    },
+                );
+                for (index, data) in chunks {
                     ctx.send(
                         client,
-                        Self::proof_reply_msg(query, bad, proof, digest_stamp),
+                        Msg::StreamChunk {
+                            req_id,
+                            index,
+                            data,
+                        },
                     );
                 }
-                None => ctx.send_cached(client, reply),
-            }
-            return;
-        }
-
-        let Ok((result, qcost)) = execute(&self.db, &query) else {
-            ctx.metrics().inc("slave.query_errors");
-            refuse(ctx, RefuseReason::OutOfSync);
-            return;
-        };
-        ctx.charge(crate::cost::query_charge(&qcost, result.size(), ctx.costs()));
-        let Some(Ok(proof)) = self.db.prove_query(&query) else {
-            // Not a point read, or the table itself is gone.
-            ctx.metrics().inc("slave.proof_unsupported");
-            refuse(ctx, RefuseReason::OutOfSync);
-            return;
-        };
-        // Proof assembly re-hashes only the O(log n + k) path.
-        ctx.charge(ctx.costs().hash_cost(64) * (1 + proof.depth() as u64));
-        self.reads_served += 1;
-        ctx.metrics().inc("slave.reads");
-        ctx.metrics().inc("slave.proof_reads");
-        if matches!(query, Query::ScanRange { .. }) {
-            ctx.metrics().inc("slave.range_reads");
-        }
-
-        // The honest reply is assembled (and cached) regardless of
-        // behaviour; liars corrupt a per-request copy of the result.
-        // Forging the *proof* against the signed digest would need a
-        // hash collision, so lies die at the client's verification.
-        let honest = Arc::new(Self::proof_reply_msg(
-            Box::new(query.clone()),
-            result.clone(),
-            Box::new(proof),
-            anchor.clone(),
-        ));
-        if self.cfg.proof_cache_bytes > 0 {
-            let key = Self::proof_reply_key(&anchor, &query);
-            let bytes = honest.wire_len();
-            let evicted = self.reply_cache.put(key, Arc::clone(&honest), bytes);
-            ctx.metrics().add("slave.proof_cache_evict", evicted);
-        }
-        match apply_lie_behavior(self.behavior, ctx, &result) {
-            Some(bad) => {
-                ctx.metrics().inc("slave.lies");
-                self.lies_told
-                    .insert(ResultHash::of(&bad, self.cfg.pledge_hash).bytes().to_vec());
-                let (Msg::ProofReadReply { query, proof, .. }
-                | Msg::RangeReadReply { query, proof, .. }) = (*honest).clone()
-                else {
-                    unreachable!("just built");
-                };
-                ctx.send(client, Self::proof_reply_msg(query, bad, proof, anchor));
-            }
-            None => ctx.send_shared(client, honest),
-        }
-    }
-
-    /// Picks the reply variant for a proof-anchored read: scans travel
-    /// as [`Msg::RangeReadReply`], point reads as [`Msg::ProofReadReply`].
-    /// Both are content-addressed and share one reply cache.
-    fn proof_reply_msg(
-        query: Box<Query>,
-        result: QueryResult,
-        proof: Box<StateProof>,
-        digest_stamp: StateDigestStamp,
-    ) -> Msg {
-        if matches!(&*query, Query::ScanRange { .. }) {
-            Msg::RangeReadReply {
-                query,
-                result,
-                proof,
-                digest_stamp,
-            }
-        } else {
-            Msg::ProofReadReply {
-                query,
-                result,
-                proof,
-                digest_stamp,
             }
         }
-    }
-
-    /// Rebuilds the honest proof reply from scratch (the `cache_verify`
-    /// oracle); returns `None` when the query no longer executes/proves.
-    fn build_proof_reply(&self, query: &Query, anchor: &StateDigestStamp) -> Option<Msg> {
-        let (result, _) = execute(&self.db, query).ok()?;
-        let proof = self.db.prove_query(query)?.ok()?;
-        Some(Self::proof_reply_msg(
-            Box::new(query.clone()),
-            result,
-            Box::new(proof),
-            anchor.clone(),
-        ))
-    }
-
-    /// Serves a `ReadFileRange` as a proof-anchored chunk stream: one
-    /// [`Msg::StreamHeader`] carrying the manifest proof, then the
-    /// overlapping chunks as [`Msg::StreamChunk`]s.
-    ///
-    /// Same self-gates as [`SlaveProcess::serve_proof_read`].  A liar can
-    /// corrupt chunk *bytes* but not the header — the manifest is pinned
-    /// by the signed digest — so the client rejects the stream at exactly
-    /// the corrupted chunk.
-    fn serve_stream_read(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        client: NodeId,
-        req_id: u64,
-        query: Query,
-    ) {
-        let refuse = |ctx: &mut Ctx<'_, Msg>, reason: RefuseReason| {
-            ctx.send(client, Msg::ReadRefused { req_id, reason });
-        };
-        if self.excluded {
-            refuse(ctx, RefuseReason::Excluded);
-            return;
-        }
-        let anchor_fresh = self
-            .latest_digest_stamp
-            .as_ref()
-            .is_some_and(|s| s.is_fresh(ctx.now(), self.cfg.max_latency));
-        if !anchor_fresh {
-            ctx.metrics().inc("slave.refused_stale");
-            refuse(ctx, RefuseReason::OutOfSync);
-            return;
-        }
-        if let SlaveBehavior::Refuser { prob } = self.behavior {
-            if ctx.coin() < prob {
-                ctx.metrics().inc("slave.refused_malicious");
-                refuse(ctx, RefuseReason::OutOfSync);
-                return;
-            }
-        }
-        let Query::ReadFileRange { path, offset, len } = &query else {
-            ctx.metrics().inc("slave.proof_unsupported");
-            refuse(ctx, RefuseReason::OutOfSync);
-            return;
-        };
-
-        let anchor = self.latest_digest_stamp.clone().expect("checked fresh");
-        // The header proof is immutable under one anchor: memoize it so
-        // repeat streams of a hot range skip the O(log n) path re-hash.
-        // The key carries the byte range — a slice header proves only
-        // the chunk-table rows that overlap it, so different ranges of
-        // one file are different cache entries.  Chunk collection below
-        // is per-request (the bytes really move).
-        let proof = if self.cfg.proof_cache_bytes > 0 {
-            ctx.charge(ctx.costs().cache_lookup);
-            let window = self
-                .db
-                .fs()
-                .manifest(path)
-                .map_or((u64::MAX, u64::MAX), |m| {
-                    let (a, b) = m.chunk_range(*offset, *len);
-                    (a as u64, b as u64)
-                });
-            let key = Self::stream_proof_key(&anchor, path, window);
-            match self.stream_proof_cache.get(&key).cloned() {
-                Some(p) => {
-                    ctx.metrics().inc("slave.proof_cache_hit");
-                    if self.cfg.cache_verify {
-                        let fresh = self.db.prove_stream(path, *offset, *len);
-                        if format!("{fresh:?}") != format!("{p:?}") {
-                            ctx.metrics().inc("slave.cache_divergence");
-                        }
-                    }
-                    p
-                }
-                None => {
-                    ctx.metrics().inc("slave.proof_cache_miss");
-                    let p = self.db.prove_stream(path, *offset, *len);
-                    // Header assembly re-hashes only the O(log n) path.
-                    ctx.charge(ctx.costs().hash_cost(64) * (1 + p.depth() as u64));
-                    let evicted = self.stream_proof_cache.put(key, p.clone(), p.wire_len());
-                    ctx.metrics().add("slave.proof_cache_evict", evicted);
-                    p
-                }
-            }
-        } else {
-            let p = self.db.prove_stream(path, *offset, *len);
-            ctx.charge(ctx.costs().hash_cost(64) * (1 + p.depth() as u64));
-            p
-        };
-        // The slice already covers exactly the chunks overlapping the
-        // requested byte range; stream them at their absolute indexes.
-        let (first, end) = proof.slice.as_ref().map_or((0, 0), |s| {
-            (s.first as usize, s.first as usize + s.entries.len())
-        });
-        let chunks: Vec<(u32, Vec<u8>)> = proof
-            .slice
-            .as_ref()
-            .map(|s| s.entries.as_slice())
-            .unwrap_or_default()
-            .iter()
-            .enumerate()
-            .filter_map(|(rel, entry)| {
-                let data = self.db.fs().chunk_bytes(&entry.id)?.to_vec();
-                Some(((first + rel) as u32, data))
-            })
-            .collect();
-        if chunks.len() != end - first {
-            // A manifest chunk missing from the store means replica
-            // corruption; refusing beats streaming a doomed proof.
-            ctx.metrics().inc("slave.query_errors");
-            refuse(ctx, RefuseReason::OutOfSync);
-            return;
-        }
-        let streamed: usize = chunks.iter().map(|(_, d)| d.len()).sum();
-        ctx.charge(ctx.costs().serde_cost(streamed));
-        self.reads_served += 1;
-        ctx.metrics().inc("slave.reads");
-        ctx.metrics().inc("slave.stream_reads");
-
-        // Liars corrupt one chunk's bytes; the header stays honest
-        // because the manifest is pinned by the signed digest.
-        let mut chunks = chunks;
-        let lie_coin = match self.behavior {
-            SlaveBehavior::ConsistentLiar { prob, .. }
-            | SlaveBehavior::InconsistentLiar { prob } => ctx.coin() < prob,
-            _ => false,
-        };
-        if lie_coin {
-            if let Some((_, data)) = chunks.last_mut() {
-                data[0] ^= 0x5a;
-                ctx.metrics().inc("slave.lies");
-                let forged = QueryResult::Text(Some(
-                    String::from_utf8_lossy(data).into_owned(),
-                ));
-                self.lies_told
-                    .insert(ResultHash::of(&forged, self.cfg.pledge_hash).bytes().to_vec());
-            }
-        }
-
-        ctx.send(
-            client,
-            Msg::StreamHeader {
-                req_id,
-                proof: Box::new(proof),
-                digest_stamp: anchor,
-                first_chunk: first as u32,
-                chunk_count: (end - first) as u32,
-            },
-        );
-        for (index, data) in chunks {
-            ctx.send(client, Msg::StreamChunk { req_id, index, data });
-        }
+        Ok(())
     }
 }
 
 impl Process<Msg> for SlaveProcess {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
         match msg {
-            Msg::ReadRequest { req_id, query } => self.serve_read(ctx, from, req_id, query),
-            Msg::ProofRead { req_id, query } => self.serve_proof_read(ctx, from, req_id, query),
-            Msg::StreamRead { req_id, query } => self.serve_stream_read(ctx, from, req_id, query),
+            Msg::ReadRequest { req_id, query } => {
+                self.serve(ctx, from, req_id, ReadKind::Pledge, query)
+            }
+            Msg::ProofRead { req_id, query } => {
+                self.serve(ctx, from, req_id, ReadKind::Proof, query)
+            }
+            Msg::StreamRead { req_id, query } => {
+                self.serve(ctx, from, req_id, ReadKind::Stream, query)
+            }
             Msg::KeepAlive {
                 stamp,
                 digest_stamp,
             } => {
-                // Only stamps genuinely signed by a known master count.
-                ctx.charge(ctx.costs().verify * 2);
-                let valid = self
-                    .master_keys
-                    .get(&stamp.master)
-                    .is_some_and(|k| stamp.verify(k).is_ok() && digest_stamp.verify(k).is_ok());
-                if valid {
+                if self.stamps_valid(ctx, &stamp, &digest_stamp) {
                     self.last_keepalive_at = ctx.now();
                     self.accept_stamp(stamp);
                     self.accept_digest_stamp(ctx, digest_stamp);
@@ -928,12 +775,7 @@ impl Process<Msg> for SlaveProcess {
                 stamp,
                 digest_stamp,
             } => {
-                ctx.charge(ctx.costs().verify * 2);
-                let valid = self
-                    .master_keys
-                    .get(&stamp.master)
-                    .is_some_and(|k| stamp.verify(k).is_ok() && digest_stamp.verify(k).is_ok());
-                if !valid {
+                if !self.stamps_valid(ctx, &stamp, &digest_stamp) {
                     ctx.metrics().inc("slave.bad_updates");
                     return;
                 }
@@ -952,12 +794,7 @@ impl Process<Msg> for SlaveProcess {
                 // One stamp pair covers the whole batch: verify twice,
                 // not 2 x batch.  The version stamp certifies the final
                 // version; every run in the batch rides that signature.
-                ctx.charge(ctx.costs().verify * 2);
-                let valid = self
-                    .master_keys
-                    .get(&stamp.master)
-                    .is_some_and(|k| stamp.verify(k).is_ok() && digest_stamp.verify(k).is_ok());
-                if !valid {
+                if !self.stamps_valid(ctx, &stamp, &digest_stamp) {
                     ctx.metrics().inc("slave.bad_updates");
                     return;
                 }

@@ -1,23 +1,24 @@
-//! Client-side response verification: the two read-acceptance strategies.
+//! Client-side response verification: one read pipeline, four evidence
+//! kinds.
 //!
-//! Every read a client accepts went through exactly one of two pipelines:
+//! Every read has the same shape (Sections 3.2–3.4): the slave answers
+//! with *result + evidence bound to a master-signed stamp*; the client
+//! checks the responder, the stamp signature, the stamp's freshness under
+//! its own `max_latency`, and then the evidence against the stamp.  Only
+//! the evidence differs:
 //!
-//! * **Pledged** ([`verify_pledged_read`]) — Section 3.2's checks for
-//!   computed queries: result hash matches the pledge, slave signature
-//!   over the pledge, master signature over the version stamp, and stamp
-//!   freshness under the client's own `max_latency`.  Acceptance is
-//!   provisional: the pledge still goes to the auditor (or a sampled
-//!   double-check) because a consistent liar passes all four checks.
-//! * **Proof-verified** ([`verify_proof_read`]) — static point reads
-//!   (`GetRow`, `ReadFile`): master signature over the *state digest*
-//!   stamp, stamp freshness, and an O(log n) Merkle path fold from the
-//!   delivered result to the signed digest.  Acceptance is final: a
-//!   wrong answer cannot carry a valid proof, so the auditor and the
-//!   double-check machinery are skipped entirely.
+//! | request | evidence | anchor | tail after the stamp | on reject |
+//! |---|---|---|---|---|
+//! | `ReadRequest` | slave-signed pledge over the result hash | `VersionStamp` | [`verify_pledged_read`]; then auditor or sampled double-check, since a consistent liar passes | drop the response; retry when none survive |
+//! | `ProofRead` (`GetRow`, `ReadFile`) | O(log n) Merkle path | `StateDigestStamp` | [`verify_proof_read_stampless`]; final | one other replica, then pledged |
+//! | `ProofRead` (`ScanRange`) | O(log n + k) range skeleton | `StateDigestStamp` | [`verify_proof_read_stampless`]; final, complete | one other replica, then pledged (sub-scans fail the scan) |
+//! | `StreamRead` (`ReadFileRange`) | manifest slice, then chunks | `StateDigestStamp` | [`verify_stream_header_stampless`], then `StreamProof::verify_chunk` per chunk; final | one other replica, then pledged |
 //!
-//! Both pipelines are built from the same helpers and report a
-//! structured [`RejectReason`] instead of a bare bool, so metrics,
-//! retries, and fallbacks can react to *why* a response died.
+//! The digest-anchored entry points are *known responder →
+//! [`check_digest_stamp`] → the `_stampless` tail*; the client runs the
+//! same three steps with the signature check memoised.  Every step
+//! reports a structured [`RejectReason`] instead of a bare bool, so
+//! metrics, retries, and fallbacks can react to *why* a response died.
 
 use crate::messages::{StateDigestStamp, VersionStamp};
 use crate::pledge::Pledge;
@@ -106,13 +107,6 @@ pub struct VerifyEnv<'a> {
 }
 
 impl VerifyEnv<'_> {
-    fn master_key(&self, master: NodeId) -> Option<&PublicKey> {
-        self.masters
-            .iter()
-            .find(|(n, _)| *n == master)
-            .map(|(_, k)| k)
-    }
-
     fn slave_key(&self, slave: NodeId) -> Option<&PublicKey> {
         self.slaves
             .iter()
@@ -126,7 +120,10 @@ impl VerifyEnv<'_> {
     /// cache, whose entries bind the statement to the exact key it
     /// verified under (a key rotation therefore misses, never hits).
     pub fn master_key_of(&self, master: NodeId) -> Option<&PublicKey> {
-        self.master_key(master)
+        self.masters
+            .iter()
+            .find(|(n, _)| *n == master)
+            .map(|(_, k)| k)
     }
 
     /// Whether `slave` is an acceptable proof responder here (an
@@ -162,7 +159,7 @@ pub fn check_version_stamp(
     env: &VerifyEnv<'_>,
     stamp: &VersionStamp,
 ) -> Result<(), RejectReason> {
-    env.master_key(stamp.master)
+    env.master_key_of(stamp.master)
         .and_then(|k| stamp.verify(k).ok())
         .ok_or(RejectReason::BadStampSignature)
 }
@@ -172,7 +169,7 @@ pub fn check_digest_stamp(
     env: &VerifyEnv<'_>,
     stamp: &StateDigestStamp,
 ) -> Result<(), RejectReason> {
-    env.master_key(stamp.master)
+    env.master_key_of(stamp.master)
         .and_then(|k| stamp.verify(k).ok())
         .ok_or(RejectReason::BadStampSignature)
 }
@@ -200,9 +197,22 @@ pub fn verify_pledged_read(
     check_freshness(env, pledge.stamp.timestamp)
 }
 
+/// Step: `from` is a known replica and the digest stamp is signed by a
+/// known master — everything a digest-anchored reply must pass before
+/// its `_stampless` tail.
+fn check_anchor(
+    env: &VerifyEnv<'_>,
+    from: NodeId,
+    stamp: &StateDigestStamp,
+) -> Result<(), RejectReason> {
+    if !env.knows_slave(from) {
+        return Err(RejectReason::UnknownSlave);
+    }
+    check_digest_stamp(env, stamp)
+}
+
 /// Full proof-read verification: known responder, digest-stamp
-/// signature, freshness, then the Merkle path fold from the delivered
-/// result to the signed digest.
+/// signature, then [`verify_proof_read_stampless`].
 pub fn verify_proof_read(
     env: &VerifyEnv<'_>,
     from: NodeId,
@@ -211,14 +221,8 @@ pub fn verify_proof_read(
     proof: &StateProof,
     stamp: &StateDigestStamp,
 ) -> Result<(), RejectReason> {
-    if env.slave_key(from).is_none() {
-        return Err(RejectReason::UnknownSlave);
-    }
-    check_digest_stamp(env, stamp)?;
-    check_freshness(env, stamp.timestamp)?;
-    proof
-        .verify_result(&stamp.digest, stamp.version, query, result)
-        .map_err(RejectReason::BadProof)
+    check_anchor(env, from, stamp)?;
+    verify_proof_read_stampless(env, query, result, proof, stamp)
 }
 
 /// Proof-read verification tail for a stamp whose master signature is
@@ -262,12 +266,10 @@ pub fn verify_stream_header_stampless(
         .map_err(RejectReason::BadProof)
 }
 
-/// Stream-header verification: known responder, the proof is about the
-/// requested path, digest-stamp signature, freshness, then the Merkle
-/// fold from the chunk manifest to the signed digest.  After this
-/// passes, each arriving chunk is checked with
-/// [`StreamProof::verify_chunk`] — no further trust in the slave, and
-/// no buffering of the file.
+/// Stream-header verification: known responder, digest-stamp signature,
+/// then [`verify_stream_header_stampless`].  After this passes, each
+/// arriving chunk is checked with [`StreamProof::verify_chunk`] — no
+/// further trust in the slave, and no buffering of the file.
 pub fn verify_stream_header(
     env: &VerifyEnv<'_>,
     from: NodeId,
@@ -275,20 +277,8 @@ pub fn verify_stream_header(
     proof: &StreamProof,
     stamp: &StateDigestStamp,
 ) -> Result<(), RejectReason> {
-    if env.slave_key(from).is_none() {
-        return Err(RejectReason::UnknownSlave);
-    }
-    let Query::ReadFileRange { path, .. } = query else {
-        return Err(RejectReason::BadProof(ProofError::ShapeMismatch));
-    };
-    if proof.path != *path {
-        return Err(RejectReason::BadProof(ProofError::ShapeMismatch));
-    }
-    check_digest_stamp(env, stamp)?;
-    check_freshness(env, stamp.timestamp)?;
-    proof
-        .verify_header(&stamp.digest, stamp.version)
-        .map_err(RejectReason::BadProof)
+    check_anchor(env, from, stamp)?;
+    verify_stream_header_stampless(env, query, proof, stamp)
 }
 
 #[cfg(test)]

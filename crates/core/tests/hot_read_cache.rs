@@ -167,7 +167,7 @@ fn disabled_caches_accept_the_same_reads_correctly() {
     }
 }
 
-/// Assembled `RangeReadReply`s are memoized under the same
+/// Assembled range-scan `ProofReadReply`s are memoized under the same
 /// `(anchor, query)` key as point-proof replies, and every anchor move
 /// or applied write wipes them wholesale — so a scan-heavy run with
 /// writes interleaved must show cache hits AND zero proof rejections.

@@ -1,11 +1,18 @@
 //! Focused protocol-unit tests: exercise single mechanisms through small
 //! worlds where the surrounding noise (workload randomness) is disabled.
 
-use sdr_core::{SlaveBehavior, System, SystemBuilder, SystemConfig, Workload};
-use sdr_sim::SimDuration;
+use sdr_core::messages::RefuseReason;
+use sdr_core::{Msg, SlaveBehavior, System, SystemBuilder, SystemConfig, Workload};
+use sdr_sim::{Ctx, NodeId, Process, SimDuration};
+use sdr_store::Query;
 
 /// A quiet system: no reads, no writes — only protocol background traffic.
 fn quiet(seed: u64, n_masters: usize, n_slaves: usize) -> System {
+    quiet_with(seed, n_masters, vec![SlaveBehavior::Honest; n_slaves])
+}
+
+fn quiet_with(seed: u64, n_masters: usize, behaviors: Vec<SlaveBehavior>) -> System {
+    let n_slaves = behaviors.len();
     let cfg = SystemConfig {
         n_masters,
         n_slaves,
@@ -19,9 +26,72 @@ fn quiet(seed: u64, n_masters: usize, n_slaves: usize) -> System {
         ..Workload::default()
     };
     SystemBuilder::new(cfg)
-        .behaviors(vec![SlaveBehavior::Honest; n_slaves])
+        .behaviors(behaviors)
         .workload(workload)
         .build()
+}
+
+/// A bare node that asks slaves to serve reads and records every refusal.
+#[derive(Default)]
+struct Probe {
+    refusals: Vec<(u64, RefuseReason)>,
+}
+
+impl Process<Msg> for Probe {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
+        if let Msg::ReadRefused { req_id, reason } = msg {
+            self.refusals.push((req_id, reason));
+        }
+    }
+}
+
+/// The slave's gate — excluded, no fresh anchor, `Refuser` coin — is one
+/// piece of code in front of every evidence kind: each request message
+/// meets the same refusal and moves the same counter.
+#[test]
+fn slave_gate_refuses_every_read_kind_alike() {
+    const STALE: &str = "slave.refused_stale";
+    const MALICIOUS: &str = "slave.refused_malicious";
+    let cases = [
+        ("excluded", SlaveBehavior::Honest, RefuseReason::Excluded, None),
+        ("no fresh anchor", SlaveBehavior::Honest, RefuseReason::OutOfSync, Some(STALE)),
+        ("refuser", SlaveBehavior::Refuser { prob: 1.0 }, RefuseReason::OutOfSync, Some(MALICIOUS)),
+    ];
+    for (i, (case, behavior, reason, counter)) in cases.into_iter().enumerate() {
+        let mut sys = quiet_with(20 + i as u64, 2, vec![behavior; 2]);
+        sys.run_for(SimDuration::from_secs(2));
+        let slave = sys.slaves[0];
+        match case {
+            "excluded" => sys.world.inject(sys.masters[0], slave, Msg::ExcludeNotice),
+            "no fresh anchor" => {
+                // Silence the masters: the stamps age past `max_latency`.
+                let now = sys.now();
+                (0..2).for_each(|rank| sys.crash_master_at(now, rank));
+            }
+            _ => {}
+        }
+        sys.run_for(SimDuration::from_secs(5));
+
+        let probe = sys.world.spawn("probe", Box::new(Probe::default()));
+        let get = Query::GetRow { table: "products".into(), key: 1 };
+        let range = Query::ReadFileRange { path: "/docs/readme".into(), offset: 0, len: 64 };
+        let requests = [
+            Msg::ReadRequest { req_id: 1, query: get.clone() },
+            Msg::ProofRead { req_id: 2, query: get },
+            Msg::StreamRead { req_id: 3, query: range },
+        ];
+        for (req_id, request) in (1..).zip(requests) {
+            let count = |sys: &System, name| sys.world.metrics().counter(name);
+            let before = (count(&sys, STALE), count(&sys, MALICIOUS));
+            sys.world.inject(probe, slave, request);
+            sys.run_for(SimDuration::from_millis(500));
+            let refusals = sys.world.with_process(probe, |p: &mut Probe| p.refusals.clone());
+            assert_eq!(refusals.last(), Some(&(req_id, reason)), "{case}, request {req_id}");
+            let moved = (count(&sys, STALE) - before.0, count(&sys, MALICIOUS) - before.1);
+            let expected = |name| u64::from(counter == Some(name));
+            assert_eq!(moved, (expected(STALE), expected(MALICIOUS)), "{case}, request {req_id}");
+        }
+    }
 }
 
 #[test]

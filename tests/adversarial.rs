@@ -1,8 +1,10 @@
 //! Adversarial integration tests: framing, refusal, lossy networks, and
 //! combined failure modes.
 
-use secure_replication::core::{SlaveBehavior, SystemBuilder, SystemConfig, Workload};
+use secure_replication::core::messages::CheckVerdict;
+use secure_replication::core::{Msg, SlaveBehavior, SystemBuilder, SystemConfig, Workload};
 use secure_replication::sim::{LinkModel, NetworkConfig, SimDuration};
+use secure_replication::store::{QueryResult, Value};
 
 fn base_cfg(seed: u64) -> SystemConfig {
     SystemConfig {
@@ -40,6 +42,40 @@ fn refuser_hurts_liveness_not_safety() {
         "acceptance collapsed: {}",
         stats.render()
     );
+}
+
+/// Control replies pass the same gate as data replies: only the master a
+/// trusted read or a double-check was sent to may settle it.  Every
+/// slave refuses every read, so nothing can legitimately complete; one
+/// of them then answers the pending request ids (which it has seen in
+/// the requests) with spoofed master verdicts and trusted results.
+#[test]
+fn spoofed_control_replies_accept_nothing() {
+    let mut sys = SystemBuilder::new(base_cfg(35))
+        .behaviors(vec![SlaveBehavior::Refuser { prob: 1.0 }; 5])
+        .workload(Workload::default())
+        .build();
+    let (spoofer, clients) = (sys.slaves[0], sys.clients.clone());
+    for _ in 0..40 {
+        sys.run_for(SimDuration::from_millis(250));
+        for &client in &clients {
+            for req_id in 1..100 {
+                let verdict = CheckVerdict::Match;
+                sys.world
+                    .inject(spoofer, client, Msg::DoubleCheckResponse { req_id, verdict });
+                let result = QueryResult::Scalar(Value::Int(666));
+                sys.world
+                    .inject(spoofer, client, Msg::TrustedReadResponse { req_id, result });
+            }
+        }
+    }
+    sys.run_for(SimDuration::from_secs(1));
+    let stats = sys.stats();
+
+    let refused = sys.world.metrics().counter("slave.refused_malicious");
+    assert!(refused > 0 && stats.reads_issued > 0, "{}", stats.render());
+    assert_eq!(stats.reads_accepted, 0, "{}", stats.render());
+    assert_eq!(stats.wrong_accepted, 0);
 }
 
 /// The protocol survives a lossy network: reads retry, the broadcast
