@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use sdr_core::dataset::DatasetSpec;
 use sdr_core::shard::ShardMap;
-use sdr_core::{SystemBuilder, SystemConfig, Workload};
+use sdr_core::{metrics, SystemBuilder, SystemConfig, Workload};
 use sdr_sim::SimDuration;
 use std::hint::black_box;
 
@@ -70,7 +70,7 @@ fn bench_shard_commit(c: &mut Criterion) {
                     .workload(write_heavy_workload())
                     .build();
                 sys.run_for(SimDuration::from_secs(3));
-                black_box(sys.world.metrics().counter("write.committed"))
+                black_box(sys.world.metrics().counter(metrics::WRITE_COMMITTED))
             })
         });
     }
@@ -93,7 +93,7 @@ fn bench_batched_commit(c: &mut Criterion) {
                     .workload(write_heavy_workload())
                     .build();
                 sys.run_for(SimDuration::from_secs(3));
-                black_box(sys.world.metrics().counter("write.committed"))
+                black_box(sys.world.metrics().counter(metrics::WRITE_COMMITTED))
             })
         });
     }

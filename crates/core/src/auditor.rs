@@ -20,6 +20,7 @@
 
 use crate::config::SystemConfig;
 use crate::evidence::{Discovery, Evidence};
+use crate::metrics as id;
 use crate::pledge::{Pledge, ResultHash};
 use sdr_crypto::PublicKey;
 use sdr_sim::{Ctx, NodeId, SimTime};
@@ -93,13 +94,13 @@ impl AuditorState {
     }
 
     /// Accepts a pledge for background verification.
-    pub fn enqueue(&mut self, pledge: Pledge, metrics: &mut sdr_sim::Metrics) {
+    pub fn enqueue(&mut self, pledge: Pledge, counters: &mut sdr_sim::Metrics) {
         let version = pledge.stamp.version;
         if version < self.db.version() {
             // Its bucket already closed: under the advance rule no client
             // can still accept this answer, so it was either checked in
             // time or never mattered.
-            metrics.inc("audit.late");
+            counters.inc(id::AUDIT_LATE);
             return;
         }
         let newest_known = self
@@ -111,10 +112,10 @@ impl AuditorState {
         if version > newest_known + 8 {
             // A stamp for a far-future version cannot have a valid master
             // signature; don't let garbage accumulate.
-            metrics.inc("audit.bogus_version");
+            counters.inc(id::AUDIT_BOGUS_VERSION);
             return;
         }
-        metrics.inc("audit.submitted");
+        counters.inc(id::AUDIT_SUBMITTED);
         self.backlog += 1;
         self.buckets.entry(version).or_default().push_back(pledge);
     }
@@ -180,7 +181,7 @@ impl AuditorState {
 
                 // Sampled auditing (overload fallback, Section 3.4).
                 if self.cfg.audit_fraction < 1.0 && ctx.coin() >= self.cfg.audit_fraction {
-                    ctx.metrics().inc("audit.skipped_sampling");
+                    ctx.metrics().inc(id::AUDIT_SKIPPED_SAMPLING);
                     continue;
                 }
 
@@ -194,7 +195,7 @@ impl AuditorState {
                     .get(&pledge.stamp.master)
                     .is_some_and(|k| pledge.stamp.verify(k).is_ok());
                 if !sig_ok || !stamp_ok {
-                    ctx.metrics().inc("audit.unverifiable");
+                    ctx.metrics().inc(id::AUDIT_UNVERIFIABLE);
                     continue;
                 }
 
@@ -208,12 +209,12 @@ impl AuditorState {
                 };
                 let result = match cached {
                     Some(r) => {
-                        ctx.metrics().inc("audit.cache_hit");
+                        ctx.metrics().inc(id::AUDIT_CACHE_HIT);
                         r
                     }
                     None => {
                         let Ok((r, qcost)) = execute(&self.db, &pledge.query) else {
-                            ctx.metrics().inc("audit.query_errors");
+                            ctx.metrics().inc(id::AUDIT_QUERY_ERRORS);
                             continue;
                         };
                         ctx.charge(crate::cost::query_charge(&qcost, r.size(), ctx.costs()));
@@ -224,11 +225,11 @@ impl AuditorState {
                     }
                 };
                 ctx.charge(ctx.costs().hash_cost(result.size()));
-                ctx.metrics().inc("audit.checked");
+                ctx.metrics().inc(id::AUDIT_CHECKED);
 
                 let correct_hash = ResultHash::of(&result, pledge.result_hash.algo());
                 if correct_hash != pledge.result_hash {
-                    ctx.metrics().inc("audit.mismatch");
+                    ctx.metrics().inc(id::AUDIT_MISMATCH);
                     findings.push(AuditFinding {
                         slave: pledge.slave,
                         evidence: Evidence {
@@ -246,10 +247,10 @@ impl AuditorState {
                 if self.db.apply_write(&ops).is_err() {
                     // Committed writes applied deterministically cannot
                     // fail here unless state diverged — surface loudly.
-                    ctx.metrics().inc("audit.apply_errors");
+                    ctx.metrics().inc(id::AUDIT_APPLY_ERRORS);
                 }
                 self.buckets.remove(&(next - 1));
-                ctx.metrics().inc("audit.version_advances");
+                ctx.metrics().inc(id::AUDIT_VERSION_ADVANCES);
             } else {
                 break;
             }
@@ -258,10 +259,11 @@ impl AuditorState {
         // Telemetry for E7.
         let lag = self.lag(ctx.now());
         let now = ctx.now();
-        ctx.metrics().series_push("audit.lag_us", now, lag.as_micros() as f64);
+        ctx.metrics().series_push(id::AUDIT_LAG_US, now, lag.as_micros() as f64);
         ctx.metrics()
-            .series_push("audit.backlog", now, self.backlog as f64);
-        ctx.metrics().observe("audit.lag_hist_us", lag.as_micros());
+            .series_push(id::AUDIT_BACKLOG, now, self.backlog as f64);
+        ctx.metrics()
+            .observe(id::AUDIT_LAG_HIST_US, lag.as_micros());
         findings
     }
 }

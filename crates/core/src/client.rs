@@ -37,13 +37,14 @@
 use crate::config::SystemConfig;
 use crate::cost::proof_fold_charge;
 use crate::messages::{CheckVerdict, Msg, RefuseReason, StateDigestStamp, WriteOutcome};
+use crate::metrics as id;
 use crate::pledge::{Pledge, ResultHash};
 use crate::shard::ShardMap;
 use crate::verify::{self, ReadStrategy, RejectReason, VerifyEnv};
 use crate::workload::Workload;
 use rand::Rng;
 use sdr_crypto::{CertRole, Certificate, Digest as _, Hash256, PublicKey, Sha256};
-use sdr_sim::{Ctx, NodeId, Process, SimDuration, SimTime};
+use sdr_sim::{Counter, Ctx, NodeId, Process, SimDuration, SimTime};
 use sdr_store::{LruByteCache, ProofError, Query, QueryResult, StateProof, StreamProof, UpdateOp};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -317,13 +318,13 @@ pub struct ClientProcess {
 /// One signature check memoised in a verified-statement set: a statement
 /// whose `key` is in `cache` pays a lookup instead of `verify`; anything
 /// else pays the full check and, when it passes, joins the set.  `None`
-/// means the cache is configured off.  `metrics` names the hit and miss
-/// counters.
+/// means the cache is configured off.  `hit` and `miss` are the counters
+/// to bump.
 fn memoised_verify(
     ctx: &mut Ctx<'_, Msg>,
     cache: Option<&mut LruByteCache<()>>,
     cache_verify: bool,
-    metrics: (&str, &str),
+    (hit, miss): (Counter, Counter),
     key: impl FnOnce() -> Hash256,
     verify: impl Fn() -> bool,
 ) -> bool {
@@ -334,13 +335,13 @@ fn memoised_verify(
     let key = key();
     if cache.get(&key).is_some() {
         ctx.charge(ctx.costs().cache_lookup);
-        ctx.metrics().inc(metrics.0);
+        ctx.metrics().inc(hit);
         if cache_verify && !verify() {
-            ctx.metrics().inc("client.cache_divergence");
+            ctx.metrics().inc(id::CLIENT_CACHE_DIVERGENCE);
         }
         return true;
     }
-    ctx.metrics().inc(metrics.1);
+    ctx.metrics().inc(miss);
     ctx.charge(ctx.costs().verify);
     let ok = verify();
     if ok {
@@ -516,7 +517,7 @@ impl ClientProcess {
             q.clear();
         }
         self.awaiting_setup.clear();
-        ctx.metrics().inc("client.churn_leave");
+        ctx.metrics().inc(id::CLIENT_CHURN_LEAVE);
     }
 
     /// Writes in flight to one shard's master (response still pending).
@@ -534,7 +535,7 @@ impl ClientProcess {
         if let Some((m, _)) = self.shards[shard].master {
             let req = self.next_req;
             self.next_req += 1;
-            ctx.metrics().inc("write.issued");
+            ctx.metrics().inc(id::WRITE_ISSUED);
             self.pending_writes.insert(req, (ctx.now(), shard));
             ctx.send(m, Msg::WriteRequest { req_id: req, ops });
             ctx.set_timer(
@@ -601,20 +602,20 @@ impl ClientProcess {
             return;
         }
         self.counters.reads_issued += 1;
-        ctx.metrics().inc("read.issued");
+        ctx.metrics().inc(id::READ_ISSUED);
 
         let sensitive =
             self.cfg.sensitive_fraction > 0.0 && ctx.coin() < self.cfg.sensitive_fraction;
         let path = if sensitive {
             // Section 4 variant: trusted hardware is its own (stronger)
             // guarantee.
-            ctx.metrics().inc("read.sensitive");
+            ctx.metrics().inc(id::READ_SENSITIVE);
             PathState::Trusted
         } else if verify::strategy_for(&query, self.cfg.proof_reads) == ReadStrategy::Proof {
             self.counters.proof_reads_issued += 1;
-            ctx.metrics().inc("read.proof_issued");
+            ctx.metrics().inc(id::READ_PROOF_ISSUED);
             if matches!(query, Query::ReadFileRange { .. }) {
-                ctx.metrics().inc("read.stream_issued");
+                ctx.metrics().inc(id::READ_STREAM_ISSUED);
             }
             PathState::proof()
         } else {
@@ -710,9 +711,9 @@ impl ClientProcess {
         self.next_req += 1;
         self.counters.reads_issued += 1;
         self.counters.proof_reads_issued += 1;
-        ctx.metrics().inc("read.issued");
-        ctx.metrics().inc("read.proof_issued");
-        ctx.metrics().inc("read.range_scattered");
+        ctx.metrics().inc(id::READ_ISSUED);
+        ctx.metrics().inc(id::READ_PROOF_ISSUED);
+        ctx.metrics().inc(id::READ_RANGE_SCATTERED);
         let mut scan = ScanState {
             start,
             end,
@@ -744,10 +745,10 @@ impl ClientProcess {
             for sibling in scan.by_req.keys() {
                 self.pending.remove(sibling);
             }
-            ctx.metrics().inc("read.range_failed");
+            ctx.metrics().inc(id::READ_RANGE_FAILED);
         }
         self.counters.reads_failed += 1;
-        ctx.metrics().inc("read.failed");
+        ctx.metrics().inc(id::READ_FAILED);
     }
 
     /// Records one verified sub-scan.  When the last part lands, runs the
@@ -779,14 +780,14 @@ impl ClientProcess {
         }
         exact &= cursor == scan.end;
         if !exact {
-            ctx.metrics().inc("read.range_stitch_rejected");
+            ctx.metrics().inc(id::READ_RANGE_STITCH_REJECTED);
             self.counters.reads_failed += 1;
-            ctx.metrics().inc("read.failed");
+            ctx.metrics().inc(id::READ_FAILED);
             return None;
         }
         let total: u64 = scan.parts.iter().filter_map(|(_, _, r)| *r).sum();
-        ctx.metrics().inc("read.range_stitched");
-        ctx.metrics().observe("range.scan_rows", total);
+        ctx.metrics().inc(id::READ_RANGE_STITCHED);
+        ctx.metrics().observe(id::RANGE_SCAN_ROWS, total);
         Some(scan.issued_at)
     }
 
@@ -798,7 +799,7 @@ impl ClientProcess {
         if p.attempts > self.cfg.read_retries {
             return self.fail_read(ctx, req);
         }
-        ctx.metrics().inc("read.retry");
+        ctx.metrics().inc(id::READ_RETRY);
         p.path.reset();
         p.awaiting.clear();
         self.dispatch(ctx, req, None);
@@ -830,9 +831,9 @@ impl ClientProcess {
                 (false, None)
             }
             Accept::Checked { corrected } => {
-                (false, corrected.then_some("read.corrected_by_master"))
+                (false, corrected.then_some(id::READ_CORRECTED_BY_MASTER))
             }
-            Accept::Trusted => (false, Some("read.accepted_sensitive")),
+            Accept::Trusted => (false, Some(id::READ_ACCEPTED_SENSITIVE)),
             Accept::Proof(from, result) => {
                 let hash = ResultHash::of(result, self.cfg.pledge_hash);
                 self.acceptances.push((from, hash.bytes().to_vec()));
@@ -846,24 +847,25 @@ impl ClientProcess {
                 (true, None)
             }
             Accept::Stream { chunks, bytes } => {
-                ctx.metrics().observe("stream.chunks", chunks);
-                ctx.metrics().observe("stream.bytes", bytes);
-                (true, Some("read.stream_accepted"))
+                ctx.metrics().observe(id::STREAM_CHUNKS, chunks);
+                ctx.metrics().observe(id::STREAM_BYTES, bytes);
+                (true, Some(id::READ_STREAM_ACCEPTED))
             }
         };
         self.counters.reads_accepted += 1;
-        ctx.metrics().inc("read.accepted");
+        ctx.metrics().inc(id::READ_ACCEPTED);
         if let Some(metric) = extra {
             ctx.metrics().inc(metric);
         }
         let latency = ctx.now().since(issued_at).as_micros();
-        ctx.metrics().observe("read.latency_us", latency);
+        ctx.metrics().observe(id::READ_LATENCY_US, latency);
         if on_proof_path {
             self.counters.proof_reads_accepted += 1;
-            ctx.metrics().inc("read.proof_accepted");
-            ctx.metrics().observe("read.proof_latency_us", latency);
+            ctx.metrics().inc(id::READ_PROOF_ACCEPTED);
+            ctx.metrics().observe(id::READ_PROOF_LATENCY_US, latency);
         } else if matches!(how, Accept::Trusted) {
-            ctx.metrics().observe("read.sensitive_latency_us", latency);
+            ctx.metrics()
+                .observe(id::READ_SENSITIVE_LATENCY_US, latency);
         }
     }
 
@@ -914,9 +916,9 @@ impl ClientProcess {
             let statement = stamp.signing_bytes();
             Sha256::digest_parts(&[b"sdr/stamp-cache/v1", &mkey.encode(), &statement])
         };
-        let metrics = ("client.stamp_cache_hit", "client.stamp_cache_miss");
+        let counters = (id::CLIENT_STAMP_CACHE_HIT, id::CLIENT_STAMP_CACHE_MISS);
         let verify = || stamp.verify(&mkey).is_ok();
-        if memoised_verify(ctx, cache, self.cfg.cache_verify, metrics, key, verify) {
+        if memoised_verify(ctx, cache, self.cfg.cache_verify, counters, key, verify) {
             Ok(())
         } else {
             Err(RejectReason::BadStampSignature)
@@ -938,9 +940,9 @@ impl ClientProcess {
     ) -> bool {
         let cache = (self.cfg.cert_cache_entries > 0).then_some(&mut self.cert_cache);
         let key = || cert.scoped_cache_key(issuer, role, shard);
-        let metrics = ("client.cert_cache_hit", "client.cert_cache_miss");
+        let counters = (id::CLIENT_CERT_CACHE_HIT, id::CLIENT_CERT_CACHE_MISS);
         let verify = || cert.verify_scoped(issuer, role, shard).is_ok();
-        memoised_verify(ctx, cache, self.cfg.cache_verify, metrics, key, verify)
+        memoised_verify(ctx, cache, self.cfg.cache_verify, counters, key, verify)
     }
 
     /// Full verification of one pledged slave response (Section 3.2's
@@ -998,8 +1000,8 @@ impl ClientProcess {
             self.reject_proof_path(ctx, req, from, reason);
             return false;
         }
-        ctx.metrics().observe("proof.bytes", bytes as u64);
-        ctx.metrics().observe("proof.depth", depth as u64);
+        ctx.metrics().observe(id::PROOF_BYTES, bytes as u64);
+        ctx.metrics().observe(id::PROOF_DEPTH, depth as u64);
         true
     }
 
@@ -1025,9 +1027,9 @@ impl ClientProcess {
             return;
         }
         if matches!(self.pending[&req].query, Query::ScanRange { .. }) {
-            ctx.metrics().observe("range.proof_bytes", size.1 as u64);
+            ctx.metrics().observe(id::RANGE_PROOF_BYTES, size.1 as u64);
             ctx.metrics()
-                .add("range.rows_verified", result.row_count() as u64);
+                .add(id::RANGE_ROWS_VERIFIED, result.row_count() as u64);
         }
         self.accept(ctx, req, Accept::Proof(from, &result));
     }
@@ -1050,7 +1052,7 @@ impl ClientProcess {
         self.note_rejection(ctx, reason);
         // Umbrella counter: *any* rejected proof reply, whatever
         // the reason (the reason-specific metric has the detail).
-        ctx.metrics().inc("read.proof_rejected");
+        ctx.metrics().inc(id::READ_PROOF_REJECTED);
         let Some(p) = self.pending.get_mut(&req) else { return };
         let PathState::Proof { retried, .. } = &mut p.path else { return };
         let first_rejection = !std::mem::replace(retried, true);
@@ -1062,7 +1064,7 @@ impl ClientProcess {
             .flatten();
         if retry_target.is_some() {
             self.counters.proof_retries += 1;
-            ctx.metrics().inc("read.proof_retry");
+            ctx.metrics().inc(id::READ_PROOF_RETRY);
             self.dispatch(ctx, req, retry_target);
         } else if is_part {
             // No pledged fallback for sub-scans: a stitched scan is only
@@ -1071,7 +1073,7 @@ impl ClientProcess {
             self.fail_read(ctx, req);
         } else {
             // Fall back to the pledged path for the remaining retries.
-            ctx.metrics().inc("read.proof_fallback");
+            ctx.metrics().inc(id::READ_PROOF_FALLBACK);
             self.pending.get_mut(&req).expect("present").path = PathState::pledged();
             self.retry_read(ctx, req);
         }
@@ -1185,14 +1187,14 @@ impl ClientProcess {
             Ok(()) => {
                 st.received.insert(index);
                 st.bytes += data.len() as u64;
-                ctx.metrics().inc("read.stream_chunks_verified");
+                ctx.metrics().inc(id::READ_STREAM_CHUNKS_VERIFIED);
                 if st.received.len() as u32 == st.count {
                     let (chunks, bytes) = (u64::from(st.count), st.bytes);
                     self.accept(ctx, req, Accept::Stream { chunks, bytes });
                 }
             }
             Err(e) => {
-                ctx.metrics().inc("read.stream_chunk_rejected");
+                ctx.metrics().inc(id::READ_STREAM_CHUNK_REJECTED);
                 self.reject_proof_path(ctx, req, from, RejectReason::BadProof(e));
             }
         }
@@ -1212,13 +1214,13 @@ impl ClientProcess {
             // automatically double-checks, since at least one of the
             // slaves has to be malicious."
             if !*checking {
-                ctx.metrics().inc("read.quorum_mismatch");
+                ctx.metrics().inc(id::READ_QUORUM_MISMATCH);
                 let (m, _) = master.expect("ready implies master");
                 *checking = true;
                 p.awaiting.insert(m);
                 for (_, _, pl) in responses.iter() {
                     self.counters.dc_sent += 1;
-                    ctx.metrics().inc("dc.sent");
+                    ctx.metrics().inc(id::DC_SENT);
                     let pledge = Box::new(pl.clone());
                     ctx.send(m, Msg::DoubleCheck { req_id: req, pledge });
                 }
@@ -1232,7 +1234,7 @@ impl ClientProcess {
         if ctx.coin() < self.dc_prob {
             let (m, _) = master.expect("ready implies master");
             self.counters.dc_sent += 1;
-            ctx.metrics().inc("dc.sent");
+            ctx.metrics().inc(id::DC_SENT);
             let pledge = Box::new(responses[0].2.clone());
             ctx.send(m, Msg::DoubleCheck { req_id: req, pledge });
         } else {
@@ -1266,7 +1268,7 @@ impl ClientProcess {
             return;
         }
         let Some(shard) = self.shard_of_master(from) else { return };
-        ctx.metrics().inc("client.reassigned");
+        ctx.metrics().inc(id::CLIENT_REASSIGNED);
         self.shards[shard].slaves.retain(|(n, _)| *n != excluded);
         self.shards[shard].spares.retain(|(n, _)| *n != excluded);
         if let Some((node, cert)) = replacement {
@@ -1328,7 +1330,7 @@ impl Process<Msg> for ClientProcess {
                 let Some(churn) = self.workload.churn else { return };
                 if self.phase == Phase::Offline {
                     // Rejoin: full setup phase, like any cold client.
-                    ctx.metrics().inc("client.churn_join");
+                    ctx.metrics().inc(id::CLIENT_CHURN_JOIN);
                     self.counters.re_setups += 1;
                     self.boot(ctx);
                     let gap = churn.sample_session(ctx.rng());
@@ -1363,7 +1365,7 @@ impl Process<Msg> for ClientProcess {
                         // window outstanding lets the sequencer fill its
                         // rounds without the client flooding a master
                         // that can only drain one batch per max_latency.
-                        ctx.metrics().inc("write.deferred");
+                        ctx.metrics().inc(id::WRITE_DEFERRED);
                         self.deferred_writes[shard].push_back(ops);
                     } else {
                         self.send_write(ctx, shard, ops);
@@ -1373,7 +1375,7 @@ impl Process<Msg> for ClientProcess {
             }
             (K_READ_TIMEOUT, req) => {
                 let Some(p) = self.pending.get(&req) else { return };
-                ctx.metrics().inc("read.timeout");
+                ctx.metrics().inc(id::READ_TIMEOUT);
                 if matches!(p.path, PathState::Trusted) {
                     // Master unresponsive: fail over.
                     if let Some((m, _)) = self.shards[p.shard].master {
@@ -1388,7 +1390,7 @@ impl Process<Msg> for ClientProcess {
             }
             (K_WRITE_TIMEOUT, req) => {
                 if let Some((_, shard)) = self.pending_writes.remove(&req) {
-                    ctx.metrics().inc("write.timeout");
+                    ctx.metrics().inc(id::WRITE_TIMEOUT);
                     // Master presumed crashed: redo the setup phase
                     // (Section 3: "all the clients connected to the crashed
                     // server will have to go through the setup process
@@ -1453,7 +1455,7 @@ impl Process<Msg> for ClientProcess {
                     ) {
                         self.shards[shard].masters.push((*node, cert.body.subject_key));
                     } else {
-                        ctx.metrics().inc("client.bad_master_cert");
+                        ctx.metrics().inc(id::CLIENT_BAD_MASTER_CERT);
                     }
                 }
                 self.shards[shard].auditor = auditor;
@@ -1513,7 +1515,7 @@ impl Process<Msg> for ClientProcess {
                     if self.verify_cert_cached(ctx, &mkey, CertRole::Slave, shard as u32, &cert) {
                         self.shards[shard].slaves.push((node, cert.body.subject_key));
                     } else {
-                        ctx.metrics().inc("client.bad_slave_cert");
+                        ctx.metrics().inc(id::CLIENT_BAD_SLAVE_CERT);
                     }
                 }
                 if self.shards[shard].slaves.is_empty() {
@@ -1529,13 +1531,13 @@ impl Process<Msg> for ClientProcess {
                     if self.verify_cert_cached(ctx, &mkey, CertRole::Slave, shard as u32, &cert) {
                         self.shards[shard].spares.push((node, cert.body.subject_key));
                     } else {
-                        ctx.metrics().inc("client.bad_slave_cert");
+                        ctx.metrics().inc(id::CLIENT_BAD_SLAVE_CERT);
                     }
                 }
                 self.shards[shard].auditor = auditor;
                 if self.shards.iter().all(|sv| !sv.slaves.is_empty()) {
                     self.phase = Phase::Ready;
-                    ctx.metrics().inc("client.ready");
+                    ctx.metrics().inc(id::CLIENT_READY);
                     if !self.read_timer_live {
                         self.schedule_next_read(ctx);
                     }
@@ -1619,7 +1621,7 @@ impl Process<Msg> for ClientProcess {
             // not the gate: a refusal that outlived a retry still counts.
             Msg::ReadRefused { req_id, reason } => {
                 let Some(p) = self.pending.get_mut(&req_id) else { return };
-                ctx.metrics().inc("read.refused");
+                ctx.metrics().inc(id::READ_REFUSED);
                 match reason {
                     RefuseReason::Excluded => {
                         // Learn of exclusions we missed; ask the owning
@@ -1666,22 +1668,22 @@ impl Process<Msg> for ClientProcess {
                 let corrected = match verdict {
                     // A Match identifies an honest pledge.
                     CheckVerdict::Match => {
-                        ctx.metrics().inc("client.dc_match");
+                        ctx.metrics().inc(id::CLIENT_DC_MATCH);
                         Some(false)
                     }
                     // The master's answer is authoritative.
                     CheckVerdict::Mismatch { correct } => {
-                        ctx.metrics().inc("client.dc_mismatch");
+                        ctx.metrics().inc(id::CLIENT_DC_MISMATCH);
                         ctx.charge(ctx.costs().hash_cost(correct.size()));
                         Some(true)
                     }
                     CheckVerdict::VersionUnavailable => {
-                        ctx.metrics().inc("client.dc_version_unavailable");
+                        ctx.metrics().inc(id::CLIENT_DC_VERSION_UNAVAILABLE);
                         None
                     }
                     CheckVerdict::Throttled => {
                         self.counters.dc_throttled += 1;
-                        ctx.metrics().inc("client.dc_throttled");
+                        ctx.metrics().inc(id::CLIENT_DC_THROTTLED);
                         None
                     }
                 };
@@ -1697,15 +1699,15 @@ impl Process<Msg> for ClientProcess {
                 if let Some((sent_at, shard)) = self.pending_writes.remove(&req_id) {
                     match outcome {
                         WriteOutcome::Committed { .. } => {
-                            ctx.metrics().inc("write.committed");
+                            ctx.metrics().inc(id::WRITE_COMMITTED);
                             let latency = ctx.now().since(sent_at);
-                            ctx.metrics().observe("write.latency_us", latency.as_micros());
+                            ctx.metrics().observe(id::WRITE_LATENCY_US, latency.as_micros());
                         }
                         WriteOutcome::AccessDenied => {
-                            ctx.metrics().inc("write.denied_seen");
+                            ctx.metrics().inc(id::WRITE_DENIED_SEEN);
                         }
                         WriteOutcome::Failed(_) => {
-                            ctx.metrics().inc("write.failed_seen");
+                            ctx.metrics().inc(id::WRITE_FAILED_SEEN);
                         }
                     }
                     // The response freed a slot in the shard's pipeline

@@ -16,6 +16,7 @@
 //! routing.
 
 use crate::messages::Msg;
+use crate::metrics as id;
 use sdr_crypto::Certificate;
 use sdr_sim::{Ctx, NodeId, Process, SimDuration};
 
@@ -75,15 +76,18 @@ impl Process<Msg> for DirectoryProcess {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
         match msg {
             Msg::DirLookup { shard } => {
-                // Each lookup is charged and counted against the shard it
-                // routes to, so per-shard directory load is observable.
+                // Each lookup is charged, and counted against the shard it
+                // routes to, so per-shard directory load is observable —
+                // but only once the routing table knows the shard: `shard`
+                // is a peer's word, and a per-shard slot is sized by it.
                 ctx.charge(SimDuration::from_micros(20));
-                ctx.metrics().inc("directory.lookups");
-                ctx.metrics().inc(&format!("directory.lookups.shard{shard}"));
+                ctx.metrics().inc(id::DIRECTORY_LOOKUPS);
                 let Some(entry) = self.shards.get(shard as usize) else {
-                    ctx.metrics().inc("directory.unknown_shard");
+                    ctx.metrics().inc(id::DIRECTORY_UNKNOWN_SHARD);
                     return;
                 };
+                ctx.metrics()
+                    .inc(id::DIRECTORY_LOOKUPS_SHARD.at(shard as usize));
                 ctx.send(
                     from,
                     Msg::DirResponse {
@@ -97,13 +101,13 @@ impl Process<Msg> for DirectoryProcess {
             Msg::AuditorChanged { shard, auditor } => {
                 // Scoped write: only the named shard's entry moves.
                 let Some(entry) = self.shards.get_mut(shard as usize) else {
-                    ctx.metrics().inc("directory.unknown_shard");
+                    ctx.metrics().inc(id::DIRECTORY_UNKNOWN_SHARD);
                     return;
                 };
                 entry.auditor = auditor;
-                ctx.metrics().inc("directory.auditor_changes");
+                ctx.metrics().inc(id::DIRECTORY_AUDITOR_CHANGES);
                 ctx.metrics()
-                    .inc(&format!("directory.auditor_changes.shard{shard}"));
+                    .inc(id::DIRECTORY_AUDITOR_CHANGES_SHARD.at(shard as usize));
             }
             _ => {}
         }
@@ -177,7 +181,24 @@ mod tests {
             assert_eq!(d.auditor(0), NodeId(2));
             assert_eq!(d.auditor(1), NodeId(4));
         });
-        assert_eq!(world.metrics().counter("directory.unknown_shard"), 1);
+        assert_eq!(world.metrics().counter(id::DIRECTORY_UNKNOWN_SHARD), 1);
+        // Lookups for shards the routing table does not know are counted
+        // as unknown and never against a per-shard slot: the shard id is a
+        // Byzantine peer's word, and it must not size the slot vector.
+        let unknown = [2, 9, 1 << 20, u32::MAX];
+        for shard in unknown {
+            world.inject(sender, dir, Msg::DirLookup { shard });
+        }
+        world.inject(sender, dir, Msg::DirLookup { shard: 1 });
+        world.run_to_quiescence();
+        let m = world.metrics();
+        assert_eq!(m.counter(id::DIRECTORY_UNKNOWN_SHARD), 1 + 4);
+        assert_eq!(m.counter(id::DIRECTORY_LOOKUPS), 5);
+        assert_eq!(m.counter(id::DIRECTORY_LOOKUPS_SHARD.at(1)), 1);
+        for shard in unknown {
+            let slot = id::DIRECTORY_LOOKUPS_SHARD.at(shard as usize);
+            assert_eq!(m.counter(slot), 0, "shard {shard} got a slot");
+        }
     }
 
     #[test]
@@ -202,8 +223,8 @@ mod tests {
         world.inject(client, dir, Msg::DirLookup { shard: 1 });
         world.run_to_quiescence();
         let m = world.metrics();
-        assert_eq!(m.counter("directory.lookups"), 3);
-        assert_eq!(m.counter("directory.lookups.shard0"), 1);
-        assert_eq!(m.counter("directory.lookups.shard1"), 2);
+        assert_eq!(m.counter(id::DIRECTORY_LOOKUPS), 3);
+        assert_eq!(m.counter(id::DIRECTORY_LOOKUPS_SHARD.at(0)), 1);
+        assert_eq!(m.counter(id::DIRECTORY_LOOKUPS_SHARD.at(1)), 2);
     }
 }

@@ -50,6 +50,7 @@ pub mod error;
 pub mod evidence;
 pub mod master;
 pub mod messages;
+pub mod metrics;
 pub mod pledge;
 pub mod scenario;
 pub mod shard;

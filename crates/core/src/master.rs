@@ -14,6 +14,7 @@ use crate::evidence::{Discovery, Evidence};
 use crate::messages::{
     CheckVerdict, MasterEvent, Msg, StateDigestStamp, VersionStamp, WriteOutcome,
 };
+use crate::metrics as id;
 use crate::pledge::{Pledge, ResultHash};
 use sdr_broadcast::{Action, MemberId, TobConfig, TotalOrder, View};
 use sdr_crypto::{CertRole, Certificate, CertificateBody, Hash256, PublicKey, Signer};
@@ -357,20 +358,18 @@ impl MasterProcess {
         let outcome = match self.db.apply_write(&ops) {
             Ok(version) => {
                 let now = ctx.now();
-                ctx.metrics().inc("master.writes_applied");
+                ctx.metrics().inc(id::MASTER_WRITES_APPLIED);
                 if origin_master == self.rank {
                     // Exactly one member per commit (the admitting
                     // sequencer) records the per-shard commit stream:
                     // the series the cross-shard ordering tests and the
                     // throughput sweeps read.
-                    ctx.metrics().inc(&format!("write.committed.shard{}", self.shard));
-                    ctx.metrics().series_push(
-                        &format!("write.commit_us.shard{}", self.shard),
-                        now,
-                        version as f64,
-                    );
+                    let shard = self.shard as usize;
+                    ctx.metrics().inc(id::WRITE_COMMITTED_SHARD.at(shard));
+                    let commits = id::WRITE_COMMIT_US_SHARD.at(shard);
+                    ctx.metrics().series_push(commits, now, version as f64);
                     // A single-write round: the degenerate batch.
-                    ctx.metrics().observe("write.batch_size", 1);
+                    ctx.metrics().observe(id::WRITE_BATCH_SIZE, 1);
                 }
                 self.snapshots.record(&self.db);
                 self.write_log.insert(version, ops.clone());
@@ -429,15 +428,12 @@ impl MasterProcess {
             ctx.charge(ctx.costs().write_apply * ops.len() as u64);
             let outcome = match self.db.apply_write(&ops) {
                 Ok(version) => {
-                    ctx.metrics().inc("master.writes_applied");
+                    ctx.metrics().inc(id::MASTER_WRITES_APPLIED);
                     if origin_master == self.rank {
-                        ctx.metrics()
-                            .inc(&format!("write.committed.shard{}", self.shard));
-                        ctx.metrics().series_push(
-                            &format!("write.commit_us.shard{}", self.shard),
-                            now,
-                            version as f64,
-                        );
+                        let shard = self.shard as usize;
+                        ctx.metrics().inc(id::WRITE_COMMITTED_SHARD.at(shard));
+                        let commits = id::WRITE_COMMIT_US_SHARD.at(shard);
+                        ctx.metrics().series_push(commits, now, version as f64);
                     }
                     self.snapshots.record(&self.db);
                     self.write_log.insert(version, ops.clone());
@@ -454,7 +450,7 @@ impl MasterProcess {
         self.earliest_next_write = now + self.cfg.max_latency;
         if !applied.is_empty() {
             if origin_master == self.rank {
-                ctx.metrics().observe("write.batch_size", applied.len() as u64);
+                ctx.metrics().observe(id::WRITE_BATCH_SIZE, applied.len() as u64);
             }
             // One stamp pair anchors the whole batch: the amortisation
             // this round exists for.  Per-row proofs at the final
@@ -531,7 +527,7 @@ impl MasterProcess {
             // would only add unbounded commit latency, so shed load
             // explicitly instead (the client sees a prompt failure, not a
             // timeout it would mistake for a master crash).
-            ctx.metrics().inc("write.overloaded");
+            ctx.metrics().inc(id::WRITE_OVERLOADED);
             ctx.send(
                 client,
                 Msg::WriteResponse {
@@ -582,7 +578,7 @@ impl MasterProcess {
     }
 
     fn on_view_installed(&mut self, ctx: &mut Ctx<'_, Msg>, view: View) {
-        ctx.metrics().inc("master.view_changes");
+        ctx.metrics().inc(id::MASTER_VIEW_CHANGES);
         // A write queue stranded on a non-sequencer (after roles moved)
         // re-routes to the new sequencer.
         if view.sequencer() != self.rank && !self.pending_writes.is_empty() {
@@ -634,7 +630,7 @@ impl MasterProcess {
             if new_owner == self.rank {
                 if !self.my_slaves.contains(slave) && !self.excluded.contains(slave) {
                     self.my_slaves.push(*slave);
-                    ctx.metrics().inc("master.slaves_adopted");
+                    ctx.metrics().inc(id::MASTER_SLAVES_ADOPTED);
                     // Immediately give the adopted slave a fresh stamp so it
                     // keeps serving.
                     if let Some((stamp, digest_stamp)) = self.make_stamps(ctx) {
@@ -696,10 +692,10 @@ impl MasterProcess {
         // Count each exclusion once system-wide: the owner does the
         // book-keeping (every master still marks the slave excluded).
         if mine {
-            ctx.metrics().inc("exclusion.count");
+            ctx.metrics().inc(id::EXCLUSION_COUNT);
             let now = ctx.now();
             ctx.metrics()
-                .series_push("exclusion.at_us", now, f64::from(slave.0));
+                .series_push(id::EXCLUSION_AT_US, now, f64::from(slave.0));
         }
         if !mine {
             return;
@@ -728,7 +724,7 @@ impl MasterProcess {
             if let Some((s, _)) = &replacement {
                 self.slave_clients.entry(*s).or_default().insert(client);
             }
-            ctx.metrics().inc("reassign.count");
+            ctx.metrics().inc(id::REASSIGN_COUNT);
             ctx.send(
                 client,
                 Msg::Reassign {
@@ -768,7 +764,7 @@ impl MasterProcess {
         let suspected = my_count >= self.cfg.greedy.min_count
             && my_count as f64 > self.cfg.greedy.factor * (median.max(1)) as f64;
         if suspected {
-            ctx.metrics().inc("greedy.suspected_checks");
+            ctx.metrics().inc(id::GREEDY_SUSPECTED_CHECKS);
             if ctx.coin() < self.cfg.greedy.ignore_fraction {
                 return true;
             }
@@ -795,9 +791,9 @@ impl MasterProcess {
         client: NodeId,
         pledge: Pledge,
     ) -> CheckVerdict {
-        ctx.metrics().inc("dc.received");
+        ctx.metrics().inc(id::DC_RECEIVED);
         if self.greedy_should_ignore(ctx, client) {
-            ctx.metrics().inc("dc.throttled");
+            ctx.metrics().inc(id::DC_THROTTLED);
             return CheckVerdict::Throttled;
         }
         let Some(reference) = self.reference_state(pledge.stamp.version) else {
@@ -811,19 +807,19 @@ impl MasterProcess {
 
         let correct_hash = ResultHash::of(&correct, pledge.result_hash.algo());
         if correct_hash == pledge.result_hash {
-            ctx.metrics().inc("dc.match");
+            ctx.metrics().inc(id::DC_MATCH);
             return CheckVerdict::Match;
         }
 
         // Mismatch: the pledge is the proof — if it verifies (no framing).
-        ctx.metrics().inc("dc.mismatch");
+        ctx.metrics().inc(id::DC_MISMATCH);
         ctx.charge(ctx.costs().verify);
         let sig_ok = self
             .slave_keys
             .get(&pledge.slave)
             .is_some_and(|k| pledge.verify_signature(k).is_ok());
         if sig_ok {
-            ctx.metrics().inc("discovery.immediate");
+            ctx.metrics().inc(id::DISCOVERY_IMMEDIATE);
             let slave = pledge.slave;
             self.evidence_log.push(Evidence {
                 pledge,
@@ -834,7 +830,7 @@ impl MasterProcess {
             let actions = self.tob.broadcast(MasterEvent::Exclude { slave });
             self.drain_tob(ctx, actions);
         } else {
-            ctx.metrics().inc("dc.unverifiable_pledge");
+            ctx.metrics().inc(id::DC_UNVERIFIABLE_PLEDGE);
         }
         CheckVerdict::Mismatch { correct }
     }
@@ -868,7 +864,7 @@ impl MasterProcess {
         let spares = spare_pick
             .and_then(|s| self.issue_slave_cert(ctx, s).map(|c| vec![(s, c)]))
             .unwrap_or_default();
-        ctx.metrics().inc("master.setups");
+        ctx.metrics().inc(id::MASTER_SETUPS);
         let auditor = self.auditor_node();
         ctx.send(
             client,
@@ -885,11 +881,11 @@ impl MasterProcess {
         let version = evidence.pledge.stamp.version;
         let slave = evidence.pledge.slave;
         let Some(key) = self.slave_keys.get(&slave) else {
-            ctx.metrics().inc("accusation.unknown_slave");
+            ctx.metrics().inc(id::ACCUSATION_UNKNOWN_SLAVE);
             return;
         };
         let Some(reference) = self.reference_state(version) else {
-            ctx.metrics().inc("accusation.version_unavailable");
+            ctx.metrics().inc(id::ACCUSATION_VERSION_UNAVAILABLE);
             return;
         };
         ctx.charge(ctx.costs().verify);
@@ -900,14 +896,14 @@ impl MasterProcess {
         match evidence.verify(key, reference) {
             Ok(()) => {
                 if evidence.discovery == Discovery::Delayed {
-                    ctx.metrics().inc("discovery.delayed");
+                    ctx.metrics().inc(id::DISCOVERY_DELAYED);
                 }
                 self.evidence_log.push(evidence);
                 let actions = self.tob.broadcast(MasterEvent::Exclude { slave });
                 self.drain_tob(ctx, actions);
             }
             Err(_) => {
-                ctx.metrics().inc("accusation.rejected");
+                ctx.metrics().inc(id::ACCUSATION_REJECTED);
             }
         }
     }
@@ -934,7 +930,7 @@ impl Process<Msg> for MasterProcess {
             T_KEEPALIVE => {
                 if !self.my_slaves.is_empty() {
                     if let Some((stamp, digest_stamp)) = self.make_stamps(ctx) {
-                        ctx.metrics().inc("keepalive.sent");
+                        ctx.metrics().inc(id::KEEPALIVE_SENT);
                         ctx.multicast(
                             self.my_slaves.iter().copied(),
                             Msg::KeepAlive {
@@ -1019,9 +1015,9 @@ impl Process<Msg> for MasterProcess {
             }
             Msg::SetupRequest => self.handle_setup(ctx, from),
             Msg::WriteRequest { req_id, ops } => {
-                ctx.metrics().inc("write.received");
+                ctx.metrics().inc(id::WRITE_RECEIVED);
                 if !self.policy.allows(from, &ops) {
-                    ctx.metrics().inc("write.denied");
+                    ctx.metrics().inc(id::WRITE_DENIED);
                     ctx.send(
                         from,
                         Msg::WriteResponse {
@@ -1045,7 +1041,7 @@ impl Process<Msg> for MasterProcess {
                 self.handle_double_check(ctx, from, req_id, *pledge)
             }
             Msg::TrustedRead { req_id, query } => {
-                ctx.metrics().inc("master.trusted_reads");
+                ctx.metrics().inc(id::MASTER_TRUSTED_READS);
                 if let Ok((result, qcost)) = execute(&self.db, &query) {
                     ctx.charge(crate::cost::query_charge(&qcost, result.size(), ctx.costs()));
                     ctx.send(from, Msg::TrustedReadResponse { req_id, result });

@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn aggregates_cover_every_numeric_field() {
         let stats: SystemStats =
-            json::from_str(&json::to_string(&blank_stats())).expect("round-trip");
+            json::from_str(&json::to_string(&SystemStats::default())).expect("round-trip");
         let mut cell = CellReport::default();
         cell.runs.push(RunRecord {
             seed: 1,
@@ -237,54 +237,5 @@ mod tests {
         cell.push_annotation("g", "a");
         cell.push_annotation("g", "b");
         assert_eq!(cell.annotation("g"), Some("b"));
-    }
-
-    fn blank_stats() -> SystemStats {
-        // Decode a fully-zero stats object from its own JSON shape: the
-        // derive requires every field, so build from an empty system is
-        // avoided by reusing serialisation of Default-like content.
-        let text = r#"{
-            "reads_issued":3,"reads_accepted":2,"reads_failed":0,
-            "rejected_stale":0,"rejected_hash":0,"read_retries":0,
-            "reads_sensitive":0,
-            "proof_reads_issued":1,"proof_reads_accepted":1,
-            "proof_reads_rejected":0,"proof_fallbacks":0,
-            "proof_unsupported":0,"proof_retries":0,
-            "stream_reads_issued":0,"stream_reads_accepted":0,
-            "stream_chunks_verified":0,"stream_chunk_rejects":0,
-            "range_proof_bytes":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "range_rows_verified":0,
-            "range_scans_scattered":0,"range_stitch_rejects":0,
-            "chunks_stored":0,"chunks_deduped":0,
-            "chunk_logical_bytes":0,"chunk_physical_bytes":0,
-            "proof_bytes":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "proof_depth":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "proof_latency":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "lies_told":1,"wrong_accepted":0,
-            "dc_sent":0,"dc_mismatch":0,"dc_throttled":0,
-            "discovery_immediate":0,"discovery_delayed":0,"exclusions":0,
-            "reassignments":0,"audit_submitted":0,"audit_checked":0,
-            "audit_cache_hits":0,"audit_mismatch":0,"audit_skipped":0,
-            "writes_committed":0,"writes_denied":0,
-            "writes_per_round":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "read_latency":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "write_latency":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "audit_lag":{"count":0,"mean":0,"min":0,"p50":0,"p90":0,"p99":0,"max":0},
-            "audit_backlog":0,
-            "churn_joins":0,"churn_leaves":0,
-            "sim_events":0,"sim_queue_peak":0,"sim_queue_live":0,
-            "sim_queue_slots":0,"sim_timers_cancelled":0,
-            "sim_msg_bytes_logical":0,"sim_msg_bytes_resident":0,
-            "snapshot_nodes_owned":0,"snapshot_nodes_shared":0,
-            "master_utilisation":[0.5],"slave_utilisation":[0.25],
-            "per_client":[],
-            "writes_committed_per_shard":[0],"dir_lookups_per_shard":[0],
-            "proof_cache_hits":0,"proof_cache_misses":0,
-            "proof_cache_evictions":0,"proof_cache_invalidations":0,
-            "proof_cache_bytes":0,
-            "stamp_cache_hits":0,"stamp_cache_misses":0,
-            "cert_cache_hits":0,"cert_cache_misses":0
-        }"#;
-        json::from_str(text).expect("stats literal")
     }
 }

@@ -2,6 +2,7 @@
 
 use super::report::{CellReport, NamedSeries, RunRecord, RunReport, StatsCheckpoint};
 use super::spec::ScenarioSpec;
+use crate::metrics;
 use crate::system::{System, SystemBuilder};
 use sdr_sim::SimTime;
 
@@ -160,10 +161,11 @@ fn run_one(
     record.stats = sys.stats();
 
     for name in &spec.capture_series {
+        let id = metrics::lookup(name).expect("validated earlier");
         let points: Vec<(f64, f64)> = sys
             .world
             .metrics()
-            .series(name)
+            .series(id)
             .iter()
             .map(|(t, v)| (t.as_secs_f64(), *v))
             .collect();

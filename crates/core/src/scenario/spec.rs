@@ -1,6 +1,7 @@
 //! The declarative scenario description: everything a run needs, as data.
 
 use crate::config::SystemConfig;
+use crate::metrics;
 use crate::slave::SlaveBehavior;
 use crate::workload::Workload;
 use sdr_sim::{LatencyModel, LinkModel, NetworkConfig, NodeId, SimDuration};
@@ -264,8 +265,8 @@ pub struct ScenarioSpec {
     pub checkpoints: Vec<SimDuration>,
     /// Scheduled master crashes.
     pub crashes: Vec<CrashSpec>,
-    /// Metric time-series (by registry name, e.g. `exclusion.at_us`) to
-    /// copy into each run record.
+    /// Metric time-series (by the name their row in [`crate::metrics`]
+    /// gives them, e.g. `exclusion.at_us`) to copy into each run record.
     pub capture_series: Vec<String>,
     /// Parameter sweep; an empty grid runs a single cell.
     pub grid: Grid,
@@ -322,6 +323,10 @@ impl ScenarioSpec {
                     self.name, c.master_rank
                 ));
             }
+        }
+        for series in &self.capture_series {
+            metrics::lookup(series)
+                .ok_or_else(|| format!("{}: capture_series: unknown `{series}`", self.name))?;
         }
         self.grid.validate().map_err(|e| format!("{}: {e}", self.name))?;
         Ok(())
@@ -381,5 +386,16 @@ mod tests {
             master_rank: 99,
         });
         assert!(spec.validate().is_err());
+
+        // So is a `capture_series` name the metric table does not declare
+        // as a series: misspelt, or a counter's.
+        spec.crashes.clear();
+        spec.capture_series = vec!["exclusion.at_us".into(), "audit.backlog".into()];
+        spec.validate().unwrap();
+        for bad in ["exclusion.at_uss", "exclusion.count"] {
+            spec.capture_series = vec![bad.into()];
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains("capture_series") && err.contains(bad), "{err}");
+        }
     }
 }

@@ -18,9 +18,10 @@
 use crate::config::SystemConfig;
 use crate::cost::{proof_fold_charge, query_charge};
 use crate::messages::{Msg, RefuseReason, StateDigestStamp, VersionStamp};
+use crate::metrics as id;
 use crate::pledge::{Pledge, ResultHash};
 use sdr_crypto::{Digest, Hash256, PublicKey, Sha256, Signer};
-use sdr_sim::{CostModel, Ctx, NodeId, Payload, Process, SimDuration, SimTime};
+use sdr_sim::{CostModel, Counter, Ctx, NodeId, Payload, Process, SimDuration, SimTime};
 use sdr_store::fsview::GrepMatch;
 use sdr_store::{
     execute, Database, Document, LruByteCache, Query, QueryResult, StreamProof, UpdateOp, Value,
@@ -104,7 +105,7 @@ fn apply_lie_behavior(
 }
 
 /// Counts `metric` and yields the refusal every failed serve step sends.
-fn out_of_sync(ctx: &mut Ctx<'_, Msg>, metric: &str) -> RefuseReason {
+fn out_of_sync(ctx: &mut Ctx<'_, Msg>, metric: Counter) -> RefuseReason {
     ctx.metrics().inc(metric);
     RefuseReason::OutOfSync
 }
@@ -116,8 +117,8 @@ fn run_query(
     query: &Query,
     costs: &CostModel,
     cost: &mut SimDuration,
-) -> Result<QueryResult, &'static str> {
-    let (result, qcost) = execute(db, query).map_err(|_| "slave.query_errors")?;
+) -> Result<QueryResult, Counter> {
+    let (result, qcost) = execute(db, query).map_err(|_| id::SLAVE_QUERY_ERRORS)?;
     *cost += query_charge(&qcost, result.size(), costs);
     Ok(result)
 }
@@ -150,20 +151,20 @@ fn fetch<V: Clone + PartialEq>(
     ctx: &mut Ctx<'_, Msg>,
     cache_verify: bool,
     mut slot: Option<(&mut LruByteCache<V>, Hash256)>,
-    build: impl Fn(&mut SimDuration) -> Result<(V, usize), &'static str>,
+    build: impl Fn(&mut SimDuration) -> Result<(V, usize), Counter>,
 ) -> Result<(V, bool), RefuseReason> {
     if let Some((cache, key)) = &mut slot {
         ctx.charge(ctx.costs().cache_lookup);
         if let Some(hit) = cache.get(key).cloned() {
-            ctx.metrics().inc("slave.proof_cache_hit");
+            ctx.metrics().inc(id::SLAVE_PROOF_CACHE_HIT);
             // Host-side oracle: rebuild fresh and compare.  No charges —
             // virtual time must not see the recheck.
             if cache_verify && build(&mut SimDuration::default()).map_or(true, |(v, _)| v != hit) {
-                ctx.metrics().inc("slave.cache_divergence");
+                ctx.metrics().inc(id::SLAVE_CACHE_DIVERGENCE);
             }
             return Ok((hit, true));
         }
-        ctx.metrics().inc("slave.proof_cache_miss");
+        ctx.metrics().inc(id::SLAVE_PROOF_CACHE_MISS);
     }
     let mut cost = SimDuration::ZERO;
     let built = build(&mut cost);
@@ -171,7 +172,7 @@ fn fetch<V: Clone + PartialEq>(
     let (fresh, bytes) = built.map_err(|metric| out_of_sync(ctx, metric))?;
     if let Some((cache, key)) = slot {
         let evicted = cache.put(key, fresh.clone(), bytes);
-        ctx.metrics().add("slave.proof_cache_evict", evicted);
+        ctx.metrics().add(id::SLAVE_PROOF_CACHE_EVICT, evicted);
     }
     Ok((fresh, false))
 }
@@ -399,7 +400,7 @@ impl SlaveProcess {
     /// replies proving a state the replica no longer has.
     fn invalidate_caches(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if !self.reply_cache.is_empty() || !self.stream_proof_cache.is_empty() {
-            ctx.metrics().inc("slave.proof_cache_invalidate");
+            ctx.metrics().inc(id::SLAVE_PROOF_CACHE_INVALIDATE);
         }
         self.reply_cache.clear();
         self.stream_proof_cache.clear();
@@ -445,7 +446,7 @@ impl SlaveProcess {
             return;
         }
         if stamp.digest != self.db.state_digest() {
-            ctx.metrics().inc("slave.digest_mismatch");
+            ctx.metrics().inc(id::SLAVE_DIGEST_MISMATCH);
             return;
         }
         let newer = match &self.latest_digest_stamp {
@@ -501,14 +502,14 @@ impl SlaveProcess {
                 // anchor ages out and that path self-gates.
                 self.dropped_up_to = version;
                 self.accept_stamp(stamp);
-                ctx.metrics().inc("slave.updates_dropped");
+                ctx.metrics().inc(id::SLAVE_UPDATES_DROPPED);
                 continue;
             }
             let bytes: usize = ops.iter().map(UpdateOp::size).sum();
             ctx.charge(ctx.costs().write_apply * ops.len() as u64);
             ctx.charge(ctx.costs().serde_cost(bytes));
             if self.db.apply_write(&ops).is_ok() {
-                ctx.metrics().inc("slave.updates_applied");
+                ctx.metrics().inc(id::SLAVE_UPDATES_APPLIED);
                 // The replica state moved: cached proofs describe the old
                 // state even if the new digest stamp ends up rejected, so
                 // wipe before (not only when) the anchor adoption below.
@@ -528,7 +529,7 @@ impl SlaveProcess {
         if let Some((&lowest, _)) = self.pending_updates.first_key_value() {
             if lowest > self.effective_version() + 1 && ctx.now() >= self.sync_cooldown_until {
                 self.sync_cooldown_until = ctx.now() + self.cfg.keepalive_period;
-                ctx.metrics().inc("slave.sync_requests");
+                ctx.metrics().inc(id::SLAVE_SYNC_REQUESTS);
                 ctx.send(
                     from,
                     Msg::SlaveSyncRequest {
@@ -584,11 +585,11 @@ impl SlaveProcess {
                 .is_some_and(|s| s.is_fresh(now, bound)),
         };
         if !fresh {
-            return Err(out_of_sync(ctx, "slave.refused_stale"));
+            return Err(out_of_sync(ctx, id::SLAVE_REFUSED_STALE));
         }
         if let SlaveBehavior::Refuser { prob } = self.behavior {
             if ctx.coin() < prob {
-                return Err(out_of_sync(ctx, "slave.refused_malicious"));
+                return Err(out_of_sync(ctx, id::SLAVE_REFUSED_MALICIOUS));
             }
         }
 
@@ -609,7 +610,7 @@ impl SlaveProcess {
                     let result = run_query(db, &query, &costs, cost)?;
                     // Not a point read or scan, or the table itself is gone.
                     let Some(Ok(proof)) = db.prove_query(&query) else {
-                        return Err("slave.proof_unsupported");
+                        return Err(id::SLAVE_PROOF_UNSUPPORTED);
                     };
                     *cost += proof_fold_charge(proof.depth(), &costs);
                     let reply = Arc::new(Msg::ProofReadReply {
@@ -621,15 +622,15 @@ impl SlaveProcess {
                     let bytes = reply.wire_len();
                     Ok((reply, bytes))
                 })?;
-                ctx.metrics().inc("slave.proof_reads");
+                ctx.metrics().inc(id::SLAVE_PROOF_READS);
                 if !cached && matches!(query, Query::ScanRange { .. }) {
-                    ctx.metrics().inc("slave.range_reads");
+                    ctx.metrics().inc(id::SLAVE_RANGE_READS);
                 }
                 Answer::Proof { reply, cached }
             }
             ReadKind::Stream => {
                 let Query::ReadFileRange { path, offset, len } = &query else {
-                    return Err(out_of_sync(ctx, "slave.proof_unsupported"));
+                    return Err(out_of_sync(ctx, id::SLAVE_PROOF_UNSUPPORTED));
                 };
                 // A slice header depends only on which chunk-table rows
                 // the byte range overlaps, so keying on that window — not
@@ -668,20 +669,20 @@ impl SlaveProcess {
                 if chunks.len() != entries.len() {
                     // A manifest chunk missing from the store means replica
                     // corruption; refusing beats streaming a doomed proof.
-                    return Err(out_of_sync(ctx, "slave.query_errors"));
+                    return Err(out_of_sync(ctx, id::SLAVE_QUERY_ERRORS));
                 }
                 ctx.charge(costs.serde_cost(chunks.iter().map(|(_, d)| d.len()).sum()));
-                ctx.metrics().inc("slave.stream_reads");
+                ctx.metrics().inc(id::SLAVE_STREAM_READS);
                 let proof = Box::new(proof);
                 Answer::Stream { proof, chunks }
             }
         };
         self.reads_served += 1;
-        ctx.metrics().inc("slave.reads");
+        ctx.metrics().inc(id::SLAVE_READS);
 
         let lie = apply_lie_behavior(self.behavior, ctx, &mut answer);
         if let Some(forged) = &lie {
-            ctx.metrics().inc("slave.lies");
+            ctx.metrics().inc(id::SLAVE_LIES);
             let hash = ResultHash::of(forged, self.cfg.pledge_hash);
             self.lies_told.insert(hash.bytes().to_vec());
         }
@@ -700,7 +701,7 @@ impl SlaveProcess {
                 ctx.charge(costs.sign);
                 let pledge =
                     Pledge::build(query, result_hash, stamp, ctx.id(), self.signer.as_mut())
-                        .map_err(|_| out_of_sync(ctx, "slave.sign_failures"))?;
+                        .map_err(|_| out_of_sync(ctx, id::SLAVE_SIGN_FAILURES))?;
                 let (result, pledge) = (lie.unwrap_or(result), Box::new(pledge));
                 ctx.send(
                     client,
@@ -766,7 +767,7 @@ impl Process<Msg> for SlaveProcess {
                     self.accept_stamp(stamp);
                     self.accept_digest_stamp(ctx, digest_stamp);
                 } else {
-                    ctx.metrics().inc("slave.bad_keepalives");
+                    ctx.metrics().inc(id::SLAVE_BAD_KEEPALIVES);
                 }
             }
             Msg::StateUpdate {
@@ -776,7 +777,7 @@ impl Process<Msg> for SlaveProcess {
                 digest_stamp,
             } => {
                 if !self.stamps_valid(ctx, &stamp, &digest_stamp) {
-                    ctx.metrics().inc("slave.bad_updates");
+                    ctx.metrics().inc(id::SLAVE_BAD_UPDATES);
                     return;
                 }
                 if version > self.effective_version() {
@@ -795,7 +796,7 @@ impl Process<Msg> for SlaveProcess {
                 // not 2 x batch.  The version stamp certifies the final
                 // version; every run in the batch rides that signature.
                 if !self.stamps_valid(ctx, &stamp, &digest_stamp) {
-                    ctx.metrics().inc("slave.bad_updates");
+                    ctx.metrics().inc(id::SLAVE_BAD_UPDATES);
                     return;
                 }
                 let last = updates.last().map(|(v, _)| *v);
@@ -815,7 +816,7 @@ impl Process<Msg> for SlaveProcess {
             }
             Msg::ExcludeNotice => {
                 self.excluded = true;
-                ctx.metrics().inc("slave.excluded_notices");
+                ctx.metrics().inc(id::SLAVE_EXCLUDED_NOTICES);
             }
             _ => {}
         }

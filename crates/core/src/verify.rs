@@ -21,9 +21,10 @@
 //! metrics, retries, and fallbacks can react to *why* a response died.
 
 use crate::messages::{StateDigestStamp, VersionStamp};
+use crate::metrics as id;
 use crate::pledge::Pledge;
 use sdr_crypto::PublicKey;
-use sdr_sim::{NodeId, SimDuration, SimTime};
+use sdr_sim::{Counter, NodeId, SimDuration, SimTime};
 use sdr_store::{ProofError, Query, QueryResult, StateProof, StreamProof};
 
 /// Why a read response was rejected.
@@ -48,14 +49,14 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// Metric counter this rejection increments.
-    pub fn metric(&self) -> &'static str {
+    pub fn metric(&self) -> Counter {
         match self {
-            RejectReason::HashMismatch => "read.rejected.hash",
-            RejectReason::UnknownSlave => "read.rejected.unknown_slave",
-            RejectReason::BadSlaveSignature => "read.rejected.sig",
-            RejectReason::BadStampSignature => "read.rejected.stamp_sig",
-            RejectReason::Stale => "read.rejected.stale",
-            RejectReason::BadProof(_) => "read.rejected.proof",
+            RejectReason::HashMismatch => id::READ_REJECTED_HASH,
+            RejectReason::UnknownSlave => id::READ_REJECTED_UNKNOWN_SLAVE,
+            RejectReason::BadSlaveSignature => id::READ_REJECTED_SIG,
+            RejectReason::BadStampSignature => id::READ_REJECTED_STAMP_SIG,
+            RejectReason::Stale => id::READ_REJECTED_STALE,
+            RejectReason::BadProof(_) => id::READ_REJECTED_PROOF,
         }
     }
 }

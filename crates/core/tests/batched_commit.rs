@@ -3,7 +3,7 @@
 //! rounds anchored by a single digest stamp.
 
 use proptest::prelude::*;
-use sdr_core::{SlaveBehavior, SystemBuilder, SystemConfig, Workload};
+use sdr_core::{metrics, SlaveBehavior, SystemBuilder, SystemConfig, Workload};
 use sdr_sim::SimDuration;
 use sdr_store::{Database, Document, UpdateOp};
 
@@ -106,8 +106,8 @@ fn sequencer_version_tracks_committed_writes_under_batching() {
     let v0 = sys.with_master(0, |m| m.version());
     sys.run_for(SimDuration::from_secs(20));
 
-    let committed = sys.world.metrics().counter("write.committed.shard0");
-    let rounds = sys.world.metrics_mut().summary("write.batch_size");
+    let committed = sys.world.metrics().counter(metrics::WRITE_COMMITTED_SHARD.at(0));
+    let rounds = sys.world.metrics_mut().summary(metrics::WRITE_BATCH_SIZE);
     assert!(committed > 10, "write demand never saturated: {committed}");
     let v1 = sys.with_master(0, |m| m.version());
     assert_eq!(
@@ -134,7 +134,7 @@ fn log_pruning_stays_in_lockstep_under_batched_commits() {
     let mut sys = batched(808, 4, 8);
     sys.run_for(SimDuration::from_secs(25));
     assert!(
-        sys.world.metrics().counter("write.committed.shard0") > 8,
+        sys.world.metrics().counter(metrics::WRITE_COMMITTED_SHARD.at(0)) > 8,
         "must commit past the retention window to exercise pruning"
     );
     for rank in 0..3 {
@@ -157,7 +157,7 @@ fn log_pruning_stays_in_lockstep_under_batched_commits() {
 fn slaves_converge_under_batched_pushes_without_digest_mismatches() {
     let mut sys = batched(4_004, 8, 64);
     sys.run_for(SimDuration::from_secs(20));
-    let committed = sys.world.metrics().counter("write.committed.shard0");
+    let committed = sys.world.metrics().counter(metrics::WRITE_COMMITTED_SHARD.at(0));
     assert!(committed > 10, "write demand never saturated");
     // Let in-flight pushes land, then stop the workload clock reading.
     let master_version = sys.with_master(0, |m| m.version());
@@ -169,9 +169,9 @@ fn slaves_converge_under_batched_pushes_without_digest_mismatches() {
         );
     }
     assert_eq!(
-        sys.world.metrics().counter("slave.digest_mismatch"),
+        sys.world.metrics().counter(metrics::SLAVE_DIGEST_MISMATCH),
         0,
         "batch anchors must never be tried against intermediate versions"
     );
-    assert_eq!(sys.world.metrics().counter("slave.bad_updates"), 0);
+    assert_eq!(sys.world.metrics().counter(metrics::SLAVE_BAD_UPDATES), 0);
 }

@@ -29,16 +29,20 @@ fn pinned_spec() -> ScenarioSpec {
 }
 
 /// Asserts every value present in `fixture` appears identically in
-/// `current`.  Objects may gain keys (new telemetry fields); arrays of
-/// `{field, ...}` / `{name, ...}` records are matched by that key so
-/// appended aggregate rows don't shift positions.
+/// `current`.  Objects may gain keys (new telemetry fields) but keep the
+/// fixture's keys in the fixture's order; arrays of `{field, ...}` /
+/// `{name, ...}` records are matched by that key, wherever they sit.
 fn assert_subset(fixture: &Value, current: &Value, path: &str) {
     match (fixture, current) {
         (Value::Object(f), Value::Object(c)) => {
+            // Keys are matched in order: the fixture's keys must be a
+            // subsequence of the current run's, because key order is part
+            // of the bytes the benchmark fingerprints hash.
+            let mut rest = c.iter();
             for (k, fv) in f.iter() {
-                let cv = c
-                    .get(k)
-                    .unwrap_or_else(|| panic!("{path}.{k}: missing in current run"));
+                let (_, cv) = rest.find(|(ck, _)| ck == &k).unwrap_or_else(|| {
+                    panic!("{path}.{k}: missing or out of order in current run")
+                });
                 assert_subset(fv, cv, &format!("{path}.{k}"));
             }
         }

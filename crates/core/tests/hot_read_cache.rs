@@ -6,6 +6,7 @@
 //! with zero wrong accepts.
 
 use sdr_core::messages::{Msg, StateDigestStamp};
+use sdr_core::metrics;
 use sdr_core::scenario::{registry, Grid, Param, Runner};
 use sdr_core::verify::{self, RejectReason, VerifyEnv};
 use sdr_core::{SlaveBehavior, System, SystemBuilder, SystemConfig, Workload};
@@ -111,12 +112,12 @@ fn cache_verify_oracle_finds_no_divergence() {
     assert!(stats.stamp_cache_hits > 0, "no stamp hits to verify");
     let m = sys.world.metrics();
     assert_eq!(
-        m.counter("slave.cache_divergence"),
+        m.counter(metrics::SLAVE_CACHE_DIVERGENCE),
         0,
         "cached reply diverged from a fresh rebuild"
     );
     assert_eq!(
-        m.counter("client.cache_divergence"),
+        m.counter(metrics::CLIENT_CACHE_DIVERGENCE),
         0,
         "memoized verification diverged from a recheck"
     );
@@ -188,7 +189,7 @@ fn cached_range_replies_hit_and_are_never_served_stale() {
     let stats = sys.stats();
     let m = sys.world.metrics();
 
-    assert!(m.counter("slave.range_reads") > 0, "no scans served");
+    assert!(m.counter(metrics::SLAVE_RANGE_READS) > 0, "no scans served");
     assert!(
         stats.range_rows_verified > 0,
         "no rows verified under range proofs: {}",

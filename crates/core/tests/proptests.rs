@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use sdr_core::config::HashAlgo;
 use sdr_core::messages::VersionStamp;
+use sdr_core::metrics;
 use sdr_core::pledge::{Pledge, ResultHash};
 use sdr_core::slave::corrupt;
 use sdr_crypto::{HmacSigner, Signer};
@@ -198,7 +199,7 @@ proptest! {
         prop_assert_eq!(stats.wrong_accepted, 0);
         prop_assert_eq!(stats.proof_reads_rejected, 0, "stale cached proof served");
         let m = sys.world.metrics();
-        prop_assert_eq!(m.counter("slave.cache_divergence"), 0);
-        prop_assert_eq!(m.counter("client.cache_divergence"), 0);
+        prop_assert_eq!(m.counter(metrics::SLAVE_CACHE_DIVERGENCE), 0);
+        prop_assert_eq!(m.counter(metrics::CLIENT_CACHE_DIVERGENCE), 0);
     }
 }

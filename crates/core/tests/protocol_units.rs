@@ -2,8 +2,8 @@
 //! worlds where the surrounding noise (workload randomness) is disabled.
 
 use sdr_core::messages::RefuseReason;
-use sdr_core::{Msg, SlaveBehavior, System, SystemBuilder, SystemConfig, Workload};
-use sdr_sim::{Ctx, NodeId, Process, SimDuration};
+use sdr_core::{metrics, Msg, SlaveBehavior, System, SystemBuilder, SystemConfig, Workload};
+use sdr_sim::{Counter, Ctx, NodeId, Process, SimDuration};
 use sdr_store::Query;
 
 /// A quiet system: no reads, no writes — only protocol background traffic.
@@ -50,8 +50,8 @@ impl Process<Msg> for Probe {
 /// meets the same refusal and moves the same counter.
 #[test]
 fn slave_gate_refuses_every_read_kind_alike() {
-    const STALE: &str = "slave.refused_stale";
-    const MALICIOUS: &str = "slave.refused_malicious";
+    const STALE: Counter = metrics::SLAVE_REFUSED_STALE;
+    const MALICIOUS: Counter = metrics::SLAVE_REFUSED_MALICIOUS;
     let cases = [
         ("excluded", SlaveBehavior::Honest, RefuseReason::Excluded, None),
         ("no fresh anchor", SlaveBehavior::Honest, RefuseReason::OutOfSync, Some(STALE)),
@@ -99,10 +99,10 @@ fn keepalives_keep_slaves_fresh_without_writes() {
     let mut sys = quiet(1, 3, 4);
     sys.run_for(SimDuration::from_secs(20));
     // Keep-alives flowed...
-    assert!(sys.world.metrics().counter("keepalive.sent") >= 30);
+    assert!(sys.world.metrics().counter(metrics::KEEPALIVE_SENT) >= 30);
     // ...and no slave ever refused for staleness (nobody read, but the
     // mechanism's health shows in zero bad-keepalive counts).
-    assert_eq!(sys.world.metrics().counter("slave.bad_keepalives"), 0);
+    assert_eq!(sys.world.metrics().counter(metrics::SLAVE_BAD_KEEPALIVES), 0);
 }
 
 #[test]
@@ -216,12 +216,12 @@ fn overload_backpressure_rejects_excess_writes_quickly() {
     sys.run_for(SimDuration::from_secs(30));
     let m = sys.world.metrics();
 
-    assert!(m.counter("write.overloaded") > 0, "no backpressure seen");
+    assert!(m.counter(metrics::WRITE_OVERLOADED) > 0, "no backpressure seen");
     // Overload must not be misread as master crashes.
-    assert_eq!(m.counter("write.timeout"), 0, "writes timed out");
+    assert_eq!(m.counter(metrics::WRITE_TIMEOUT), 0, "writes timed out");
     // Committed rate respects the spacing bound (1 per 2 s, ~15 total,
     // plus slack for the pipeline).
-    let committed = m.counter("write.committed");
+    let committed = m.counter(metrics::WRITE_COMMITTED);
     assert!(committed <= 20, "spacing violated: {committed} commits in 30s");
     assert!(committed >= 10, "write path starved: {committed}");
 }

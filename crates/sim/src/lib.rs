@@ -17,7 +17,8 @@
 //! * **Fault injection** ([`world`]) — scheduled crashes and recoveries
 //!   (experiment E12).
 //! * **Metrics** ([`metrics`]) — counters, histograms with percentiles, and
-//!   time series that the benchmark harness turns into tables.
+//!   time series in slots indexed by typed ids, which the benchmark harness
+//!   turns into tables.
 //!
 //! Determinism contract: given the same seed, node construction order, and
 //! schedule of API calls, every run produces the identical event sequence.
@@ -37,7 +38,7 @@ pub mod world;
 
 pub use cost::CostModel;
 pub use event::{BaselineHeap, EventQueue, QueueDepthStats};
-pub use metrics::{Histogram, Metrics, Summary};
+pub use metrics::{Counter, Hist, Histogram, Metrics, PerShard, Series, Summary};
 pub use net::{LatencyModel, LinkModel, NetworkConfig};
 pub use process::{NodeId, Payload, Process};
 pub use ring::RingLog;

@@ -1,11 +1,76 @@
-//! Metrics: counters, histograms with percentiles, gauges, time series.
+//! Metrics: counters, histograms with percentiles, and time series, held
+//! in slot vectors indexed by typed ids.
 //!
-//! Everything an experiment reports flows through a [`Metrics`] registry
-//! owned by the world; the benchmark harness reads it after `run_until`.
+//! A metric is an id — [`Counter`], [`Hist`] or [`Series`] — naming one
+//! slot of the world's [`Metrics`], so a write is one array index: no
+//! name, no allocation, no map probe.  A per-shard family is a
+//! [`PerShard`] whose `.at(k)` is the id of shard `k`.  The simulator
+//! declares the ids of its own six `sim.*` counters here, in the first
+//! counter slots; the system running on top declares every other id (and
+//! the names that go with them) in one table of its own, built with the
+//! `new` constructors, which number slots *after* the simulator's.  Slots
+//! grow on first touch and an unwritten slot reads as zero / empty, so a
+//! [`Metrics`] never has to be told how many ids exist.
 
 use crate::time::SimTime;
 use serde::{FromJson, ToJson};
-use std::collections::BTreeMap;
+
+/// A slot index, typed by the kind of slot it names so that a histogram
+/// id cannot be passed where a counter is wanted.  Use the aliases.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SlotId<const KIND: char>(usize);
+/// Id of a counter slot.
+pub type Counter = SlotId<'c'>;
+/// Id of a histogram slot.
+pub type Hist = SlotId<'h'>;
+/// Id of a time-series slot.
+pub type Series = SlotId<'s'>;
+
+impl<const KIND: char> SlotId<KIND> {
+    /// The id of the `slot`-th slot of its kind that is not one of the
+    /// simulator's own (which are all counters).
+    pub const fn new(slot: usize) -> Self {
+        SlotId(slot + if KIND == 'c' { SIM_COUNTERS } else { 0 })
+    }
+}
+
+/// `sim.dropped_to_crashed`: deliveries discarded at a crashed node.
+pub const SIM_DROPPED_TO_CRASHED: Counter = SlotId(0);
+/// `sim.crashes`: injected crashes that took a live node down.
+pub const SIM_CRASHES: Counter = SlotId(1);
+/// `sim.recoveries`: injected recoveries that brought a node back.
+pub const SIM_RECOVERIES: Counter = SlotId(2);
+/// `sim.partitioned_drops`: sends dropped at an island boundary.
+pub const SIM_PARTITIONED_DROPS: Counter = SlotId(3);
+/// `sim.lost_messages`: sends dropped by link loss.
+pub const SIM_LOST_MESSAGES: Counter = SlotId(4);
+/// `sim.messages_sent`: sends that reached the event queue.
+pub const SIM_MESSAGES_SENT: Counter = SlotId(5);
+const SIM_COUNTERS: usize = 6;
+
+/// A family of per-shard slots of one kind.  Families interleave: shard
+/// `k` of a family is slot `first + k * stride`, where `stride` is the
+/// number of families sharing the range, so the slot vector ends at the
+/// highest shard written.
+#[derive(Clone, Copy, Debug)]
+pub struct PerShard<I> {
+    first: usize,
+    stride: usize,
+    id: fn(usize) -> I,
+}
+
+impl<I> PerShard<I> {
+    /// The family whose shard 0 is `id(first)`, one of `stride` families.
+    pub const fn new(first: usize, stride: usize, id: fn(usize) -> I) -> Self {
+        PerShard { first, stride, id }
+    }
+
+    /// The id of shard `shard`'s slot.  Writing through it sizes the slot
+    /// vector, so `shard` must already be checked against the shard count.
+    pub fn at(&self, shard: usize) -> I {
+        (self.id)(self.first + shard * self.stride)
+    }
+}
 
 /// A recording of `u64` observations with on-demand percentile queries.
 #[derive(Clone, Debug, Default)]
@@ -14,8 +79,9 @@ pub struct Histogram {
     sorted: bool,
 }
 
-/// Summary statistics extracted from a [`Histogram`].
-#[derive(Clone, Copy, Debug, PartialEq, ToJson, FromJson)]
+/// Summary statistics extracted from a [`Histogram`]; the default (all
+/// zeros) is the summary of an empty one.
+#[derive(Clone, Copy, Debug, Default, PartialEq, ToJson, FromJson)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,
@@ -33,19 +99,6 @@ pub struct Summary {
     pub max: u64,
 }
 
-impl Summary {
-    /// A summary of an empty histogram (all zeros).
-    pub const EMPTY: Summary = Summary {
-        count: 0,
-        mean: 0.0,
-        min: 0,
-        p50: 0,
-        p90: 0,
-        p99: 0,
-        max: 0,
-    };
-}
-
 impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
@@ -56,11 +109,6 @@ impl Histogram {
     pub fn observe(&mut self, value: u64) {
         self.values.push(value);
         self.sorted = false;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.values.len()
     }
 
     fn ensure_sorted(&mut self) {
@@ -92,7 +140,7 @@ impl Histogram {
     /// Full summary statistics.
     pub fn summary(&mut self) -> Summary {
         if self.values.is_empty() {
-            return Summary::EMPTY;
+            return Summary::default();
         }
         self.ensure_sorted();
         Summary {
@@ -105,117 +153,63 @@ impl Histogram {
             max: *self.values.last().expect("non-empty"),
         }
     }
-
-    /// Raw observations (unsorted order not guaranteed).
-    pub fn values(&self) -> &[u64] {
-        &self.values
-    }
 }
 
-/// Registry of named metrics for one simulation run.
-///
-/// `BTreeMap` keys keep report output deterministically ordered.
+/// The metric slots of one simulation run.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-    series: BTreeMap<String, Vec<(SimTime, f64)>>,
+    counters: Vec<u64>,
+    histograms: Vec<Histogram>,
+    series: Vec<Vec<(SimTime, f64)>>,
+}
+
+/// The slot at `index`, grown into existence on first touch.
+fn slot<T: Default>(slots: &mut Vec<T>, index: usize) -> &mut T {
+    if index >= slots.len() {
+        slots.resize_with(index + 1, T::default);
+    }
+    &mut slots[index]
 }
 
 impl Metrics {
-    /// Creates an empty registry.
+    /// Creates an empty set of slots.
     pub fn new() -> Self {
         Metrics::default()
     }
 
-    /// Adds `delta` to the named counter.
-    pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+    /// Adds `delta` to a counter.
+    pub fn add(&mut self, id: Counter, delta: u64) {
+        *slot(&mut self.counters, id.0) += delta;
     }
 
-    /// Increments the named counter by one.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
+    /// Increments a counter by one.
+    pub fn inc(&mut self, id: Counter) {
+        self.add(id, 1);
     }
 
-    /// Reads a counter (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    /// Reads a counter (0 when never written).
+    pub fn counter(&self, id: Counter) -> u64 {
+        self.counters.get(id.0).copied().unwrap_or(0)
     }
 
-    /// Sets a gauge to `value`.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+    /// Records an observation into a histogram.
+    pub fn observe(&mut self, id: Hist, value: u64) {
+        slot(&mut self.histograms, id.0).observe(value);
     }
 
-    /// Reads a gauge (0.0 when absent).
-    pub fn gauge(&self, name: &str) -> f64 {
-        self.gauges.get(name).copied().unwrap_or(0.0)
+    /// Summary of a histogram (all zeros when never written).
+    pub fn summary(&mut self, id: Hist) -> Summary {
+        slot(&mut self.histograms, id.0).summary()
     }
 
-    /// Records an observation into the named histogram.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+    /// Appends a `(time, value)` point to a time series.
+    pub fn series_push(&mut self, id: Series, at: SimTime, value: f64) {
+        slot(&mut self.series, id.0).push((at, value));
     }
 
-    /// Summary of the named histogram ([`Summary::EMPTY`] when absent).
-    pub fn summary(&mut self, name: &str) -> Summary {
-        self.histograms
-            .get_mut(name)
-            .map(Histogram::summary)
-            .unwrap_or(Summary::EMPTY)
-    }
-
-    /// Mutable access to a histogram (created on demand).
-    pub fn histogram_mut(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_string()).or_default()
-    }
-
-    /// Appends a `(time, value)` point to the named time series.
-    pub fn series_push(&mut self, name: &str, at: SimTime, value: f64) {
-        self.series
-            .entry(name.to_string())
-            .or_default()
-            .push((at, value));
-    }
-
-    /// Reads a time series (empty when absent).
-    pub fn series(&self, name: &str) -> &[(SimTime, f64)] {
-        self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// All counter names, sorted (deterministic reporting order).
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
-    }
-
-    /// All histogram names, sorted.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
-    }
-
-    /// Merges another registry into this one (counters add, histograms
-    /// concatenate, gauges overwrite, series concatenate).
-    pub fn merge(&mut self, other: &Metrics) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            let mine = self.histograms.entry(k.clone()).or_default();
-            for &v in h.values() {
-                mine.observe(v);
-            }
-        }
-        for (k, s) in &other.series {
-            self.series.entry(k.clone()).or_default().extend(s.iter());
-        }
+    /// Reads a time series (empty when never written).
+    pub fn series(&self, id: Series) -> &[(SimTime, f64)] {
+        self.series.get(id.0).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -225,11 +219,32 @@ mod tests {
 
     #[test]
     fn counters() {
+        let (reads, never) = (Counter::new(0), Counter::new(7));
         let mut m = Metrics::new();
-        m.inc("reads");
-        m.add("reads", 4);
-        assert_eq!(m.counter("reads"), 5);
-        assert_eq!(m.counter("missing"), 0);
+        m.inc(reads);
+        m.add(reads, 4);
+        assert_eq!(m.counter(reads), 5);
+        assert_eq!(m.counter(never), 0);
+        // The simulator's own slots sit below every `new` id.
+        assert_eq!(m.counter(SIM_MESSAGES_SENT), 0);
+        assert_ne!(reads, SIM_DROPPED_TO_CRASHED);
+    }
+
+    #[test]
+    fn per_shard_families_interleave_without_colliding() {
+        let a = PerShard::new(2, 2, Counter::new);
+        let b = PerShard::new(3, 2, Counter::new);
+        let mut m = Metrics::new();
+        m.inc(a.at(0));
+        m.add(b.at(0), 2);
+        m.add(a.at(3), 5);
+        assert_eq!(m.counter(a.at(0)), 1);
+        assert_eq!(m.counter(b.at(0)), 2);
+        assert_eq!(m.counter(a.at(3)), 5);
+        assert_eq!(m.counter(b.at(3)), 0);
+        // Reading far past the last written slot allocates nothing.
+        assert_eq!(m.counter(a.at(u32::MAX as usize)), 0);
+        assert_eq!(m.counters.len(), SIM_COUNTERS + 2 + 3 * 2 + 1);
     }
 
     #[test]
@@ -249,16 +264,19 @@ mod tests {
     #[test]
     fn empty_histogram_summary() {
         let mut h = Histogram::new();
-        assert_eq!(h.summary(), Summary::EMPTY);
+        assert_eq!(h.summary(), Summary::default());
+        assert_eq!(h.summary().count, 0);
+        assert_eq!(Metrics::new().summary(Hist::new(3)), Summary::default());
     }
 
     #[test]
     fn summary_fields() {
+        let lat = Hist::new(1);
         let mut m = Metrics::new();
         for v in [10u64, 20, 30] {
-            m.observe("lat", v);
+            m.observe(lat, v);
         }
-        let s = m.summary("lat");
+        let s = m.summary(lat);
         assert_eq!(s.count, 3);
         assert_eq!(s.min, 10);
         assert_eq!(s.max, 30);
@@ -277,33 +295,12 @@ mod tests {
 
     #[test]
     fn series_ordering() {
+        let (lag, never) = (Series::new(0), Series::new(1));
         let mut m = Metrics::new();
-        m.series_push("lag", SimTime(1), 0.5);
-        m.series_push("lag", SimTime(2), 0.7);
-        assert_eq!(m.series("lag").len(), 2);
-        assert_eq!(m.series("lag")[1], (SimTime(2), 0.7));
-        assert!(m.series("missing").is_empty());
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = Metrics::new();
-        let mut b = Metrics::new();
-        a.add("x", 1);
-        b.add("x", 2);
-        b.observe("h", 9);
-        b.set_gauge("g", 3.5);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.summary("h").count, 1);
-        assert_eq!(a.gauge("g"), 3.5);
-    }
-
-    #[test]
-    fn gauges_overwrite() {
-        let mut m = Metrics::new();
-        m.set_gauge("load", 0.3);
-        m.set_gauge("load", 0.9);
-        assert_eq!(m.gauge("load"), 0.9);
+        m.series_push(lag, SimTime(1), 0.5);
+        m.series_push(lag, SimTime(2), 0.7);
+        assert_eq!(m.series(lag).len(), 2);
+        assert_eq!(m.series(lag)[1], (SimTime(2), 0.7));
+        assert!(m.series(never).is_empty());
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::cost::CostModel;
 use crate::event::{Event, EventKind, EventQueue, QueueDepthStats};
-use crate::metrics::Metrics;
+use crate::metrics::{self, Metrics};
 use crate::net::NetworkConfig;
 use crate::process::{NodeId, Payload, Process};
 use crate::time::{SimDuration, SimTime};
@@ -362,7 +362,7 @@ impl<M: Payload> World<M> {
             EventKind::Deliver { to, from, msg } => {
                 let meta = &self.meta[to.index()];
                 if meta.crashed {
-                    self.metrics.inc("sim.dropped_to_crashed");
+                    self.metrics.inc(metrics::SIM_DROPPED_TO_CRASHED);
                     return true;
                 }
                 if meta.cpu_free_at > at {
@@ -392,7 +392,7 @@ impl<M: Payload> World<M> {
             EventKind::Crash(node) => {
                 if !self.meta[node.index()].crashed {
                     self.meta[node.index()].crashed = true;
-                    self.metrics.inc("sim.crashes");
+                    self.metrics.inc(metrics::SIM_CRASHES);
                     self.dispatch(node, at, |p, ctx| p.on_crash(ctx));
                 }
             }
@@ -401,7 +401,7 @@ impl<M: Payload> World<M> {
                     self.meta[node.index()].crashed = false;
                     self.meta[node.index()].incarnation += 1;
                     self.meta[node.index()].cpu_free_at = at;
-                    self.metrics.inc("sim.recoveries");
+                    self.metrics.inc(metrics::SIM_RECOVERIES);
                     self.dispatch(node, at, |p, ctx| p.on_recover(ctx));
                 }
             }
@@ -482,12 +482,12 @@ impl<M: Payload> World<M> {
             self.meta[to.index()].island,
         );
         if fi != ti {
-            self.metrics.inc("sim.partitioned_drops");
+            self.metrics.inc(metrics::SIM_PARTITIONED_DROPS);
             return false;
         }
         let link = *self.net.link(from, to);
         if link.loss > 0.0 && self.net_rng.gen::<f64>() < link.loss {
-            self.metrics.inc("sim.lost_messages");
+            self.metrics.inc(metrics::SIM_LOST_MESSAGES);
             return false;
         }
         let mut latency = link.latency.sample(&mut self.net_rng);
@@ -495,7 +495,7 @@ impl<M: Payload> World<M> {
         if size > 0 && link.per_byte > SimDuration::ZERO {
             latency += SimDuration(link.per_byte.as_micros() * size as u64);
         }
-        self.metrics.inc("sim.messages_sent");
+        self.metrics.inc(metrics::SIM_MESSAGES_SENT);
         self.queue
             .push(depart + latency, EventKind::Deliver { to, from, msg });
         true
@@ -667,7 +667,7 @@ mod tests {
             assert_eq!(p.received.len(), 1);
             assert_eq!(p.received.get(0).unwrap().1, 300);
         });
-        assert_eq!(w.metrics().counter("sim.dropped_to_crashed"), 1);
+        assert_eq!(w.metrics().counter(metrics::SIM_DROPPED_TO_CRASHED), 1);
     }
 
     #[test]
@@ -691,7 +691,7 @@ mod tests {
         w.inject(a, b, 1);
         w.run_until(SimTime::from_millis(20));
         w.with_process::<Echo, _>(b, |p| assert!(p.received.is_empty()));
-        assert_eq!(w.metrics().counter("sim.partitioned_drops"), 1);
+        assert_eq!(w.metrics().counter(metrics::SIM_PARTITIONED_DROPS), 1);
 
         w.heal_partitions();
         w.inject(a, b, 2);

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sdr_sim::event::{BaselineHeap, EventKind, EventQueue};
-use sdr_sim::{LatencyModel, Metrics, NodeId, SimDuration, SimTime};
+use sdr_sim::{Histogram, LatencyModel, NodeId, SimDuration, SimTime};
 use std::sync::Arc;
 
 /// One step of an arbitrary scheduler workload (see the oracle test).
@@ -170,28 +170,6 @@ proptest! {
         prop_assert_eq!(c.sample(&mut rng), SimDuration(lo));
     }
 
-    /// Metrics merge is additive on counters and concatenates histograms.
-    #[test]
-    fn metrics_merge_is_additive(
-        a in proptest::collection::vec(1u64..100, 0..20),
-        b in proptest::collection::vec(1u64..100, 0..20),
-    ) {
-        let mut ma = Metrics::new();
-        let mut mb = Metrics::new();
-        for &v in &a {
-            ma.add("x", v);
-            ma.observe("h", v);
-        }
-        for &v in &b {
-            mb.add("x", v);
-            mb.observe("h", v);
-        }
-        let (sa, sb): (u64, u64) = (a.iter().sum(), b.iter().sum());
-        ma.merge(&mb);
-        prop_assert_eq!(ma.counter("x"), sa + sb);
-        prop_assert_eq!(ma.summary("h").count, a.len() + b.len());
-    }
-
     /// Histogram quantiles are monotone in the quantile argument and
     /// bounded by min/max.
     #[test]
@@ -200,11 +178,10 @@ proptest! {
         q1 in 0.0f64..1.0,
         q2 in 0.0f64..1.0,
     ) {
-        let mut m = Metrics::new();
+        let mut h = Histogram::new();
         for &v in &values {
-            m.observe("h", v);
+            h.observe(v);
         }
-        let h = m.histogram_mut("h");
         let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
         let (vlo, vhi) = (h.quantile(lo), h.quantile(hi));
         prop_assert!(vlo <= vhi, "quantiles not monotone: q({lo})={vlo} > q({hi})={vhi}");

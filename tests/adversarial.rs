@@ -2,7 +2,10 @@
 //! combined failure modes.
 
 use secure_replication::core::messages::CheckVerdict;
-use secure_replication::core::{Msg, SlaveBehavior, SystemBuilder, SystemConfig, Workload};
+use secure_replication::core::{
+    metrics, Msg, SlaveBehavior, SystemBuilder, SystemConfig, Workload,
+};
+use secure_replication::sim::metrics::SIM_LOST_MESSAGES;
 use secure_replication::sim::{LinkModel, NetworkConfig, SimDuration};
 use secure_replication::store::{QueryResult, Value};
 
@@ -31,7 +34,7 @@ fn refuser_hurts_liveness_not_safety() {
     let stats = sys.stats();
 
     assert!(
-        sys.world.metrics().counter("slave.refused_malicious") > 0,
+        sys.world.metrics().counter(metrics::SLAVE_REFUSED_MALICIOUS) > 0,
         "refuser never refused"
     );
     assert_eq!(stats.wrong_accepted, 0);
@@ -72,7 +75,7 @@ fn spoofed_control_replies_accept_nothing() {
     sys.run_for(SimDuration::from_secs(1));
     let stats = sys.stats();
 
-    let refused = sys.world.metrics().counter("slave.refused_malicious");
+    let refused = sys.world.metrics().counter(metrics::SLAVE_REFUSED_MALICIOUS);
     assert!(refused > 0 && stats.reads_issued > 0, "{}", stats.render());
     assert_eq!(stats.reads_accepted, 0, "{}", stats.render());
     assert_eq!(stats.wrong_accepted, 0);
@@ -95,7 +98,7 @@ fn lossy_network_degrades_gracefully() {
     let stats = sys.stats();
 
     assert!(
-        sys.world.metrics().counter("sim.lost_messages") > 0,
+        sys.world.metrics().counter(SIM_LOST_MESSAGES) > 0,
         "loss model inactive"
     );
     assert!(stats.reads_accepted > 0);

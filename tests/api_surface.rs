@@ -32,6 +32,10 @@ type SimDuration = sim::SimDuration;
 type CostModel = sim::CostModel;
 type NetworkConfig = sim::NetworkConfig;
 type Metrics = sim::Metrics;
+type Counter = sim::Counter;
+type Hist = sim::Hist;
+type Series = sim::Series;
+type PerShard<I> = sim::PerShard<I>;
 
 // store — the replicated data content.
 type Database = store::Database;
@@ -62,6 +66,8 @@ type Pledge = core::Pledge;
 type Evidence = core::Evidence;
 type VersionStamp = core::VersionStamp;
 type SystemStats = core::SystemStats;
+const WRITE_COMMITTED: sim::Counter = core::metrics::WRITE_COMMITTED;
+const METRIC_LOOKUP: fn(&str) -> Option<sim::Series> = core::metrics::lookup;
 type HashAlgo = core::HashAlgo;
 type ReadLevel = core::ReadLevel;
 

@@ -4,7 +4,7 @@
 use secure_replication::core::evidence::{Discovery, Evidence};
 use secure_replication::core::messages::VersionStamp;
 use secure_replication::core::pledge::{Pledge, ResultHash};
-use secure_replication::core::{SlaveBehavior, SystemBuilder, SystemConfig, Workload};
+use secure_replication::core::{metrics, SlaveBehavior, SystemBuilder, SystemConfig, Workload};
 use secure_replication::crypto::{MssSigner, SignatureScheme, Signer};
 use secure_replication::sim::{NodeId, SimDuration, SimTime};
 use secure_replication::store::{execute, Database, Document, Query, UpdateOp};
@@ -38,8 +38,13 @@ fn real_mss_signatures_end_to_end() {
     assert!(stats.reads_accepted > 10, "{}", stats.render());
     assert_eq!(stats.wrong_accepted, 0);
     // Signature failures would show up as rejections.
-    assert_eq!(sys.world.metrics().counter("read.rejected.sig"), 0);
-    assert_eq!(sys.world.metrics().counter("read.rejected.stamp_sig"), 0);
+    assert_eq!(sys.world.metrics().counter(metrics::READ_REJECTED_SIG), 0);
+    assert_eq!(
+        sys.world
+            .metrics()
+            .counter(metrics::READ_REJECTED_STAMP_SIG),
+        0
+    );
 }
 
 /// Evidence produced inside the system verifies *outside* it, using only

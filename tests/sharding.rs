@@ -5,7 +5,7 @@
 use secure_replication::core::dataset::DatasetSpec;
 use secure_replication::core::scenario::{registry, Param, Runner};
 use secure_replication::core::{
-    Msg, ShardMap, SlaveBehavior, SystemBuilder, SystemConfig, QueryMix, Workload,
+    metrics, Msg, ShardMap, SlaveBehavior, SystemBuilder, SystemConfig, QueryMix, Workload,
 };
 use secure_replication::sim::{NodeId, SimDuration};
 use secure_replication::store::{execute, Query, QueryResult};
@@ -46,7 +46,7 @@ fn shards_commit_concurrently_without_violating_per_shard_order() {
         let series: Vec<(u64, u64)> = sys
             .world
             .metrics()
-            .series(&format!("write.commit_us.shard{shard}"))
+            .series(metrics::WRITE_COMMIT_US_SHARD.at(shard))
             .iter()
             .map(|(t, v)| (t.as_micros(), *v as u64))
             .collect();
@@ -329,7 +329,7 @@ fn multi_shard_boot_storm_recovers_cleanly() {
         .map(|k| {
             sys.world
                 .metrics()
-                .counter(&format!("directory.lookups.shard{k}"))
+                .counter(metrics::DIRECTORY_LOOKUPS_SHARD.at(k))
         })
         .sum();
 
@@ -373,7 +373,7 @@ fn multi_shard_boot_storm_recovers_cleanly() {
         .map(|k| {
             sys.world
                 .metrics()
-                .counter(&format!("directory.lookups.shard{k}"))
+                .counter(metrics::DIRECTORY_LOOKUPS_SHARD.at(k))
         })
         .sum();
     assert!(
@@ -567,7 +567,7 @@ fn stitched_scans_reject_a_byzantine_shard_slice() {
         stats.render()
     );
     assert!(
-        m.counter("read.range_stitched") > 0,
+        m.counter(metrics::READ_RANGE_STITCHED) > 0,
         "no stitched scan completed: {}",
         stats.render()
     );
