@@ -1,17 +1,28 @@
-//! Shared harness for the experiment binaries.
+//! The experiment harness behind the `experiment` binary.
 //!
-//! Every binary under `src/bin/` follows the same shape: parse the
-//! shared CLI ([`BenchCli`]), fetch its [`ScenarioSpec`] from the
-//! registry, run it through the scenario [`Runner`], attach derived
-//! metrics, and emit — a human table ([`print_report_table`]) or the
-//! report's JSON (`--json`).  This library holds the CLI, the table
-//! renderer, and small formatting helpers.
+//! Each paper claim, and each scale study, is one row of
+//! [`EXPERIMENT_TABLE`]: the registry scenario(s) it runs, a `derive` step
+//! that attaches the claim's columns to the finished [`RunReport`], and
+//! the text table it renders.  `experiment run <name>` runs one row and
+//! emits a human table ([`print_report_table`]) or the report's JSON
+//! (`--json`); `experiment all` runs every row in one process.  This
+//! library holds the table, the shared CLI ([`BenchCli`]) and the table
+//! renderer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod experiments;
+
+pub use experiments::{reports_json, Experiment, EXPERIMENT_TABLE};
+
 use sdr_core::scenario::{RunReport, ScenarioSpec};
 use sdr_sim::SimDuration;
+
+/// What every CLI error prints after its message.
+pub const USAGE: &str = "usage: experiment <list | run <name> | all> \
+                         [--json] [--seeds N | --seeds a,b,c] [--duration SECS]\n\
+                         env: QUICKSTART_SIM_SECS caps the duration when --duration is absent";
 
 /// Seed override: an explicit list or a replication count.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,7 +33,7 @@ pub enum SeedArg {
     List(Vec<u64>),
 }
 
-/// The CLI surface every experiment binary shares.
+/// The flags every experiment shares.
 ///
 /// * `--json` — emit the [`RunReport`] as JSON instead of text tables.
 /// * `--seeds a,b,c` — replace the spec's seed list (comma-separated);
@@ -43,39 +54,23 @@ pub struct BenchCli {
 }
 
 impl BenchCli {
-    /// Parses the process arguments (exits with a message on bad input).
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
-    }
-
-    /// Parses from an explicit argument list.
-    pub fn from_args(args: impl Iterator<Item = String>) -> Self {
+    /// Parses the flags; bad input is an `Err` naming it, which the
+    /// caller prints above [`USAGE`] before exiting 2.
+    pub fn try_from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut cli = BenchCli::default();
-        let mut args = args.peekable();
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--json" => cli.json = true,
                 "--seeds" => {
-                    let v = args.next().unwrap_or_else(|| usage("--seeds needs a value"));
-                    cli.seeds = Some(parse_seeds(&v));
+                    let v = args.next().ok_or("--seeds needs a value")?;
+                    cli.seeds = Some(parse_seeds(&v)?);
                 }
                 "--duration" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage("--duration needs seconds"));
-                    let secs: f64 = v
-                        .parse()
-                        .unwrap_or_else(|_| usage(&format!("bad --duration `{v}`")));
-                    cli.duration = Some(SimDuration::from_micros((secs * 1e6) as u64));
+                    let v = args.next().ok_or("--duration needs seconds")?;
+                    cli.duration = Some(parse_duration(&v)?);
                 }
-                "--help" | "-h" => {
-                    println!(
-                        "usage: [--json] [--seeds N | --seeds a,b,c] [--duration SECS]\n\
-                         env: QUICKSTART_SIM_SECS caps the duration when --duration is absent"
-                    );
-                    std::process::exit(0);
-                }
-                other => usage(&format!("unknown argument `{other}`")),
+                other => return Err(format!("unknown argument `{other}`")),
             }
         }
         if cli.duration.is_none() {
@@ -86,7 +81,7 @@ impl BenchCli {
                 cli.duration = Some(SimDuration::from_secs(secs));
             }
         }
-        cli
+        Ok(cli)
     }
 
     /// Applies the overrides to a spec.
@@ -105,52 +100,33 @@ impl BenchCli {
             spec.checkpoints.retain(|c| c.as_micros() <= d.as_micros());
         }
     }
-
-    /// Emits the report: JSON on `--json`, otherwise the given renderer.
-    pub fn emit(&self, report: &RunReport, render_text: impl FnOnce(&RunReport)) {
-        if self.json {
-            println!("{}", report.to_json_string());
-        } else {
-            render_text(report);
-        }
-    }
 }
 
-fn parse_seeds(v: &str) -> SeedArg {
-    if v.contains(',') {
-        SeedArg::List(
-            v.split(',')
-                .filter(|s| !s.trim().is_empty())
-                .map(|s| {
-                    s.trim()
-                        .parse::<u64>()
-                        .unwrap_or_else(|_| usage(&format!("bad seed `{s}`")))
-                })
-                .collect(),
-        )
+fn parse_seeds(v: &str) -> Result<SeedArg, String> {
+    let seeds = if v.contains(',') {
+        let list = v.split(',').map(str::trim).filter(|s| !s.is_empty());
+        let list = list.map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")));
+        SeedArg::List(list.collect::<Result<_, _>>()?)
     } else {
-        SeedArg::Count(
-            v.trim()
-                .parse::<u64>()
-                .unwrap_or_else(|_| usage(&format!("bad seed count `{v}`"))),
-        )
+        SeedArg::Count(v.trim().parse().map_err(|_| format!("bad seed count `{v}`"))?)
+    };
+    if matches!(&seeds, SeedArg::Count(0)) || matches!(&seeds, SeedArg::List(l) if l.is_empty()) {
+        return Err(format!("--seeds `{v}` leaves no seeds to run"));
     }
+    Ok(seeds)
 }
 
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}\nusage: [--json] [--seeds N | --seeds a,b,c] [--duration SECS]");
-    std::process::exit(2)
-}
-
-/// Which aggregate statistic a [`Col::Field`] column shows.
-#[derive(Clone, Copy, Debug)]
-pub enum Stat {
-    /// Mean across the cell's runs.
-    Mean,
-    /// Minimum across the cell's runs.
-    Min,
-    /// Maximum across the cell's runs.
-    Max,
+fn parse_duration(v: &str) -> Result<SimDuration, String> {
+    let secs: f64 = v.parse().map_err(|_| format!("bad --duration `{v}`"))?;
+    let us = secs * 1e6;
+    // `as u64` below truncates and saturates: refuse what it would turn
+    // into 0 µs or clamp to u64::MAX (NaN fails both comparisons).
+    if !(us >= 1.0 && us < u64::MAX as f64) {
+        return Err(format!(
+            "--duration `{v}` must be a positive number of seconds, at least 1 µs and under 2^64 µs"
+        ));
+    }
+    Ok(SimDuration::from_micros(us as u64))
 }
 
 /// One column of a rendered report table.
@@ -167,12 +143,11 @@ pub enum Col {
         /// Decimal places.
         prec: usize,
     },
-    /// An aggregated statistics field (see `SystemStats::numeric_fields`).
+    /// A statistics field's mean across the cell's runs (see
+    /// `SystemStats::numeric_fields`).
     Field {
         /// Field name.
         field: &'static str,
-        /// Which aggregate.
-        stat: Stat,
         /// Column header.
         header: &'static str,
         /// Decimal places.
@@ -214,15 +189,8 @@ impl Col {
                 Some(v) => f(v, prec),
                 None => "-".into(),
             },
-            Col::Field { field, stat, prec, .. } => match cell.agg(field) {
-                Some(a) => {
-                    let v = match stat {
-                        Stat::Mean => a.mean,
-                        Stat::Min => a.min,
-                        Stat::Max => a.max,
-                    };
-                    f(v, prec)
-                }
+            Col::Field { field, prec, .. } => match cell.agg(field) {
+                Some(a) => f(a.mean, prec),
                 None => "-".into(),
             },
             Col::Metric { name, prec, .. } => match cell.metric(name) {
@@ -249,7 +217,7 @@ pub fn print_report_table(title: &str, report: &RunReport, columns: &[Col]) {
 ///
 /// Rows wider than the header list get empty-header columns sized to
 /// their content (rather than a silent fixed-width fallback).
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
     let n_cols = rows
         .iter()
@@ -281,46 +249,56 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Formats a float with the given precision.
-pub fn f(x: f64, prec: usize) -> String {
+fn f(x: f64, prec: usize) -> String {
     format!("{x:.prec$}")
-}
-
-/// Formats microseconds as milliseconds.
-pub fn ms(us: u64) -> String {
-    format!("{:.1}", us as f64 / 1000.0)
-}
-
-/// Prints a one-line experiment note (keeps binary output self-describing).
-pub fn note(text: &str) {
-    println!("  note: {text}");
-}
-
-/// Fetches a registered scenario or aborts with a clear message.
-pub fn must_lookup(name: &str) -> ScenarioSpec {
-    sdr_core::scenario::registry::lookup(name)
-        .unwrap_or_else(|| panic!("scenario `{name}` is not registered"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdr_core::scenario::registry;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
 
     #[test]
     fn cli_parses_flags() {
-        let cli = BenchCli::from_args(
-            ["--json", "--seeds", "7,8", "--duration", "2.5"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+        let cli = BenchCli::try_from_args(args(&["--json", "--seeds", "7,8", "--duration", "2.5"]))
+            .expect("valid flags");
         assert!(cli.json);
         assert_eq!(cli.seeds, Some(SeedArg::List(vec![7, 8])));
         assert_eq!(cli.duration, Some(SimDuration::from_micros(2_500_000)));
     }
 
+    /// Regression: each of these used to reach `Runner::run` and end in
+    /// an `expect("scenario runs")` panic, or (`1e30`) clamp to u64::MAX
+    /// µs and never finish.
+    #[test]
+    fn bad_cli_input_is_a_usage_error() {
+        for bad in [
+            &["--duration", "-1"][..],
+            &["--duration", "0"],
+            &["--duration", "nan"],
+            &["--duration", "inf"],
+            &["--duration", "0.0000001"],
+            &["--duration", "1e30"],
+            &["--duration"],
+            &["--seeds", "0"],
+            &["--seeds", ","],
+            &["--seeds", "1,x"],
+            &["--frobnicate"],
+        ] {
+            assert!(BenchCli::try_from_args(args(bad)).is_err(), "{bad:?} was accepted");
+        }
+        let tiny = BenchCli::try_from_args(args(&["--duration", "0.000001"])).expect("1 µs");
+        assert_eq!(tiny.duration, Some(SimDuration::from_micros(1)));
+    }
+
     #[test]
     fn seed_count_expands_from_spec_base() {
-        let cli = BenchCli::from_args(["--seeds", "3"].iter().map(|s| s.to_string()));
-        let mut spec = must_lookup("quickstart");
+        let cli = BenchCli::try_from_args(args(&["--seeds", "3"])).expect("valid flags");
+        let mut spec = registry::lookup("quickstart").expect("registered");
         cli.apply(&mut spec);
         assert_eq!(spec.seeds.len(), 3);
         assert_eq!(spec.seeds[0], spec.config.seed);
@@ -332,7 +310,7 @@ mod tests {
             duration: Some(SimDuration::from_secs(10)),
             ..BenchCli::default()
         };
-        let mut spec = must_lookup("e12_failover");
+        let mut spec = registry::lookup("e12_failover").expect("registered");
         assert!(!spec.checkpoints.is_empty());
         cli.apply(&mut spec);
         assert!(spec.checkpoints.is_empty());

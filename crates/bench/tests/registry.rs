@@ -1,33 +1,42 @@
-//! Registry completeness: every experiment binary must resolve to a
-//! registered scenario, so `lookup`-by-bin-name never rots as bins are
-//! added or renamed.
+//! Registry completeness: every row of the experiment table runs
+//! registered scenarios, and every paper-claim and sweep scenario has
+//! exactly one row, so the table never rots as scenarios are added or
+//! renamed.
 
+use sdr_bench::EXPERIMENT_TABLE;
 use sdr_core::scenario::registry;
 
-/// Walks `src/bin/` and checks each `e*` binary's name resolves.
+/// Row names are unique, every scenario a row runs is registered, and
+/// each `e*` scenario and sweep study is run by exactly one row.
 #[test]
-fn every_experiment_bin_name_resolves() {
-    let bin_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-    let mut checked = 0usize;
-    for entry in std::fs::read_dir(&bin_dir).expect("src/bin exists") {
-        let path = entry.expect("dir entry").path();
-        let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-            continue;
-        };
-        if path.extension().and_then(|e| e.to_str()) != Some("rs") || !stem.starts_with('e') {
-            continue;
-        }
-        // Guard against non-experiment bins that happen to start with 'e'.
-        if !stem[1..].starts_with(|c: char| c.is_ascii_digit()) {
-            continue;
-        }
-        assert!(
-            registry::lookup(stem).is_some(),
-            "experiment binary `{stem}` has no registered scenario"
-        );
-        checked += 1;
+fn experiment_table_runs_each_scenario_once() {
+    let mut rows: Vec<&str> = EXPERIMENT_TABLE.iter().map(|e| e.name).collect();
+    rows.sort_unstable();
+    rows.dedup();
+    assert_eq!(rows.len(), EXPERIMENT_TABLE.len(), "duplicate experiment names");
+
+    let run: Vec<&str> = EXPERIMENT_TABLE
+        .iter()
+        .flat_map(|e| e.scenarios().map(|s| s.name))
+        .collect();
+    for name in &run {
+        assert!(registry::lookup(name).is_some(), "`{name}` is not registered");
     }
-    assert!(checked >= 12, "expected at least 12 e* binaries, saw {checked}");
+    let sweeps = [
+        "sharded_commit",
+        "batched_commit",
+        "cdn_media",
+        "churn_100k",
+        "flash_crowd",
+        "range_scan",
+    ];
+    let claims = registry::names()
+        .into_iter()
+        .filter(|n| n.strip_prefix('e').is_some_and(|r| r.starts_with(|c: char| c.is_ascii_digit())));
+    for name in claims.chain(sweeps) {
+        let rows = run.iter().filter(|&&r| r == name).count();
+        assert_eq!(rows, 1, "`{name}` is run by {rows} experiment rows, not one");
+    }
 }
 
 /// The registry's own invariants: names are unique and every spec

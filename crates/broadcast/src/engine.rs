@@ -5,7 +5,6 @@
 //! (simulated master, test harness, or a real network shim) to carry out.
 
 use crate::view::{MemberId, View};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Timing configuration, in abstract ticks (the host decides tick length;
@@ -31,7 +30,7 @@ impl Default for TobConfig {
 }
 
 /// Wire messages exchanged by group members.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum TobMessage<T> {
     /// Publisher → sequencer: please order this payload.
     Publish {

@@ -1,12 +1,9 @@
 //! Membership views over the master group.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A member's rank within the (fixed) master group.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MemberId(pub u32);
 
 impl MemberId {
@@ -29,7 +26,7 @@ impl fmt::Display for MemberId {
 /// the **sequencer** is the lowest-ranked member, the **auditor** the
 /// highest-ranked (when the view has at least two members; in a singleton
 /// view the survivor plays both roles).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct View {
     /// Monotonic view number.
     pub id: u64,

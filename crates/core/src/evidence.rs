@@ -13,10 +13,9 @@ use crate::pledge::{Pledge, ResultHash};
 use sdr_crypto::PublicKey;
 use sdr_sim::SimTime;
 use sdr_store::{execute, Database};
-use serde::{Deserialize, Serialize};
 
 /// How the misbehaviour was discovered (Section 3.5's two cases).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Discovery {
     /// A client double-check caught it immediately.
     Immediate,
@@ -25,7 +24,7 @@ pub enum Discovery {
 }
 
 /// Proof that a slave signed a wrong answer.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Evidence {
     /// The incriminating pledge (signed by the slave).
     pub pledge: Pledge,

@@ -6,11 +6,10 @@ use sdr_broadcast::{MemberId, TobMessage};
 use sdr_crypto::{Certificate, CryptoError, Hash256, PublicKey, Signature, Signer};
 use sdr_sim::{NodeId, Payload, SimTime};
 use sdr_store::{Query, QueryResult, StateProof, StreamProof, UpdateOp};
-use serde::{Deserialize, Serialize};
 
 /// The "signed and time-stamped value of the `content_version` variable"
 /// (Section 3.1) — attached to state updates, keep-alives, and pledges.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct VersionStamp {
     /// The content version.
     pub version: u64,
@@ -68,7 +67,7 @@ impl VersionStamp {
 /// or double-check involved.  The `state_signing` baseline signs the
 /// same bytes with the owner key; the protocol signs them with master
 /// keys on every commit and keep-alive.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StateDigestStamp {
     /// The content version the digest covers.
     pub version: u64,
@@ -127,7 +126,7 @@ impl StateDigestStamp {
 }
 
 /// Outcome of a write request.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WriteOutcome {
     /// Committed at this content version.
     Committed {
@@ -141,7 +140,7 @@ pub enum WriteOutcome {
 }
 
 /// Why a slave refused to serve a read.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RefuseReason {
     /// The slave's freshest keep-alive exceeded `max_latency` — it gated
     /// itself off, as Section 3 requires of correct slaves.
@@ -151,7 +150,7 @@ pub enum RefuseReason {
 }
 
 /// Verdict returned by a master for a double-check.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum CheckVerdict {
     /// Slave's answer matched the master's re-execution.
     Match,
@@ -170,7 +169,7 @@ pub enum CheckVerdict {
 }
 
 /// Events masters submit to their total-order broadcast.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum MasterEvent {
     /// A client write admitted by some master.
     Write {
@@ -211,7 +210,7 @@ pub enum MasterEvent {
 }
 
 /// All messages carried by the simulated network.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
     // ----- Directory -----
     /// Client → directory: who replicates this shard of the content?

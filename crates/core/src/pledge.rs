@@ -16,10 +16,9 @@ use crate::messages::VersionStamp;
 use sdr_crypto::{CryptoError, PublicKey, Signature, Signer};
 use sdr_sim::{NodeId, SimDuration, SimTime};
 use sdr_store::{Query, QueryResult};
-use serde::{Deserialize, Serialize};
 
 /// Hash of a query result under the configured algorithm.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ResultHash {
     /// SHA-1 digest (the paper's choice).
     Sha1(sdr_crypto::Hash160),
@@ -54,7 +53,7 @@ impl ResultHash {
 }
 
 /// A signed pledge accompanying every slave read response.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Pledge {
     /// Copy of the request.
     pub query: Query,

@@ -13,7 +13,7 @@
 //!   [`SystemStats`](crate::stats::SystemStats) field plus captured
 //!   metric series).
 //! * [`registry`] — named scenarios (`e1_detection`, `byzantine_storm`,
-//!   …): the catalogue every bench binary and example draws from.
+//!   …): the catalogue every experiment and example draws from.
 //!
 //! ```
 //! use sdr_core::scenario::{registry, Runner};

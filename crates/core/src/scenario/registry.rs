@@ -1,7 +1,7 @@
-//! Named scenarios: every experiment bin and example, by name.
+//! Named scenarios: every experiment and example, by name.
 //!
 //! The registry is the workspace's scenario catalogue.  `lookup("e1_detection")`
-//! returns the exact spec the `e1_detection` binary runs; experiments
+//! returns the exact spec `experiment run e1_detection` runs; experiments
 //! fetch, optionally tweak (CLI seed/duration overrides), run, and
 //! render.  Keeping the catalogue in `sdr-core` lets tests, examples,
 //! and the bench harness share one source of truth.
@@ -255,7 +255,7 @@ fn e6_comparison() -> ScenarioSpec {
             ..SystemConfig::default()
         },
     );
-    // The bin evaluates analytically over this workload's query mix and
+    // The experiment evaluates analytically over this workload's query mix and
     // dataset; no simulated system runs, so the grid stays empty.
     spec.workload.mix = QueryMix::catalogue();
     spec
@@ -375,7 +375,7 @@ fn e11_crypto() -> ScenarioSpec {
             ..SystemConfig::default()
         },
     )
-    // The bin wall-clock-times primitives; the spec carries identity only.
+    // The experiment wall-clock-times primitives; the spec carries identity only.
 }
 
 fn e12_failover() -> ScenarioSpec {

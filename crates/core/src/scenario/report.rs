@@ -5,7 +5,7 @@
 //! cell, each holding the per-seed [`RunRecord`]s, per-field
 //! mean/min/max aggregates over every [`SystemStats`] scalar, and any
 //! derived metrics or string annotations the experiment attaches.  The
-//! whole tree serialises to JSON (`--json` on every bench binary) and
+//! whole tree serialises to JSON (`experiment … --json`) and
 //! parses back, so downstream tooling can diff runs across commits.
 
 use crate::stats::SystemStats;

@@ -235,7 +235,7 @@ pub struct CrashSpec {
 
 /// A complete, serialisable description of an experiment run.
 ///
-/// This is the workspace's front door: every experiment binary and
+/// This is the workspace's front door: every experiment and
 /// example fetches one of these (usually from the
 /// [registry](super::registry)), optionally tweaks it, and hands it to a
 /// [`Runner`](super::Runner).  `ScenarioSpec` round-trips through JSON,

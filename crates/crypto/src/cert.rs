@@ -11,10 +11,9 @@ use crate::digest::{Digest, Hash256};
 use crate::error::CryptoError;
 use crate::sha256::Sha256;
 use crate::sign::{PublicKey, Signature, Signer};
-use serde::{Deserialize, Serialize};
 
 /// Role a certificate grants to its subject.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CertRole {
     /// The content owner itself (root of trust; self-signed).
     ContentOwner,
@@ -38,7 +37,7 @@ impl CertRole {
 }
 
 /// The signed portion of a certificate.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CertificateBody {
     /// Monotonic serial number assigned by the issuer.
     pub serial: u64,
@@ -80,7 +79,7 @@ impl CertificateBody {
 }
 
 /// A certificate: body plus the issuer's signature over its encoding.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Certificate {
     /// The signed statement.
     pub body: CertificateBody,

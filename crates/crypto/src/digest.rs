@@ -1,6 +1,5 @@
 //! Common digest trait and fixed-size hash value types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An incremental cryptographic hash function.
@@ -46,7 +45,7 @@ pub trait Digest: Clone {
 macro_rules! hash_value {
     ($(#[$doc:meta])* $name:ident, $len:expr) => {
         $(#[$doc])*
-        #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
         pub struct $name(pub [u8; $len]);
 
         impl $name {

@@ -16,7 +16,6 @@
 use crate::digest::{Digest, Hash256};
 use crate::error::CryptoError;
 use crate::sha256::Sha256;
-use serde::{Deserialize, Serialize};
 
 /// Domain-separation prefixes so leaves can never collide with nodes.
 const LEAF_PREFIX: u8 = 0x00;
@@ -67,7 +66,7 @@ pub fn treap_node_hash(left: &Hash256, entry: &Hash256, right: &Hash256) -> Hash
 /// One step up a treap-shaped authentication path: the ancestor's entry
 /// commitment, the subtree hash of its *other* child, and which side the
 /// proven subtree hangs off.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TreapStep {
     /// The ancestor node's entry commitment ([`entry_commitment`]).
     pub entry: Hash256,
@@ -134,7 +133,7 @@ pub struct MerkleTree {
 }
 
 /// An authentication path proving a leaf belongs to a root.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MerkleProof {
     /// Index of the proven leaf.
     pub leaf_index: u64,
@@ -272,7 +271,7 @@ impl MerkleTree {
 /// channel (here: the manifest encoding the outer fold commits to), so
 /// the odd-node duplication rule cannot be abused to append phantom
 /// copies of the last leaf.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MerkleRangeProof {
     /// Index of the first proven leaf.
     pub first: u64,

@@ -14,7 +14,6 @@ use crate::error::CryptoError;
 use crate::merkle::{MerkleProof, MerkleTree};
 use crate::sha256::Sha256;
 use crate::wots::{WotsKeypair, WotsSignature};
-use serde::{Deserialize, Serialize};
 
 /// Hashes a WOTS compressed public key into an MSS tree leaf.
 fn mss_leaf(wots_pk: &Hash256) -> Hash256 {
@@ -22,7 +21,7 @@ fn mss_leaf(wots_pk: &Hash256) -> Hash256 {
 }
 
 /// Public key of an MSS keypair: the tree root plus its height.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MssPublicKey {
     /// Merkle root certifying all one-time keys.
     pub root: Hash256,
@@ -31,7 +30,7 @@ pub struct MssPublicKey {
 }
 
 /// An MSS signature.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MssSignature {
     /// Which one-time key produced this signature.
     pub leaf_index: u64,

@@ -20,10 +20,10 @@ use crate::digest::Hash256;
 use crate::error::CryptoError;
 use crate::hmac::{ct_eq, hmac_sha256};
 use crate::mss::{MssKeypair, MssPublicKey, MssSignature};
-use serde::{Deserialize, FromJson, Serialize, ToJson};
+use serde::{FromJson, ToJson};
 
 /// Identifies the signature scheme of a key or signature.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize, ToJson, FromJson)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, ToJson, FromJson)]
 pub enum SignatureScheme {
     /// Merkle signature scheme (hash-based, stateful, real security).
     Mss,
@@ -32,7 +32,7 @@ pub enum SignatureScheme {
 }
 
 /// A signature under either scheme.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Signature {
     /// Merkle signature scheme signature.
     Mss(MssSignature),
@@ -59,7 +59,7 @@ impl Signature {
 }
 
 /// A verification key under either scheme.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PublicKey {
     /// MSS root + height.
     Mss(MssPublicKey),
@@ -210,7 +210,7 @@ impl Signer for HmacSigner {
 
 /// Convenience wrapper bundling a public key with its owner name, used by
 /// registries (directory, master slave-tables).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeyedVerifier {
     /// Human-readable owner label (e.g. "slave-3").
     pub owner: String,

@@ -14,10 +14,9 @@ use crate::drbg::HmacDrbg;
 use crate::error::CryptoError;
 use crate::hmac::HmacSha256;
 use crate::sha256::Sha256;
-use serde::{Deserialize, Serialize};
 
 /// WOTS parameter set (fixed w=16 over SHA-256).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WotsParams;
 
 impl WotsParams {
@@ -73,7 +72,7 @@ pub struct WotsKeypair {
 }
 
 /// A WOTS signature: one intermediate chain value per digit.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WotsSignature {
     /// Chain values; `values[i] = F^{d_i}(sk_i)`.
     pub values: Vec<Hash256>,

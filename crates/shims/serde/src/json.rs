@@ -1,8 +1,6 @@
 //! A small, real JSON layer for the offline serde shim.
 //!
-//! The marker `Serialize`/`Deserialize` traits in `lib.rs` keep the
-//! annotation-compatibility story; this module is the part of the shim
-//! that actually serialises.  It provides a JSON document model
+//! It provides a JSON document model
 //! ([`Value`]), a renderer and parser, and the [`ToJson`]/[`FromJson`]
 //! traits that `#[derive(ToJson)]`/`#[derive(FromJson)]` (from the
 //! sibling `serde_derive` shim) implement for named-field structs and

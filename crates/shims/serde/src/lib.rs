@@ -1,29 +1,15 @@
 //! Offline stand-in for `serde`.
 //!
 //! This workspace builds with no crates.io access, so the real `serde`
-//! cannot be fetched.  The shim has two layers:
-//!
-//! * **Marker traits** — [`Serialize`]/[`Deserialize`] with blanket impls
-//!   plus no-op derive macros, so `#[derive(Serialize, Deserialize)]`
-//!   annotations on protocol types stay source-compatible with the real
-//!   crate (swapping it in later is a one-line Cargo change).
-//! * **A real JSON layer** — [`json`] provides a document model, parser,
-//!   renderer, and the [`json::ToJson`]/[`json::FromJson`] traits, which
-//!   `#[derive(ToJson)]`/`#[derive(FromJson)]` implement for named-field
-//!   structs and unit/named-field enums.  This is what the scenario API's
-//!   machine-readable run reports serialise through.
+//! cannot be fetched.  The shim is a real JSON layer: [`json`] provides a
+//! document model, parser, renderer, and the [`json::ToJson`]/
+//! [`json::FromJson`] traits, which `#[derive(ToJson)]`/
+//! `#[derive(FromJson)]` implement for named-field structs and
+//! unit/named-field enums.  This is what the scenario API's
+//! machine-readable run reports serialise through.
 
 #![forbid(unsafe_code)]
 
 pub mod json;
 
-pub use serde_derive::{Deserialize, FromJson, Serialize, ToJson};
-
-/// Marker stand-in for `serde::Serialize`; blanket-implemented.
-pub trait Serialize {}
-
-/// Marker stand-in for `serde::Deserialize`; blanket-implemented.
-pub trait Deserialize<'de> {}
-
-impl<T: ?Sized> Serialize for T {}
-impl<'de, T: ?Sized> Deserialize<'de> for T {}
+pub use serde_derive::{FromJson, ToJson};

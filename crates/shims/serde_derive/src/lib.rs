@@ -1,15 +1,10 @@
 //! Derive macros for the offline `serde` shim.
 //!
-//! Two kinds of macro live here:
-//!
-//! * `Serialize`/`Deserialize` — no-op derives backing the marker traits
-//!   in the sibling `serde` shim (annotation compatibility with the real
-//!   crate; nothing in the tree serialises through them).
-//! * `ToJson`/`FromJson` — *real* derives for the shim's [`serde::json`]
-//!   layer.  They support named-field structs and enums whose variants
-//!   are unit or named-field (the shapes the workspace uses); tuple
-//!   structs, tuple variants, and generics raise a compile error asking
-//!   for a manual impl.
+//! `ToJson`/`FromJson` are *real* derives for the shim's [`serde::json`]
+//! layer.  They support named-field structs and enums whose variants are
+//! unit or named-field (the shapes the workspace uses); tuple structs,
+//! tuple variants, and generics raise a compile error asking for a manual
+//! impl.
 //!
 //! The real `serde_derive` leans on `syn`/`quote`; this shim parses the
 //! token stream by hand, which is enough for the supported shapes: skip
@@ -18,18 +13,6 @@
 //! `<`/`>` depth so commas inside generic types don't split fields).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-/// Accepts `#[derive(Serialize)]` and emits no code.
-#[proc_macro_derive(Serialize)]
-pub fn derive_serialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
-
-/// Accepts `#[derive(Deserialize)]` and emits no code.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
 
 /// Derives `serde::json::ToJson` for named-field structs and
 /// unit/named-field enums.

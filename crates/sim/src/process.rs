@@ -1,14 +1,11 @@
 //! The process (actor) abstraction hosted by a [`crate::World`].
 
 use crate::world::Ctx;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::fmt;
 
 /// Identifies a node inside a world (dense index, assigned at spawn).
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -24,7 +24,6 @@
 use crate::pmap::{MerkleContent, PKey, PMap, ProofError};
 use sdr_crypto::merkle::leaf_hash;
 use sdr_crypto::{chunk_hash, Hash256, MerkleRangeProof, MerkleTree};
-use serde::{Deserialize, Serialize};
 
 /// No cut point is considered before a chunk reaches this many bytes.
 pub const MIN_CHUNK: usize = 256;
@@ -86,9 +85,7 @@ pub fn chunk_spans(data: &[u8]) -> Vec<(usize, usize)> {
 /// Identity of one chunk: the domain-separated digest of its bytes
 /// (`sdr_crypto::chunk_hash`).  The chunk store's key, and what file
 /// manifests embed per chunk.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChunkId(pub Hash256);
 
 impl ChunkId {
@@ -105,7 +102,7 @@ impl PKey for ChunkId {
 }
 
 /// One manifest entry: a chunk's id and its length in bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ManifestEntry {
     /// The chunk's content digest.
     pub id: ChunkId,
@@ -120,7 +117,7 @@ pub struct ManifestEntry {
 /// raw contents — verifying any single chunk against an inclusion proof
 /// of the manifest authenticates that chunk without the rest of the
 /// file.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FileManifest {
     /// Total file length in bytes (the sum of the entry lengths).
     pub total_len: u64,
@@ -281,7 +278,7 @@ impl MerkleContent for FileManifest {
 /// the manifest's canonical encoding for the outer state-digest fold;
 /// `proof` ties `entries` (chunks `[first, first + entries.len())`,
 /// starting at byte `start`) to `chunks_root`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ManifestSlice {
     /// Total file length in bytes.
     pub total_len: u64,
@@ -367,7 +364,7 @@ impl ManifestSlice {
 
 /// One stored chunk: its bytes and how many manifest entries reference
 /// it across all files.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkEntry {
     /// The chunk's bytes.
     pub data: Vec<u8>,
@@ -384,7 +381,7 @@ impl MerkleContent for ChunkEntry {
 }
 
 /// Aggregated chunk-store telemetry (see `SystemStats`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChunkStats {
     /// Distinct chunks currently stored.
     pub chunks_stored: u64,
@@ -414,7 +411,7 @@ impl ChunkStats {
 /// structurally and a failed write's rollback restores the counters for
 /// free.  The store is *not* part of the Merkle state digest — the
 /// manifests' chunk digests already commit to every stored byte.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ChunkStore {
     entries: PMap<ChunkId, ChunkEntry>,
     dedup_hits: u64,

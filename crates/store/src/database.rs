@@ -6,7 +6,6 @@ use crate::pmap::PMap;
 use crate::table::Table;
 use crate::update::UpdateOp;
 use sdr_crypto::{Digest, Hash256, Sha256};
-use serde::{Deserialize, Serialize};
 
 /// The replicated data content: tables plus a file-system view, stamped
 /// with the paper's `content_version` counter.
@@ -49,7 +48,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(result.row_count(), 1);
 /// assert_eq!(cost.index_probes, 1);
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Database {
     tables: PMap<String, Table>,
     fs: FsView,

@@ -1,7 +1,6 @@
 //! Documents: ordered field → value records.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -9,7 +8,7 @@ use std::fmt;
 ///
 /// `BTreeMap` keeps field iteration (and therefore the canonical encoding)
 /// deterministic regardless of insertion order.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Document {
     fields: BTreeMap<String, Value>,
 }

@@ -14,11 +14,10 @@ use crate::predicate::Predicate;
 use crate::query::{Aggregate, Query, QueryResult};
 use crate::table::Table;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Work performed while executing one query.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryCost {
     /// Rows examined by scanning.
     pub rows_scanned: u64,

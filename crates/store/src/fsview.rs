@@ -17,10 +17,9 @@ use crate::error::StoreError;
 use crate::pattern::Pattern;
 use crate::pmap::PMap;
 use sdr_crypto::Hash256;
-use serde::{Deserialize, Serialize};
 
 /// One grep hit: file, line number (1-based), and the matching line.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GrepMatch {
     /// Path of the file containing the match.
     pub path: String,
@@ -35,7 +34,7 @@ pub struct GrepMatch {
 /// Both layers are persistent ([`PMap`]): cloning a view is O(1) and
 /// writes copy only the touched paths, so database snapshots share file
 /// content (and the chunk store's bytes) structurally.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct FsView {
     files: PMap<String, FileManifest>,
     store: ChunkStore,

@@ -12,10 +12,9 @@
 //! iterative-with-backtracking over `*`, O(n·m) worst case, no regex crate.
 
 use crate::error::StoreError;
-use serde::{Deserialize, Serialize};
 
 /// One compiled pattern element.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 enum Token {
     Literal(char),
     AnyChar,
@@ -36,7 +35,7 @@ enum Token {
 /// // `search` finds the pattern anywhere in a line (grep semantics).
 /// assert!(pat.search("2024-01-01 error42: disk full"));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Pattern {
     tokens: Vec<Token>,
     source: String,

@@ -3,10 +3,9 @@
 use crate::document::Document;
 use crate::pattern::Pattern;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// Comparison operator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -50,7 +49,7 @@ impl CmpOp {
 }
 
 /// A boolean predicate tree over document fields.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Predicate {
     /// Always true (scan everything).
     True,

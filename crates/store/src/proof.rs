@@ -22,11 +22,10 @@ use crate::error::StoreError;
 use crate::pmap::{InclusionProof, MerkleContent, ProofError, RangeProof};
 use crate::query::{Query, QueryResult};
 use sdr_crypto::Hash256;
-use serde::{Deserialize, Serialize};
 
 /// Proof that a row is present (with given content) or absent in a table,
 /// chained up to the database's state digest.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RowProof {
     /// The table the row was looked up in.
     pub table: String,
@@ -83,7 +82,7 @@ impl RowProof {
 
 /// Proof that a file exists (with given contents) or is absent, chained
 /// up to the database's state digest.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FileProof {
     /// The path looked up.
     pub path: String,
@@ -138,7 +137,7 @@ impl FileProof {
 /// buffers the file: it checks this header once, then hashes each
 /// arriving chunk as it lands; a corrupted chunk is rejected the moment
 /// it arrives.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StreamProof {
     /// The path streamed.
     pub path: String,
@@ -211,7 +210,7 @@ impl StreamProof {
 ///
 /// One [`RangeProof`] covers the whole scan: O(log n + k) hash work and
 /// wire bytes where k point proofs would cost k·O(log n) of each.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RangeScanProof {
     /// The table scanned.
     pub table: String,
@@ -270,7 +269,7 @@ impl RangeScanProof {
 }
 
 /// A self-contained proof for one static read.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum StateProof {
     /// Proof for a `GetRow` answer.
     Row(RowProof),

@@ -9,10 +9,9 @@ use crate::fsview::GrepMatch;
 use crate::predicate::Predicate;
 use crate::value::Value;
 use sdr_crypto::{Digest, Hash160, Hash256, Sha1, Sha256};
-use serde::{Deserialize, Serialize};
 
 /// Aggregation function applied over matching rows.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Aggregate {
     /// Row count.
     Count,
@@ -49,7 +48,7 @@ impl Aggregate {
 }
 
 /// A read request against the replicated content.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Query {
     /// Fetch one row by primary key.
     GetRow {
@@ -286,7 +285,7 @@ impl Query {
 }
 
 /// The result of executing a [`Query`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum QueryResult {
     /// Rows with their primary keys (Get/Range/Filter/Join).
     Rows(Vec<(u64, Document)>),

@@ -5,7 +5,6 @@ use crate::error::StoreError;
 use crate::pmap::{MerkleContent, PMap};
 use crate::value::Value;
 use sdr_crypto::Hash256;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -38,7 +37,7 @@ fn bucket_insert(index: &mut FieldIndex, value: &Value, key: u64) {
 /// Indexes are maintained eagerly on every mutation; lookups through
 /// [`Table::index_keys`] are `O(log n)` instead of a full scan, and the
 /// executor reports which path it took via its cost structure.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Table {
     name: String,
     rows: PMap<u64, Document>,

@@ -3,7 +3,6 @@
 use crate::database::Database;
 use crate::document::Document;
 use crate::error::StoreError;
-use serde::{Deserialize, Serialize};
 
 /// A single write operation.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// [`Database::apply_write`]); applying the same batch to equal states
 /// yields equal states — the property state-machine replication needs and
 /// the audit relies on.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum UpdateOp {
     /// Create an empty table with the given secondary indexes.
     CreateTable {

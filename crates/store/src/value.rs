@@ -1,6 +1,5 @@
 //! Typed field values with a total order and canonical encoding.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -10,7 +9,7 @@ use std::fmt;
 /// values of different types order by type tag), which lets any value be an
 /// index key.  The canonical encoding ([`Value::encode_into`]) underpins
 /// result hashing: two stores with equal content produce identical bytes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum Value {
     /// Absence of a value.
     Null,
