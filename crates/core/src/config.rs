@@ -139,14 +139,14 @@ pub struct SystemConfig {
     pub signer: SignatureScheme,
     /// MSS tree height when `signer == Mss` (2^height signatures/node).
     pub mss_height: u8,
-    /// Upper bound on client writes the shard's sequencer packs into one
-    /// totally-ordered round.  `1` reproduces the paper's pipeline
-    /// exactly — one write, one ordered round, one signed stamp pair per
-    /// `max_latency` window.  Higher values amortise the ordering round
-    /// and the stamp signatures over the whole batch: the queue still
-    /// opens only once per `max_latency`, but drains up to
-    /// `max_write_batch` writes as one multi-version commit anchored by
-    /// a single [`crate::messages::StateDigestStamp`].
+    /// How many queued client writes one commit round drains.  Every
+    /// write commits through a round — the queue opens once per
+    /// `max_latency`, and each round is one ordered
+    /// [`crate::messages::MasterEvent::Commit`] anchored by a single
+    /// signed stamp pair — and this bounds only its size.  `1` (the
+    /// default) is a round of one: the paper's pipeline exactly.  Higher
+    /// values amortise the ordering round and the stamp signatures over
+    /// up to `max_write_batch` consecutive versions.
     pub max_write_batch: usize,
     /// Tick period for the masters' broadcast engine.
     pub tob_tick: SimDuration,

@@ -6,6 +6,12 @@
 //! serves double-checks and trusted reads, detects greedy clients, takes
 //! corrective action against slaves (Section 3.5), and — when elected —
 //! runs the auditor (see [`crate::auditor`]).
+//!
+//! Every write commits through one pipeline, the *commit round*: the
+//! sequencer drains up to `max_write_batch` queued writes into one
+//! ordered [`MasterEvent::Commit`] at most once per `max_latency`, and
+//! `commit_round` applies it on every master and pushes
+//! it to the slaves under one stamp pair.  A lone write is a round of one.
 
 use crate::acl::WritePolicy;
 use crate::auditor::AuditorState;
@@ -327,16 +333,7 @@ impl MasterProcess {
 
     fn deliver_event(&mut self, ctx: &mut Ctx<'_, Msg>, event: MasterEvent) {
         match event {
-            MasterEvent::Write {
-                origin_master,
-                client,
-                req_id,
-                ops,
-            } => self.commit_write(ctx, origin_master, client, req_id, ops),
-            MasterEvent::WriteBatch {
-                origin_master,
-                writes,
-            } => self.commit_batch(ctx, origin_master, writes),
+            MasterEvent::Commit { origin, writes } => self.commit_round(ctx, origin, writes),
             MasterEvent::SlaveList { master, slaves } => {
                 for s in slaves {
                     self.slave_owner.insert(s, master);
@@ -346,82 +343,23 @@ impl MasterProcess {
         }
     }
 
-    fn commit_write(
+    /// Commits one ordered round of writes: every member applies them
+    /// in order (each write still bumps the version by one, keeping
+    /// per-version snapshots, write-log and digest-log entries intact for
+    /// sync replay and rollback), but the round signs only **one** stamp
+    /// pair — at its final version — and pushes every applied write to
+    /// the slaves in one message.  A write that fails rolls back to its
+    /// own pre-write state (the store's write atomicity) and the rest of
+    /// the round continues.  The spacing rule re-arms after every round,
+    /// even one whose writes all failed.
+    fn commit_round(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
-        origin_master: MemberId,
-        client: NodeId,
-        req_id: u64,
-        ops: Vec<UpdateOp>,
-    ) {
-        ctx.charge(ctx.costs().write_apply * ops.len() as u64);
-        let outcome = match self.db.apply_write(&ops) {
-            Ok(version) => {
-                let now = ctx.now();
-                ctx.metrics().inc(id::MASTER_WRITES_APPLIED);
-                if origin_master == self.rank {
-                    // Exactly one member per commit (the admitting
-                    // sequencer) records the per-shard commit stream:
-                    // the series the cross-shard ordering tests and the
-                    // throughput sweeps read.
-                    let shard = self.shard as usize;
-                    ctx.metrics().inc(id::WRITE_COMMITTED_SHARD.at(shard));
-                    let commits = id::WRITE_COMMIT_US_SHARD.at(shard);
-                    ctx.metrics().series_push(commits, now, version as f64);
-                    // A single-write round: the degenerate batch.
-                    ctx.metrics().observe(id::WRITE_BATCH_SIZE, 1);
-                }
-                self.snapshots.record(&self.db);
-                self.write_log.insert(version, ops.clone());
-                self.digest_log.insert(version, self.db.state_digest());
-                self.prune_logs();
-                self.auditor_state.on_write_committed(version, ops.clone(), now);
-                self.earliest_next_write = now + self.cfg.max_latency;
-
-                // Lazy slave update (Section 3.1): push only after commit,
-                // stamped with both the version (pledge freshness) and the
-                // state digest (proof-read anchor).
-                if !self.my_slaves.is_empty() {
-                    if let Some((stamp, digest_stamp)) = self.make_stamps(ctx) {
-                        // One shared payload for the whole subgroup: the
-                        // queue holds pointers, not per-slave deep copies.
-                        ctx.multicast(
-                            self.my_slaves.iter().copied(),
-                            Msg::StateUpdate {
-                                version,
-                                ops: ops.clone(),
-                                stamp,
-                                digest_stamp,
-                            },
-                        );
-                    }
-                }
-                WriteOutcome::Committed { version }
-            }
-            Err(e) => WriteOutcome::Failed(e.to_string()),
-        };
-        if origin_master == self.rank {
-            self.inflight_write = false;
-            ctx.send(client, Msg::WriteResponse { req_id, outcome });
-            self.pump_writes(ctx);
-        }
-    }
-
-    /// Commits one ordered round of writes as a multi-version batch:
-    /// every member applies the runs in order (each write still bumps
-    /// the version by one, keeping per-version snapshots, write-log and
-    /// digest-log entries intact for sync replay and rollback), but the
-    /// round signs only **one** stamp pair — at the batch's final
-    /// version — and pushes all runs to the slaves in one message.  A
-    /// write that fails mid-batch rolls back to its own pre-write state
-    /// (the store's write atomicity) and the rest of the batch continues.
-    fn commit_batch(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        origin_master: MemberId,
+        origin: MemberId,
         writes: Vec<(NodeId, u64, Vec<UpdateOp>)>,
     ) {
         let now = ctx.now();
+        let mine = origin == self.rank;
         let mut outcomes = Vec::with_capacity(writes.len());
         let mut applied: Vec<(u64, Vec<UpdateOp>)> = Vec::new();
         for (client, req_id, ops) in writes {
@@ -429,7 +367,11 @@ impl MasterProcess {
             let outcome = match self.db.apply_write(&ops) {
                 Ok(version) => {
                     ctx.metrics().inc(id::MASTER_WRITES_APPLIED);
-                    if origin_master == self.rank {
+                    if mine {
+                        // Exactly one member per commit (the admitting
+                        // sequencer) records the per-shard commit stream:
+                        // the series the cross-shard ordering tests and
+                        // the throughput sweeps read.
                         let shard = self.shard as usize;
                         ctx.metrics().inc(id::WRITE_COMMITTED_SHARD.at(shard));
                         let commits = id::WRITE_COMMIT_US_SHARD.at(shard);
@@ -449,18 +391,20 @@ impl MasterProcess {
         self.prune_logs();
         self.earliest_next_write = now + self.cfg.max_latency;
         if !applied.is_empty() {
-            if origin_master == self.rank {
-                ctx.metrics().observe(id::WRITE_BATCH_SIZE, applied.len() as u64);
+            if mine {
+                ctx.metrics()
+                    .observe(id::WRITE_BATCH_SIZE, applied.len() as u64);
             }
-            // One stamp pair anchors the whole batch: the amortisation
-            // this round exists for.  Per-row proofs at the final
-            // version all verify against this single digest stamp.
+            // Lazy slave update (Section 3.1): push only after commit.
+            // One stamp pair anchors the whole round — the version stamp
+            // (pledge freshness) and the digest stamp (proof-read
+            // anchor) — and the subgroup shares one payload.
             if !self.my_slaves.is_empty() {
                 if let Some((stamp, digest_stamp)) = self.make_stamps(ctx) {
                     ctx.multicast(
                         self.my_slaves.iter().copied(),
-                        Msg::StateUpdateBatch {
-                            updates: applied.clone(),
+                        Msg::StateUpdate {
+                            updates: applied,
                             stamp,
                             digest_stamp,
                         },
@@ -468,7 +412,7 @@ impl MasterProcess {
                 }
             }
         }
-        if origin_master == self.rank {
+        if mine {
             self.inflight_write = false;
             for (client, req_id, outcome) in outcomes {
                 ctx.send(client, Msg::WriteResponse { req_id, outcome });
@@ -548,30 +492,16 @@ impl MasterProcess {
         if ctx.now() < self.earliest_next_write {
             return;
         }
-        if self.cfg.max_write_batch <= 1 {
-            let (client, req_id, ops) = self.pending_writes.pop_front().expect("non-empty");
-            self.inflight_write = true;
-            // Optimistic local reservation; the commit re-arms it exactly.
-            self.earliest_next_write = ctx.now() + self.cfg.max_latency;
-            let actions = self.tob.broadcast(MasterEvent::Write {
-                origin_master: self.rank,
-                client,
-                req_id,
-                ops,
-            });
-            self.drain_tob(ctx, actions);
-            return;
-        }
-        // Batched round: drain everything at the head of the queue (up
-        // to `max_write_batch`) into one ordered round.  The spacing
-        // rule is unchanged — the queue still opens once per
-        // `max_latency` — but the round carries a whole batch.
+        // One round drains the head of the queue, up to
+        // `max_write_batch` writes: the queue opens once per
+        // `max_latency`, and the round carries whatever it drained.
         let n = self.pending_writes.len().min(self.cfg.max_write_batch);
-        let writes: Vec<_> = self.pending_writes.drain(..n).collect();
+        let writes = self.pending_writes.drain(..n).collect();
         self.inflight_write = true;
+        // Optimistic local reservation; the commit re-arms it exactly.
         self.earliest_next_write = ctx.now() + self.cfg.max_latency;
-        let actions = self.tob.broadcast(MasterEvent::WriteBatch {
-            origin_master: self.rank,
+        let actions = self.tob.broadcast(MasterEvent::Commit {
+            origin: self.rank,
             writes,
         });
         self.drain_tob(ctx, actions);
@@ -1057,13 +987,15 @@ impl Process<Msg> for MasterProcess {
                 }
             }
             Msg::Accusation { evidence } => self.handle_accusation(ctx, *evidence),
-            Msg::SlaveSyncRequest { from_version } => {
+            // Only the shard's own slaves (excluded ones included) may
+            // ask: every replay costs signatures and ships the write log.
+            Msg::SlaveSyncRequest { from_version } if self.slave_keys.contains_key(&from) => {
                 // Replay what we still hold, bounded per request; the
                 // slave re-requests if it is still behind afterwards.
-                // Each replayed version gets its *own* digest stamp (the
-                // digest log retains one per write-log entry) so the
-                // catching-up slave can re-anchor proof reads at every
-                // step.
+                // Each replayed version is a round of one with its *own*
+                // digest stamp (the digest log retains one per write-log
+                // entry) so the catching-up slave can re-anchor proof
+                // reads at every step.
                 let missing: Vec<(u64, Vec<UpdateOp>)> = self
                     .write_log
                     .range(from_version..)
@@ -1078,8 +1010,7 @@ impl Process<Msg> for MasterProcess {
                         ctx.send(
                             from,
                             Msg::StateUpdate {
-                                version,
-                                ops,
+                                updates: vec![(version, ops)],
                                 stamp: stamp.clone(),
                                 digest_stamp,
                             },

@@ -1,4 +1,10 @@
 //! Wire messages exchanged by directory, masters, slaves, and clients.
+//!
+//! Writes have one shape end to end: a *commit round*.  The sequencer
+//! orders a run of queued client writes as one [`MasterEvent::Commit`],
+//! and masters push the applied run to their slaves as one
+//! [`Msg::StateUpdate`] under a single stamp pair.  A lone write is a
+//! round of one; `max_write_batch` only bounds how much a round drains.
 
 use crate::evidence::Evidence;
 use crate::pledge::Pledge;
@@ -171,25 +177,14 @@ pub enum CheckVerdict {
 /// Events masters submit to their total-order broadcast.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MasterEvent {
-    /// A client write admitted by some master.
-    Write {
-        /// Master that admitted the write.
-        origin_master: MemberId,
-        /// The requesting client.
-        client: NodeId,
-        /// Client-chosen request id (for the response).
-        req_id: u64,
-        /// The operations.
-        ops: Vec<UpdateOp>,
-    },
-    /// A whole round of client writes admitted by the sequencer: the
-    /// head of its queue, drained in arrival order and committed as one
-    /// multi-version batch.  One ordered round and one signed stamp pair
-    /// carry all of them, amortising the spacing rule's per-round cost
-    /// over `writes.len()` commits.
-    WriteBatch {
-        /// Master that admitted the batch (always the sequencer).
-        origin_master: MemberId,
+    /// One commit round of client writes admitted by the sequencer: the
+    /// head of its queue (up to `max_write_batch` writes), drained in
+    /// arrival order and committed as consecutive versions.  One ordered
+    /// round and one signed stamp pair carry all of them, amortising the
+    /// spacing rule's per-round cost over `writes.len()` commits.
+    Commit {
+        /// Master that admitted the round (always the sequencer).
+        origin: MemberId,
         /// The queued writes in commit order: `(client, req_id, ops)`.
         writes: Vec<(NodeId, u64, Vec<UpdateOp>)>,
     },
@@ -292,28 +287,17 @@ pub enum Msg {
     },
 
     // ----- Master → slave -----
-    /// Committed state update pushed lazily to slaves (Section 3.1).
+    /// Committed state pushed lazily to slaves (Section 3.1): the
+    /// per-version op runs of one commit round, anchored by a *single*
+    /// stamp pair signed by the sending master.  The slave applies every
+    /// run in order and adopts the digest anchor once the last one lands
+    /// — O(1) signatures per round instead of per write.
     StateUpdate {
-        /// The version this update produces.
-        version: u64,
-        /// Operations of the committed write.
-        ops: Vec<UpdateOp>,
-        /// Signed stamp for the new version.
-        stamp: VersionStamp,
-        /// Signed state digest at the new version (anchors proof reads).
-        digest_stamp: StateDigestStamp,
-    },
-    /// A batch of committed state updates pushed as one message: the
-    /// per-version op runs of one sequencer round, anchored by a
-    /// *single* stamp pair signed at the batch's final version.  The
-    /// slave applies every run in order and adopts the stamps once the
-    /// last one lands — O(1) signatures per round instead of per write.
-    StateUpdateBatch {
         /// `(version, ops)` runs in ascending, gapless version order.
         updates: Vec<(u64, Vec<UpdateOp>)>,
-        /// Signed stamp of the batch's final version.
+        /// Signed stamp of the sender's current version.
         stamp: VersionStamp,
-        /// Signed state digest at the batch's final version: one anchor
+        /// Signed state digest at the round's final version: one anchor
         /// for every proof read served at that version.
         digest_stamp: StateDigestStamp,
     },
@@ -506,18 +490,11 @@ impl Payload for Msg {
                 }
                 _ => 32,
             },
-            // Version stamp (96) plus the digest stamp (32-byte digest +
-            // signature, ~128).
-            Msg::StateUpdate { ops, .. } => {
-                224 + ops.iter().map(UpdateOp::size).sum::<usize>()
-            }
-            // One 224-byte stamp pair for the whole batch, plus a small
-            // per-run header (version) and the ops themselves.
-            Msg::StateUpdateBatch { updates, .. } => {
-                224 + updates
-                    .iter()
-                    .map(|(_, ops)| 8 + ops.iter().map(UpdateOp::size).sum::<usize>())
-                    .sum::<usize>()
+            // One stamp pair for the whole round — version stamp (96)
+            // plus digest stamp (32-byte digest + signature, ~128) — and
+            // an 8-byte version header per run after the first.
+            Msg::StateUpdate { updates, .. } => {
+                224 + round_len(8, updates.iter().map(|(_, ops)| ops))
             }
             Msg::KeepAlive { .. } => 224,
             Msg::SlaveSyncRequest { .. } => 16,
@@ -549,16 +526,20 @@ impl Payload for Msg {
 
 fn master_event_len(e: &MasterEvent) -> usize {
     match e {
-        MasterEvent::Write { ops, .. } => 24 + ops.iter().map(UpdateOp::size).sum::<usize>(),
-        MasterEvent::WriteBatch { writes, .. } => {
-            24 + writes
-                .iter()
-                .map(|(_, _, ops)| 16 + ops.iter().map(UpdateOp::size).sum::<usize>())
-                .sum::<usize>()
+        // A 16-byte (client, request) header per write after the first.
+        MasterEvent::Commit { writes, .. } => {
+            24 + round_len(16, writes.iter().map(|(_, _, ops)| ops))
         }
         MasterEvent::SlaveList { slaves, .. } => 16 + slaves.len() * 4,
         MasterEvent::Exclude { .. } => 12,
     }
+}
+
+/// Bytes of a commit round's op runs: the ops plus a `header` for every
+/// run after the first, so a round of one costs what a lone write always
+/// has.
+fn round_len<'a>(header: usize, runs: impl ExactSizeIterator<Item = &'a Vec<UpdateOp>>) -> usize {
+    header * runs.len().saturating_sub(1) + runs.flatten().map(UpdateOp::size).sum::<usize>()
 }
 
 #[cfg(test)]
@@ -647,5 +628,51 @@ mod tests {
             }],
         };
         assert!(big.wire_len() > 1000);
+    }
+
+    /// Pins the commit-round estimate: a round of one costs exactly what
+    /// a lone write always has (push 224 + ops, ordered event 24 + ops),
+    /// and every further write adds its ops plus an 8 B (push) or 16 B
+    /// (ordered event) header.
+    #[test]
+    fn commit_round_wire_estimate() {
+        let mut m = HmacSigner::from_seed_label(1, b"m");
+        let at = SimTime::ZERO;
+        let stamp = VersionStamp::build(4, at, NodeId(0), &mut m).unwrap();
+        let digest = sdr_crypto::Sha256::digest(b"state");
+        let digest_stamp = StateDigestStamp::build(4, digest, at, NodeId(0), &mut m).unwrap();
+        for n in 1..=4 {
+            let runs: Vec<(u64, Vec<UpdateOp>)> = (1..=n)
+                .map(|v| {
+                    let (path, contents) = (format!("/log{v}"), "x".repeat(10 * v as usize));
+                    (v, vec![UpdateOp::AppendFile { path, contents }])
+                })
+                .collect();
+            let ops: usize = runs
+                .iter()
+                .flat_map(|(_, ops)| ops)
+                .map(UpdateOp::size)
+                .sum();
+            let extra = n as usize - 1;
+            let push = Msg::StateUpdate {
+                updates: runs.clone(),
+                stamp: stamp.clone(),
+                digest_stamp: digest_stamp.clone(),
+            };
+            assert_eq!(push.wire_len(), 224 + 8 * extra + ops, "push of {n}");
+            let writes = runs
+                .into_iter()
+                .map(|(v, ops)| (NodeId(9), v, ops))
+                .collect();
+            let round = MasterEvent::Commit {
+                origin: MemberId(0),
+                writes,
+            };
+            assert_eq!(
+                master_event_len(&round),
+                24 + 16 * extra + ops,
+                "round of {n}"
+            );
+        }
     }
 }

@@ -300,9 +300,9 @@ pub struct SlaveProcess {
     latest_digest_stamp: Option<StateDigestStamp>,
     last_keepalive_at: SimTime,
     /// Buffered out-of-order updates, keyed by version.  The digest
-    /// stamp is `None` for intermediate versions of a batch: the master
-    /// signs one anchor — the batch's final version — so only that run
-    /// carries a provable digest.
+    /// stamp is `None` for intermediate versions of a commit round: the
+    /// master signs one anchor — the round's final version — so only that
+    /// run carries a provable digest.
     pending_updates: BTreeMap<u64, (Vec<UpdateOp>, VersionStamp, Option<StateDigestStamp>)>,
     excluded: bool,
     /// Earliest time the next sync request may be sent (rate limit: the
@@ -771,31 +771,17 @@ impl Process<Msg> for SlaveProcess {
                 }
             }
             Msg::StateUpdate {
-                version,
-                ops,
-                stamp,
-                digest_stamp,
-            } => {
-                if !self.stamps_valid(ctx, &stamp, &digest_stamp) {
-                    ctx.metrics().inc(id::SLAVE_BAD_UPDATES);
-                    return;
-                }
-                if version > self.effective_version() {
-                    self.pending_updates
-                        .insert(version, (ops, stamp, Some(digest_stamp)));
-                }
-                self.apply_ready_updates(ctx);
-                self.request_missing(ctx, from);
-            }
-            Msg::StateUpdateBatch {
                 updates,
                 stamp,
                 digest_stamp,
             } => {
-                // One stamp pair covers the whole batch: verify twice,
-                // not 2 x batch.  The version stamp certifies the final
-                // version; every run in the batch rides that signature.
-                if !self.stamps_valid(ctx, &stamp, &digest_stamp) {
+                // Only the master that signed the round may push it: no
+                // signature covers the ops, so a genuine stamp pair
+                // replayed by anyone else (a client holds one from any
+                // pledge and proof reply) could carry forged ops.  One
+                // stamp pair covers the whole round: verify twice, not
+                // 2 x round.
+                if from != stamp.master || !self.stamps_valid(ctx, &stamp, &digest_stamp) {
                     ctx.metrics().inc(id::SLAVE_BAD_UPDATES);
                     return;
                 }
@@ -804,9 +790,9 @@ impl Process<Msg> for SlaveProcess {
                     if version <= self.effective_version() {
                         continue;
                     }
-                    // Only the batch's final version carries the signed
+                    // Only the round's final version carries the signed
                     // digest anchor; intermediates apply without one (a
-                    // mid-batch digest was never signed).
+                    // mid-round digest was never signed).
                     let anchor = (Some(version) == last).then(|| digest_stamp.clone());
                     self.pending_updates
                         .insert(version, (ops, stamp.clone(), anchor));

@@ -149,7 +149,7 @@ fn log_pruning_stays_in_lockstep_under_batched_commits() {
     }
 }
 
-/// Replicas converge under batched pushes: one `StateUpdateBatch` per
+/// Replicas converge under batched pushes: one `StateUpdate` per
 /// round carries every version run plus a single stamp pair, and the
 /// slaves apply it without ever seeing a digest mismatch (the anchor is
 /// attached only to the batch's final version).

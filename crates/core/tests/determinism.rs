@@ -2,30 +2,38 @@
 //!
 //! The bucketed event queue must reproduce the seed `BinaryHeap`
 //! scheduler's behaviour *exactly* at small sizes: same event order,
-//! same RNG draws, same stats, byte for byte.  The fixture under
-//! `tests/fixtures/` was captured from the seed scheduler; every field
-//! it contains must match the current run bit-exactly (fields added to
-//! `SystemStats` after the capture are allowed to appear alongside).
+//! same RNG draws, same stats, byte for byte.  Each fixture under
+//! `tests/fixtures/` was captured from an earlier build (the quickstart
+//! one from the seed scheduler); every field it contains must match the
+//! current run bit-exactly (fields added to `SystemStats` after the
+//! capture are allowed to appear alongside).
 //!
 //! Regenerate (only when intentionally changing workload semantics):
 //! `UPDATE_FIXTURES=1 cargo test -p sdr-core --test determinism`.
 
-use sdr_core::scenario::{registry, Runner, ScenarioSpec};
+use sdr_core::scenario::{registry, Grid, Param, Runner, ScenarioSpec};
 use sdr_sim::SimDuration;
 use serde::json::Value;
 use std::path::PathBuf;
 
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/quickstart_seed_report.json")
-}
-
-/// A short single-shard quickstart run: one subtle liar, mixed reads
-/// and writes, every timer/cancel path exercised.
-fn pinned_spec() -> ScenarioSpec {
-    let mut spec = registry::lookup("quickstart").expect("registered scenario");
-    spec.duration = SimDuration::from_secs(10);
-    spec.checkpoints = vec![SimDuration::from_secs(5)];
-    spec
+/// The pinned runs, each with its fixture: a short single-shard
+/// quickstart (one subtle liar, mixed reads and writes, every
+/// timer/cancel path exercised) and one `batched_commit` point at batch
+/// 8, so commit rounds of more than one write are pinned byte for byte
+/// too.
+fn pinned_specs() -> [(ScenarioSpec, PathBuf); 2] {
+    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let mut quickstart = registry::lookup("quickstart").expect("registered scenario");
+    quickstart.duration = SimDuration::from_secs(10);
+    quickstart.checkpoints = vec![SimDuration::from_secs(5)];
+    let mut batched = registry::lookup("batched_commit").expect("registered scenario");
+    batched.duration = SimDuration::from_secs(10);
+    batched.seeds.truncate(1);
+    batched.grid = Grid::sweep("batch", Param::WriteBatch, &[8.0]);
+    [
+        (quickstart, fixtures.join("quickstart_seed_report.json")),
+        (batched, fixtures.join("batched_commit_batch8_report.json")),
+    ]
 }
 
 /// Asserts every value present in `fixture` appears identically in
@@ -93,22 +101,28 @@ fn assert_subset(fixture: &Value, current: &Value, path: &str) {
 
 #[test]
 fn small_run_is_byte_identical_to_seed_scheduler() {
-    let report = Runner::new(pinned_spec()).run().expect("run");
-    let text = report.to_json_string();
-    let current = Value::parse(&text).expect("report parses");
+    for (spec, path) in pinned_specs() {
+        let text = Runner::new(spec).run().expect("run").to_json_string();
+        let current = Value::parse(&text).expect("report parses");
 
-    if std::env::var("UPDATE_FIXTURES").is_ok() {
-        std::fs::write(fixture_path(), &text).expect("write fixture");
-        return;
+        if std::env::var("UPDATE_FIXTURES").is_ok() {
+            std::fs::write(&path, &text).expect("write fixture");
+            continue;
+        }
+        let raw = std::fs::read_to_string(&path).expect("fixture present");
+        let fixture = Value::parse(&raw).expect("fixture parses");
+        assert_subset(&fixture, &current, "$");
     }
-    let raw = std::fs::read_to_string(fixture_path()).expect("fixture present");
-    let fixture = Value::parse(&raw).expect("fixture parses");
-    assert_subset(&fixture, &current, "$");
 }
 
 #[test]
 fn repeated_runs_are_byte_identical() {
-    let a = Runner::new(pinned_spec()).run().expect("run").to_json_string();
-    let b = Runner::new(pinned_spec()).run().expect("run").to_json_string();
-    assert_eq!(a, b);
+    for (spec, _) in pinned_specs() {
+        let a = Runner::new(spec.clone())
+            .run()
+            .expect("run")
+            .to_json_string();
+        let b = Runner::new(spec).run().expect("run").to_json_string();
+        assert_eq!(a, b);
+    }
 }

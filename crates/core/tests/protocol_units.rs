@@ -1,10 +1,10 @@
 //! Focused protocol-unit tests: exercise single mechanisms through small
 //! worlds where the surrounding noise (workload randomness) is disabled.
 
-use sdr_core::messages::RefuseReason;
+use sdr_core::messages::{RefuseReason, WriteOutcome};
 use sdr_core::{metrics, Msg, SlaveBehavior, System, SystemBuilder, SystemConfig, Workload};
-use sdr_sim::{Counter, Ctx, NodeId, Process, SimDuration};
-use sdr_store::Query;
+use sdr_sim::{Counter, Ctx, LinkModel, NetworkConfig, NodeId, Process, SimDuration, SimTime};
+use sdr_store::{Document, Query, UpdateOp};
 
 /// A quiet system: no reads, no writes — only protocol background traffic.
 fn quiet(seed: u64, n_masters: usize, n_slaves: usize) -> System {
@@ -31,18 +31,34 @@ fn quiet_with(seed: u64, n_masters: usize, behaviors: Vec<SlaveBehavior>) -> Sys
         .build()
 }
 
-/// A bare node that asks slaves to serve reads and records every refusal.
+/// A bare node that sends what the harness injects for it and records
+/// read refusals, write responses (with arrival time) and state updates.
 #[derive(Default)]
 struct Probe {
     refusals: Vec<(u64, RefuseReason)>,
+    writes: Vec<(SimTime, u64, WriteOutcome)>,
+    updates: usize,
 }
 
 impl Process<Msg> for Probe {
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
-        if let Msg::ReadRefused { req_id, reason } = msg {
-            self.refusals.push((req_id, reason));
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
+        match msg {
+            Msg::ReadRefused { req_id, reason } => self.refusals.push((req_id, reason)),
+            Msg::WriteResponse { req_id, outcome } => {
+                self.writes.push((ctx.now(), req_id, outcome))
+            }
+            Msg::StateUpdate { .. } => self.updates += 1,
+            _ => {}
         }
     }
+}
+
+/// A write the quickstart dataset always accepts.
+fn append(text: &str) -> Vec<UpdateOp> {
+    vec![UpdateOp::AppendFile {
+        path: "/docs/probe.log".into(),
+        contents: text.into(),
+    }]
 }
 
 /// The slave's gate — excluded, no fresh anchor, `Refuser` coin — is one
@@ -290,4 +306,89 @@ fn auditor_election_follows_view() {
     // And the old auditor's (empty) duties moved without slave loss.
     let total: usize = (0..3).map(|r| sys.with_master(r, |m| m.slaves().len())).sum();
     assert_eq!(total, 4);
+}
+
+/// A master replays its write log only to the shard's own slaves: each
+/// replay costs it signatures and ships the log, so a stranger's
+/// `SlaveSyncRequest` gets nothing back.
+#[test]
+fn sync_replay_serves_only_the_shards_slaves() {
+    let mut sys = quiet(8, 3, 2);
+    sys.run_for(SimDuration::from_secs(2));
+    let master = sys.masters[0];
+    let probe = sys.world.spawn("probe", Box::new(Probe::default()));
+    for req_id in 1..=3 {
+        let ops = append("x");
+        sys.world
+            .inject(probe, master, Msg::WriteRequest { req_id, ops });
+    }
+    sys.run_for(SimDuration::from_secs(8));
+    let committed = sys.world.with_process(probe, |p: &mut Probe| {
+        p.writes
+            .iter()
+            .filter(|(_, _, o)| matches!(o, WriteOutcome::Committed { .. }))
+            .count()
+    });
+    assert_eq!(committed, 3, "the write log must hold something to replay");
+
+    sys.world
+        .inject(probe, master, Msg::SlaveSyncRequest { from_version: 0 });
+    sys.run_for(SimDuration::from_secs(1));
+    let updates = sys.world.with_process(probe, |p: &mut Probe| p.updates);
+    assert_eq!(updates, 0, "a non-slave got a write-log replay");
+}
+
+/// The spacing rule re-arms after every commit round, even one whose
+/// only write failed: a valid write queued behind a duplicate `Insert`
+/// commits no earlier than `max_latency` after the failed round.  Links
+/// are constant, so response arrivals mirror the sequencer's commits.
+#[test]
+fn spacing_rearms_after_a_failed_round() {
+    let cfg = SystemConfig {
+        n_masters: 3,
+        n_slaves: 2,
+        n_clients: 2,
+        seed: 9,
+        ..SystemConfig::default()
+    };
+    let max_latency = cfg.max_latency;
+    let mut sys = SystemBuilder::new(cfg)
+        .behaviors(vec![SlaveBehavior::Honest; 2])
+        .workload(Workload {
+            reads_per_sec: 0.0,
+            writes_per_sec: 0.0,
+            ..Workload::default()
+        })
+        .network(NetworkConfig::new(LinkModel::constant(
+            SimDuration::from_millis(10),
+        )))
+        .build();
+    sys.run_for(SimDuration::from_secs(2));
+    let sequencer = sys.masters[0];
+    let probe = sys.world.spawn("probe", Box::new(Probe::default()));
+    let duplicate = vec![UpdateOp::Insert {
+        table: "products".into(),
+        key: 1,
+        doc: Document::new().with("name", "dup"),
+    }];
+    let requests = [(1, duplicate), (2, append("ok"))];
+    for (req_id, ops) in requests {
+        sys.world
+            .inject(probe, sequencer, Msg::WriteRequest { req_id, ops });
+    }
+    sys.run_for(max_latency * 3);
+
+    let writes = sys
+        .world
+        .with_process(probe, |p: &mut Probe| p.writes.clone());
+    let [(failed_at, 1, WriteOutcome::Failed(_)), (ok_at, 2, WriteOutcome::Committed { .. })] =
+        writes.as_slice()
+    else {
+        panic!("expected a failed then a committed write: {writes:?}");
+    };
+    assert!(
+        ok_at.since(*failed_at) >= max_latency,
+        "the round after a failed one came {:?} later, inside max_latency",
+        ok_at.since(*failed_at)
+    );
 }

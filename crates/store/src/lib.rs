@@ -116,23 +116,23 @@
 //! |                                    | covering entries + O(log c) path  |
 //! | stream verify (client, per chunk)  | O(chunk) hash, O(1) memory        |
 //!
-//! # Batched commits
+//! # Commit rounds
 //!
 //! One [`Database::apply_write`] call is one atomic commit: the whole
 //! op slice applies or none of it does (any failing op restores the
 //! pre-write handle in O(1) — structural sharing makes the backup a
 //! pointer copy, not a deep clone), and success bumps
 //! `content_version` by exactly one.  The protocol layer
-//! (`sdr-core`) builds its *batched write rounds* directly on this
-//! contract: a sequencer packs many client writes into one ordered
-//! round and every replica applies them as consecutive `apply_write`
-//! calls — `n` writes advance the version by exactly `n`, a failed
-//! write rolls back alone without disturbing its neighbours, and the
-//! incremental [`Database::state_digest`] stays O(log n) per commit,
-//! so re-digesting after every write in a batch costs far less than
-//! one signature.  That is what lets a single master-signed digest
-//! stamp anchor the batch's final version (and every point-read
-//! [`proof`] served against it) instead of one stamp per write.
+//! (`sdr-core`) builds its *commit rounds* directly on this contract:
+//! a sequencer packs one or more client writes into one ordered round
+//! and every replica applies them as consecutive `apply_write` calls —
+//! `n` writes advance the version by exactly `n`, a failed write rolls
+//! back alone without disturbing its neighbours, and the incremental
+//! [`Database::state_digest`] stays O(log n) per commit, so
+//! re-digesting after every write in a round costs far less than one
+//! signature.  That is what lets a single master-signed digest stamp
+//! anchor the round's final version (and every point-read [`proof`]
+//! served against it) instead of one stamp per write.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,13 +1,14 @@
 //! Adversarial integration tests: framing, refusal, lossy networks, and
 //! combined failure modes.
 
-use secure_replication::core::messages::CheckVerdict;
+use secure_replication::core::messages::{CheckVerdict, StateDigestStamp, VersionStamp};
 use secure_replication::core::{
     metrics, Msg, SlaveBehavior, SystemBuilder, SystemConfig, Workload,
 };
+use secure_replication::crypto::{Digest, HmacSigner, Sha256};
 use secure_replication::sim::metrics::SIM_LOST_MESSAGES;
-use secure_replication::sim::{LinkModel, NetworkConfig, SimDuration};
-use secure_replication::store::{QueryResult, Value};
+use secure_replication::sim::{Ctx, LinkModel, NetworkConfig, NodeId, Process, SimDuration};
+use secure_replication::store::{Document, QueryResult, UpdateOp, Value};
 
 fn base_cfg(seed: u64) -> SystemConfig {
     SystemConfig {
@@ -171,4 +172,60 @@ fn acl_blocks_writes() {
     assert_eq!(stats.writes_committed, 0);
     assert!(stats.writes_denied > 0, "no denials recorded");
     assert!(stats.reads_accepted > 0);
+}
+
+/// A node that only sends (what the harness injects on its behalf).
+struct Mute;
+
+impl Process<Msg> for Mute {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: Msg) {}
+}
+
+/// A state update counts only from the master that signed it.  No
+/// signature covers a round's ops, and any client holds a genuine stamp
+/// pair (the version stamp inside a pledge, the digest stamp of a proof
+/// reply), so a round that pairs master-signed stamps for the next
+/// version with forged ops must move nothing when anyone else sends it:
+/// not the slave's version, not its digest.
+#[test]
+fn replayed_stamps_cannot_carry_forged_ops() {
+    let seed = 36;
+    let mut sys = SystemBuilder::new(base_cfg(seed))
+        .behaviors(vec![SlaveBehavior::Honest; 5])
+        .workload(Workload {
+            reads_per_sec: 0.0,
+            writes_per_sec: 0.0,
+            ..Workload::default()
+        })
+        .build();
+    sys.run_for(SimDuration::from_secs(2));
+    let (master, slave) = (sys.masters[0], sys.slaves[0]);
+    let before = sys.with_slave(0, |s| (s.version(), s.state_digest()));
+    let bad_before = sys.world.metrics().counter(metrics::SLAVE_BAD_UPDATES);
+
+    // Stamps genuinely signed by the shard master's key (the signer the
+    // builder derives for `master-0`) for the slave's next version.
+    let mut key = HmacSigner::from_seed_label(seed, b"master-0");
+    let (next, now) = (before.0 + 1, sys.now());
+    let stamp = VersionStamp::build(next, now, master, &mut key).unwrap();
+    let digest = Sha256::digest(b"whatever the forged state hashes to");
+    let digest_stamp = StateDigestStamp::build(next, digest, now, master, &mut key).unwrap();
+    let forged = vec![UpdateOp::Update {
+        table: "products".into(),
+        key: 1,
+        changes: Document::new().with("price", 0i64),
+    }];
+    let probe = sys.world.spawn("probe", Box::new(Mute));
+    let round = Msg::StateUpdate {
+        updates: vec![(next, forged)],
+        stamp,
+        digest_stamp,
+    };
+    sys.world.inject(probe, slave, round);
+    sys.run_for(SimDuration::from_secs(1));
+
+    let after = sys.with_slave(0, |s| (s.version(), s.state_digest()));
+    assert_eq!(after, before, "a replayed stamp pair moved the slave");
+    let bad = sys.world.metrics().counter(metrics::SLAVE_BAD_UPDATES) - bad_before;
+    assert_eq!(bad, 1, "the forged round must count as a bad update");
 }
