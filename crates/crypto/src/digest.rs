@@ -42,6 +42,62 @@ pub trait Digest: Clone {
     }
 }
 
+/// The 64-byte block buffer and Merkle–Damgård padding SHA-1 and SHA-256
+/// share; each hash supplies only its compression function.
+#[derive(Clone)]
+pub(crate) struct BlockBuffer {
+    block: [u8; 64],
+    len: usize,
+    total_len: u64,
+}
+
+impl BlockBuffer {
+    pub(crate) const fn new() -> Self {
+        BlockBuffer {
+            block: [0u8; 64],
+            len: 0,
+            total_len: 0,
+        }
+    }
+
+    /// Absorbs `data`, handing every completed block to `compress`.  Whole
+    /// blocks of `data` are compressed in place, without a copy.
+    pub(crate) fn update(&mut self, mut data: &[u8], mut compress: impl FnMut(&[[u8; 64]])) {
+        self.total_len = self.total_len.wrapping_add(data.len() as u64);
+        if self.len > 0 {
+            let take = (64 - self.len).min(data.len());
+            self.block[self.len..self.len + take].copy_from_slice(&data[..take]);
+            self.len += take;
+            data = &data[take..];
+            if self.len < 64 {
+                return;
+            }
+            compress(std::slice::from_ref(&self.block));
+            self.len = 0;
+        }
+        let (blocks, rest) = data.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress(blocks);
+        }
+        self.block[..rest.len()].copy_from_slice(rest);
+        self.len = rest.len();
+    }
+
+    /// Pads in place — 0x80, zeros, the big-endian bit length — and
+    /// compresses the last one or two blocks.
+    pub(crate) fn finalize(mut self, mut compress: impl FnMut(&[[u8; 64]])) {
+        let bit_len = self.total_len.wrapping_mul(8);
+        self.block[self.len] = 0x80;
+        self.block[self.len + 1..].fill(0);
+        if self.len >= 56 {
+            compress(std::slice::from_ref(&self.block));
+            self.block = [0u8; 64];
+        }
+        self.block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(std::slice::from_ref(&self.block));
+    }
+}
+
 macro_rules! hash_value {
     ($(#[$doc:meta])* $name:ident, $len:expr) => {
         $(#[$doc])*

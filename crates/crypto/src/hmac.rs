@@ -8,7 +8,7 @@ use crate::sha256::Sha256;
 #[derive(Clone)]
 pub struct Hmac<D: Digest> {
     inner: D,
-    opad_key: Vec<u8>,
+    opad_key: [u8; 64],
 }
 
 /// Incremental HMAC-SHA-256 (the workhorse MAC in this workspace).
@@ -17,16 +17,18 @@ pub type HmacSha256 = Hmac<Sha256>;
 impl<D: Digest> Hmac<D> {
     /// Creates an HMAC instance keyed with `key` (any length).
     pub fn new(key: &[u8]) -> Self {
-        let block = D::BLOCK_LEN;
-        let mut key_block = vec![0u8; block];
-        if key.len() > block {
+        // The pads live on the stack, sized for the 64-byte block both
+        // digests of this crate have.
+        const { assert!(D::BLOCK_LEN == 64, "HMAC pads are 64-byte arrays") };
+        let mut key_block = [0u8; 64];
+        if key.len() > D::BLOCK_LEN {
             let kh = D::digest(key);
             key_block[..D::OUTPUT_LEN].copy_from_slice(kh.as_ref());
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
 
-        let mut ipad = key_block.clone();
+        let mut ipad = key_block;
         let mut opad = key_block;
         for b in ipad.iter_mut() {
             *b ^= 0x36;

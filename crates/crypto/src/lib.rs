@@ -24,9 +24,18 @@
 //! (`sign`) that lets large-scale simulations swap the real Merkle signature
 //! scheme for a cheap HMAC-based stand-in without changing protocol code.
 //!
-//! No `unsafe` code and no external cryptography dependencies are used.
+//! No external cryptography dependencies are used.  `unsafe` appears in
+//! exactly two places: the calls in `Sha256::compress` and `Sha1::compress`
+//! into the x86_64 SHA-extension functions of the private `shani` module,
+//! each taken only after run-time CPU detection confirmed the instructions
+//! exist.  Hashing is what every read, signature and proof in this system
+//! pays for, so it runs at hardware speed where the CPU allows; the scalar
+//! code stays the path on every other CPU and the tests' oracle.  Every
+//! other crate in the workspace is `forbid(unsafe_code)`, and a root test
+//! fails if `unsafe` appears anywhere else.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod cert;
@@ -39,6 +48,8 @@ pub mod merkle;
 pub mod mss;
 pub mod sha1;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod shani;
 pub mod sign;
 pub mod wots;
 

@@ -97,8 +97,7 @@ impl MssKeypair {
         let index = self.next_leaf;
         self.next_leaf += 1;
 
-        let wots_kp = WotsKeypair::for_leaf(&self.seed, index);
-        let wots = wots_kp.sign_unchecked(message);
+        let wots = WotsKeypair::sign_leaf(&self.seed, index, message);
         let auth_path = self.tree.prove(index as usize)?;
         Ok(MssSignature {
             leaf_index: index,
@@ -202,6 +201,17 @@ mod tests {
     fn invalid_heights_rejected() {
         assert!(MssKeypair::generate([0; 32], 0).is_err());
         assert!(MssKeypair::generate([0; 32], 21).is_err());
+    }
+
+    #[test]
+    fn sign_matches_a_full_leaf_keypair() {
+        let seed = [0x42; 32];
+        let mut kp = keypair(3);
+        for i in 0..kp.capacity() {
+            let msg = format!("leaf {i}");
+            let expected = WotsKeypair::for_leaf(&seed, i).sign_unchecked(msg.as_bytes());
+            assert_eq!(kp.sign(msg.as_bytes()).unwrap().wots, expected, "leaf {i}");
+        }
     }
 
     #[test]

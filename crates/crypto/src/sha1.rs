@@ -5,21 +5,46 @@
 //! results inside pledges.  The rest of the system uses SHA-256 by default,
 //! and the pledge hash algorithm is configurable.
 
-use crate::digest::{Digest, Hash160};
+use crate::digest::{BlockBuffer, Digest, Hash160};
 
-const H0: [u32; 5] = [0x6745_2301, 0xEFCD_AB89, 0x98BA_DCFE, 0x1032_5476, 0xC3D2_E1F0];
+pub(crate) const H0: [u32; 5] = [
+    0x6745_2301,
+    0xEFCD_AB89,
+    0x98BA_DCFE,
+    0x1032_5476,
+    0xC3D2_E1F0,
+];
 
 /// Incremental SHA-1 hasher.
 #[derive(Clone)]
 pub struct Sha1 {
     state: [u32; 5],
-    buffer: [u8; 64],
-    buffer_len: usize,
-    total_len: u64,
+    buffer: BlockBuffer,
 }
 
 impl Sha1 {
-    fn compress(&mut self, block: &[u8; 64]) {
+    /// Compresses `blocks` into `state`: with the CPU's SHA extensions when
+    /// it has them, otherwise with [`Sha1::compress_scalar`].
+    pub(crate) fn compress(state: &mut [u32; 5], blocks: &[[u8; 64]]) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::shani::available() {
+            // SAFETY: `shani::available()` just confirmed that this CPU
+            // executes the SHA, SSE2, SSSE3 and SSE4.1 instructions the
+            // function is compiled for.
+            #[allow(unsafe_code)]
+            unsafe {
+                crate::shani::sha1_compress(state, blocks)
+            };
+            return;
+        }
+        for block in blocks {
+            Self::compress_scalar(state, block);
+        }
+    }
+
+    /// The portable compression function: the only path on CPUs without
+    /// SHA extensions, and the oracle the hardware path is tested against.
+    pub(crate) fn compress_scalar(state: &mut [u32; 5], block: &[u8; 64]) {
         let mut w = [0u32; 80];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -28,7 +53,7 @@ impl Sha1 {
             w[t] = (w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16]).rotate_left(1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
         for (t, &wt) in w.iter().enumerate() {
             let (f, k) = match t {
                 0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
@@ -49,11 +74,10 @@ impl Sha1 {
             a = temp;
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        let add = [a, b, c, d, e];
+        for (s, v) in state.iter_mut().zip(add) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 
@@ -65,55 +89,18 @@ impl Digest for Sha1 {
     fn new() -> Self {
         Sha1 {
             state: H0,
-            buffer: [0u8; 64],
-            buffer_len: 0,
-            total_len: 0,
+            buffer: BlockBuffer::new(),
         }
     }
 
-    fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buffer_len > 0 {
-            let take = (64 - self.buffer_len).min(data.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
-            self.buffer_len += take;
-            data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+    fn update(&mut self, data: &[u8]) {
+        self.buffer
+            .update(data, |blocks| Self::compress(&mut self.state, blocks));
     }
 
     fn finalize(mut self) -> Hash160 {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 8 bytes remain in the block.
-        self.update(&[0x80]);
-        // `update` adjusted total_len; padding bytes must not count, but the
-        // length was captured first so further updates are harmless.
-        while self.buffer_len != 56 {
-            let zeros = if self.buffer_len < 56 {
-                56 - self.buffer_len
-            } else {
-                64 - self.buffer_len + 56
-            };
-            let chunk = [0u8; 64];
-            self.update(&chunk[..zeros.min(64)]);
-        }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
-
+        self.buffer
+            .finalize(|blocks| Self::compress(&mut self.state, blocks));
         let mut out = [0u8; 20];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());

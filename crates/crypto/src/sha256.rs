@@ -1,8 +1,8 @@
 //! SHA-256 (FIPS 180-2), the default hash for signatures and state digests.
 
-use crate::digest::{Digest, Hash256};
+use crate::digest::{BlockBuffer, Digest, Hash256};
 
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09_e667,
     0xbb67_ae85,
     0x3c6e_f372,
@@ -14,7 +14,7 @@ const H0: [u32; 8] = [
 ];
 
 #[rustfmt::skip]
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -29,13 +29,32 @@ const K: [u32; 64] = [
 #[derive(Clone)]
 pub struct Sha256 {
     state: [u32; 8],
-    buffer: [u8; 64],
-    buffer_len: usize,
-    total_len: u64,
+    buffer: BlockBuffer,
 }
 
 impl Sha256 {
-    fn compress(&mut self, block: &[u8; 64]) {
+    /// Compresses `blocks` into `state`: with the CPU's SHA extensions when
+    /// it has them, otherwise with [`Sha256::compress_scalar`].
+    pub(crate) fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::shani::available() {
+            // SAFETY: `shani::available()` just confirmed that this CPU
+            // executes the SHA, SSE2, SSSE3 and SSE4.1 instructions the
+            // function is compiled for.
+            #[allow(unsafe_code)]
+            unsafe {
+                crate::shani::sha256_compress(state, blocks)
+            };
+            return;
+        }
+        for block in blocks {
+            Self::compress_scalar(state, block);
+        }
+    }
+
+    /// The portable compression function: the only path on CPUs without
+    /// SHA extensions, and the oracle the hardware path is tested against.
+    pub(crate) fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -49,7 +68,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for t in 0..64 {
             let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -72,7 +91,7 @@ impl Sha256 {
         }
 
         let add = [a, b, c, d, e, f, g, h];
-        for (s, v) in self.state.iter_mut().zip(add) {
+        for (s, v) in state.iter_mut().zip(add) {
             *s = s.wrapping_add(v);
         }
     }
@@ -86,52 +105,18 @@ impl Digest for Sha256 {
     fn new() -> Self {
         Sha256 {
             state: H0,
-            buffer: [0u8; 64],
-            buffer_len: 0,
-            total_len: 0,
+            buffer: BlockBuffer::new(),
         }
     }
 
-    fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buffer_len > 0 {
-            let take = (64 - self.buffer_len).min(data.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
-            self.buffer_len += take;
-            data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+    fn update(&mut self, data: &[u8]) {
+        self.buffer
+            .update(data, |blocks| Self::compress(&mut self.state, blocks));
     }
 
     fn finalize(mut self) -> Hash256 {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        if self.buffer_len != 56 {
-            let zeros = if self.buffer_len < 56 {
-                56 - self.buffer_len
-            } else {
-                64 - self.buffer_len + 56
-            };
-            let chunk = [0u8; 64];
-            self.update(&chunk[..zeros]);
-        }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
-
+        self.buffer
+            .finalize(|blocks| Self::compress(&mut self.state, blocks));
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());

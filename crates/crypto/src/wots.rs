@@ -78,13 +78,38 @@ pub struct WotsSignature {
     pub values: Vec<Hash256>,
 }
 
+/// The 67 chain secrets derived from 32 bytes of seed material.
+fn secrets(seed: &[u8; 32]) -> Vec<Hash256> {
+    let mut drbg = HmacDrbg::new(seed);
+    (0..WotsParams::LEN)
+        .map(|_| Hash256(drbg.gen_array()))
+        .collect()
+}
+
+/// The seed of MSS leaf `index`'s one-time key under a master seed.
+fn leaf_seed(master_seed: &[u8; 32], index: u64) -> [u8; 32] {
+    let mut h = HmacSha256::new(master_seed);
+    h.update(b"wots/leaf");
+    h.update(&index.to_be_bytes());
+    h.finalize().0
+}
+
+/// Walks each secret's chain as far as its digit of `message`'s hash.
+fn sign_with(secrets: &[Hash256], message: &[u8]) -> WotsSignature {
+    let msg_hash = Sha256::digest_parts(&[b"wots/msg", message]);
+    let ds = digits(&msg_hash);
+    let values = secrets
+        .iter()
+        .zip(ds.iter())
+        .map(|(sk, &d)| chain(sk, u32::from(d)))
+        .collect();
+    WotsSignature { values }
+}
+
 impl WotsKeypair {
     /// Derives a keypair deterministically from 32 bytes of seed material.
     pub fn from_seed(seed: &[u8; 32]) -> Self {
-        let mut drbg = HmacDrbg::new(seed);
-        let secrets: Vec<Hash256> = (0..WotsParams::LEN)
-            .map(|_| Hash256(drbg.gen_array()))
-            .collect();
+        let secrets = secrets(seed);
         let public = Self::compress(secrets.iter().map(|s| chain(s, WotsParams::CHAIN_LEN)));
         WotsKeypair {
             secrets,
@@ -95,15 +120,14 @@ impl WotsKeypair {
 
     /// Derives the keypair for MSS leaf `index` under a master seed.
     pub fn for_leaf(master_seed: &[u8; 32], index: u64) -> Self {
-        let mut material = [0u8; 32];
-        let mac = {
-            let mut h = HmacSha256::new(master_seed);
-            h.update(b"wots/leaf");
-            h.update(&index.to_be_bytes());
-            h.finalize()
-        };
-        material.copy_from_slice(&mac.0);
-        Self::from_seed(&material)
+        Self::from_seed(&leaf_seed(master_seed, index))
+    }
+
+    /// Signs `message` with MSS leaf `index`'s one-time key, deriving only
+    /// the key's secrets: its public key (67 × 15 more chain hashes) is
+    /// needed at key generation, never to sign.
+    pub(crate) fn sign_leaf(master_seed: &[u8; 32], index: u64, message: &[u8]) -> WotsSignature {
+        sign_with(&secrets(&leaf_seed(master_seed, index)), message)
     }
 
     fn compress<I: Iterator<Item = Hash256>>(chain_ends: I) -> Hash256 {
@@ -131,18 +155,10 @@ impl WotsKeypair {
 
     /// Signs without consuming the key.
     ///
-    /// Only for use by [`crate::mss`], which guarantees each leaf key signs
-    /// exactly once via its leaf counter.
+    /// The caller must make sure the key signs only once; [`crate::mss`]
+    /// does so with its leaf counter.
     pub fn sign_unchecked(&self, message: &[u8]) -> WotsSignature {
-        let msg_hash = Sha256::digest_parts(&[b"wots/msg", message]);
-        let ds = digits(&msg_hash);
-        let values = self
-            .secrets
-            .iter()
-            .zip(ds.iter())
-            .map(|(sk, &d)| chain(sk, u32::from(d)))
-            .collect();
-        WotsSignature { values }
+        sign_with(&self.secrets, message)
     }
 
     /// Recovers the compressed public key implied by a signature on

@@ -12,6 +12,8 @@
 //! brace-delimited body collecting field or variant names (tracking
 //! `<`/`>` depth so commas inside generic types don't split fields).
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Derives `serde::json::ToJson` for named-field structs and
