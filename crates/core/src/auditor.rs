@@ -27,6 +27,9 @@ use sdr_sim::{Ctx, NodeId, SimTime};
 use sdr_store::{execute, Database, QueryCache, UpdateOp};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
+/// Capacity of the auditor's result cache.
+const CACHE_CAPACITY: usize = 4_096;
+
 /// Outcome of one audit slice, to be routed by the owning master.
 #[derive(Debug)]
 pub struct AuditFinding {
@@ -44,11 +47,9 @@ pub struct AuditorState {
     /// The lagging replica: at version `v` while pledges for `v` are
     /// being audited.
     db: Database,
-    /// Committed writes not yet applied to the lagging replica.
-    pending_writes: BTreeMap<u64, Vec<UpdateOp>>,
-    /// When each version committed at this master (drives the advance
-    /// rule).
-    commit_times: BTreeMap<u64, SimTime>,
+    /// Committed writes not yet applied to the lagging replica, with
+    /// when each committed at this master (drives the advance rule).
+    pending_writes: BTreeMap<u64, (SimTime, Vec<UpdateOp>)>,
     /// Pledges bucketed by the version their stamp names.
     buckets: BTreeMap<u64, VecDeque<Pledge>>,
     cache: QueryCache,
@@ -57,15 +58,12 @@ pub struct AuditorState {
 
 impl AuditorState {
     /// Creates the state from the initial replica.
-    pub fn new(cfg: &SystemConfig, initial: Database, now: SimTime) -> Self {
-        let mut commit_times = BTreeMap::new();
-        commit_times.insert(initial.version(), now);
+    pub fn new(cfg: &SystemConfig, initial: Database) -> Self {
         AuditorState {
-            cache: QueryCache::new(cfg.auditor_cache_capacity),
+            cache: QueryCache::new(CACHE_CAPACITY),
             cfg: cfg.clone(),
             db: initial,
             pending_writes: BTreeMap::new(),
-            commit_times,
             buckets: BTreeMap::new(),
             backlog: 0,
         }
@@ -81,16 +79,10 @@ impl AuditorState {
         self.backlog
     }
 
-    /// Result-cache hit rate so far.
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.cache.hit_rate()
-    }
-
     /// Records a write the master group committed (the auditor applies it
     /// later, per the lag rule).
     pub fn on_write_committed(&mut self, version: u64, ops: Vec<UpdateOp>, now: SimTime) {
-        self.commit_times.insert(version, now);
-        self.pending_writes.insert(version, ops);
+        self.pending_writes.insert(version, (now, ops));
     }
 
     /// Accepts a pledge for background verification.
@@ -104,11 +96,11 @@ impl AuditorState {
             return;
         }
         let newest_known = self
-            .commit_times
+            .pending_writes
             .keys()
             .next_back()
             .copied()
-            .unwrap_or(0);
+            .unwrap_or(self.db.version());
         if version > newest_known + 8 {
             // A stamp for a far-future version cannot have a valid master
             // signature; don't let garbage accumulate.
@@ -123,15 +115,8 @@ impl AuditorState {
     /// Seconds of audit lag: how far behind the newest committed version
     /// the lagging replica is, in commit-time terms.
     pub fn lag(&self, now: SimTime) -> sdr_sim::SimDuration {
-        match self.pending_writes.keys().next() {
-            Some(oldest_pending) => {
-                let t = self
-                    .commit_times
-                    .get(oldest_pending)
-                    .copied()
-                    .unwrap_or(now);
-                now.since(t)
-            }
+        match self.pending_writes.values().next() {
+            Some(&(oldest_commit, _)) => now.since(oldest_commit),
             None => sdr_sim::SimDuration::ZERO,
         }
     }
@@ -139,12 +124,9 @@ impl AuditorState {
     /// Whether the advance rule permits moving to `version + 1` at `now`.
     fn may_advance(&self, now: SimTime) -> bool {
         let next = self.db.version() + 1;
-        match (self.pending_writes.get(&next), self.commit_times.get(&next)) {
-            (Some(_), Some(&committed)) => {
-                now.since(committed) > self.cfg.max_latency + self.cfg.keepalive_period
-            }
-            _ => false,
-        }
+        self.pending_writes.get(&next).is_some_and(|&(committed, _)| {
+            now.since(committed) > self.cfg.max_latency + self.cfg.keepalive_period
+        })
     }
 
     /// Runs one audit slice bounded by `cfg.audit_slice` of virtual CPU.
@@ -242,7 +224,7 @@ impl AuditorState {
                 }
             } else if self.may_advance(ctx.now()) {
                 let next = self.db.version() + 1;
-                let ops = self.pending_writes.remove(&next).expect("may_advance");
+                let (_, ops) = self.pending_writes.remove(&next).expect("may_advance");
                 ctx.charge(ctx.costs().write_apply * ops.len() as u64);
                 if self.db.apply_write(&ops).is_err() {
                     // Committed writes applied deterministically cannot

@@ -88,13 +88,9 @@ pub struct SystemConfig {
     pub audit_fraction: f64,
     /// Whether the auditor uses its query-result cache.
     pub auditor_cache: bool,
-    /// Capacity of the auditor's result cache.
-    pub auditor_cache_capacity: usize,
     /// Maximum virtual CPU the auditor spends per audit slice (bounds how
     /// long its event handler can stay busy between heartbeats).
     pub audit_slice: SimDuration,
-    /// Interval between audit slices.
-    pub audit_tick: SimDuration,
     /// Client-side read timeout before a retry.
     pub read_timeout: SimDuration,
     /// Retries before the client gives up on a read.
@@ -148,9 +144,9 @@ pub struct SystemConfig {
     /// values amortise the ordering round and the stamp signatures over
     /// up to `max_write_batch` consecutive versions.
     pub max_write_batch: usize,
-    /// Tick period for the masters' broadcast engine.
-    pub tob_tick: SimDuration,
-    /// Per-version snapshots retained by masters and auditor.
+    /// Versions each master's snapshot ring retains: the window for
+    /// rollback re-execution and for slave catch-up replays.  `0`
+    /// retains none.
     pub snapshot_capacity: usize,
     /// World seed (drives all randomness).
     pub seed: u64,
@@ -168,9 +164,7 @@ impl Default for SystemConfig {
             double_check_prob: 0.02,
             audit_fraction: 1.0,
             auditor_cache: true,
-            auditor_cache_capacity: 4_096,
             audit_slice: SimDuration::from_millis(20),
-            audit_tick: SimDuration::from_millis(25),
             read_timeout: SimDuration::from_millis(1_500),
             read_retries: 3,
             read_quorum: 1,
@@ -185,7 +179,6 @@ impl Default for SystemConfig {
             signer: SignatureScheme::Hmac,
             mss_height: 10,
             max_write_batch: 1,
-            tob_tick: SimDuration::from_millis(50),
             snapshot_capacity: 64,
             seed: 42,
         }

@@ -1,17 +1,21 @@
 //! Master servers: the trusted core.
 //!
 //! Each master embeds a `sdr-broadcast` engine for totally ordered writes
-//! and membership, holds an authoritative replica plus per-version
-//! snapshots, pushes lazy updates and signed keep-alives to its slave set,
-//! serves double-checks and trusted reads, detects greedy clients, takes
-//! corrective action against slaves (Section 3.5), and — when elected —
-//! runs the auditor (see [`crate::auditor`]).
+//! and membership, holds an authoritative replica plus one bounded
+//! history — the snapshot ring, which keeps each retained version's state
+//! and the ops that produced it — pushes lazy updates and signed
+//! keep-alives to its slave set, serves double-checks and trusted reads,
+//! detects greedy clients, takes corrective action against slaves
+//! (Section 3.5), and — when elected — runs the auditor (see
+//! [`crate::auditor`]).
 //!
 //! Every write commits through one pipeline, the *commit round*: the
 //! sequencer drains up to `max_write_batch` queued writes into one
 //! ordered [`MasterEvent::Commit`] at most once per `max_latency`, and
 //! `commit_round` applies it on every master and pushes
-//! it to the slaves under one stamp pair.  A lone write is a round of one.
+//! it to the slaves under one stamp pair.  A lone write is a round of one,
+//! and so is a lagging slave's catch-up: every retained write it lacks,
+//! under one stamp pair at the live version.
 
 use crate::acl::WritePolicy;
 use crate::auditor::AuditorState;
@@ -24,9 +28,9 @@ use crate::metrics as id;
 use crate::pledge::{Pledge, ResultHash};
 use sdr_broadcast::{Action, MemberId, TobConfig, TotalOrder, View};
 use sdr_crypto::{CertRole, Certificate, CertificateBody, Hash256, PublicKey, Signer};
-use sdr_sim::{Ctx, NodeId, Process, SimTime};
+use sdr_sim::{Ctx, NodeId, Process, SimDuration, SimTime};
 use sdr_store::{execute, Database, SnapshotStore, UpdateOp};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Admission bound on queued *rounds* of writes: keeps worst-case commit
 /// latency at `MAX_PENDING_ROUNDS x max_latency`, safely inside client
@@ -34,6 +38,12 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 /// The queue bound in writes is `MAX_PENDING_ROUNDS x max_write_batch`,
 /// since one round drains up to a full batch.
 const MAX_PENDING_ROUNDS: usize = 3;
+
+/// Tick period of the masters' broadcast engine.
+const TOB_TICK: SimDuration = SimDuration::from_millis(50);
+
+/// Interval between the auditor's audit slices.
+const AUDIT_TICK: SimDuration = SimDuration::from_millis(25);
 
 /// Timer tags.
 const T_TOB_TICK: u64 = 1;
@@ -46,8 +56,8 @@ const T_GOSSIP: u64 = 5;
 pub struct MasterProcess {
     cfg: SystemConfig,
     /// The shard of the content space this master's subgroup owns.  All
-    /// state below (replica, write queue, snapshots, digest stamps,
-    /// slave set, auditor duties) is scoped to it.
+    /// state below (replica, write queue, snapshot ring, slave set,
+    /// auditor duties) is scoped to it.
     shard: u32,
     rank: MemberId,
     member_nodes: Vec<NodeId>,
@@ -56,12 +66,9 @@ pub struct MasterProcess {
     content_id: Hash256,
 
     db: Database,
+    /// The one per-version history: state plus producing ops, serving
+    /// rollback re-execution and slave catch-up alike.
     snapshots: SnapshotStore,
-    write_log: BTreeMap<u64, Vec<UpdateOp>>,
-    /// `version → state digest`, bounded alongside `write_log`, so sync
-    /// replays can re-stamp historical versions without re-materialising
-    /// snapshots.
-    digest_log: BTreeMap<u64, Hash256>,
     policy: WritePolicy,
 
     tob: TotalOrder<MasterEvent>,
@@ -111,11 +118,9 @@ impl MasterProcess {
         directory: NodeId,
     ) -> Self {
         let n = member_nodes.len();
-        let auditor_state = AuditorState::new(&cfg, db.clone(), SimTime::ZERO);
+        let auditor_state = AuditorState::new(&cfg, db.clone());
         let mut snapshots = SnapshotStore::new(cfg.snapshot_capacity);
-        snapshots.record(&db);
-        let mut digest_log = BTreeMap::new();
-        digest_log.insert(db.version(), db.state_digest());
+        snapshots.record(&db, None);
         MasterProcess {
             tob: TotalOrder::new(rank, n, TobConfig::default()),
             prev_view: View::initial(n),
@@ -129,8 +134,6 @@ impl MasterProcess {
             content_id,
             db,
             snapshots,
-            write_log: BTreeMap::new(),
-            digest_log,
             policy,
             my_slaves,
             slave_keys,
@@ -194,17 +197,6 @@ impl MasterProcess {
         self.snapshots.versions()
     }
 
-    /// Versions retained in the bounded write log (test inspection).
-    pub fn write_log_versions(&self) -> Vec<u64> {
-        self.write_log.keys().copied().collect()
-    }
-
-    /// Versions retained in the bounded digest log (test inspection;
-    /// pruned in lockstep with the write log).
-    pub fn digest_log_versions(&self) -> Vec<u64> {
-        self.digest_log.keys().copied().collect()
-    }
-
     /// Digest of the retained snapshot at `version` (test inspection).
     pub fn snapshot_digest(&self, version: u64) -> Option<Hash256> {
         self.snapshots.get(version).map(Database::state_digest)
@@ -248,34 +240,18 @@ impl MasterProcess {
         }
     }
 
-    fn make_stamp(&mut self, ctx: &mut Ctx<'_, Msg>) -> Option<VersionStamp> {
-        ctx.charge(ctx.costs().sign);
-        VersionStamp::build(self.db.version(), ctx.now(), ctx.id(), self.signer.as_mut()).ok()
-    }
-
-    /// Signs a digest stamp for `version` (defaulting to the live state);
-    /// `None` when the version's digest is no longer retained.
-    fn make_digest_stamp(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        version: u64,
-    ) -> Option<StateDigestStamp> {
-        let digest = if version == self.db.version() {
-            // O(1) amortized on the live copy-on-write state.
-            self.db.state_digest()
-        } else {
-            *self.digest_log.get(&version)?
-        };
-        ctx.charge(ctx.costs().sign);
-        StateDigestStamp::build(version, digest, ctx.now(), ctx.id(), self.signer.as_mut()).ok()
-    }
-
     /// The stamp pair attached to keep-alives and state updates: the
     /// version stamp (pledge freshness) plus the digest stamp (proof
     /// anchor), both over the live version.
     fn make_stamps(&mut self, ctx: &mut Ctx<'_, Msg>) -> Option<(VersionStamp, StateDigestStamp)> {
-        let stamp = self.make_stamp(ctx)?;
-        let digest_stamp = self.make_digest_stamp(ctx, self.db.version())?;
+        let (version, now, me) = (self.db.version(), ctx.now(), ctx.id());
+        ctx.charge(ctx.costs().sign);
+        let stamp = VersionStamp::build(version, now, me, self.signer.as_mut()).ok()?;
+        // O(1) amortized on the live copy-on-write state.
+        let digest = self.db.state_digest();
+        ctx.charge(ctx.costs().sign);
+        let digest_stamp =
+            StateDigestStamp::build(version, digest, now, me, self.signer.as_mut()).ok()?;
         Some((stamp, digest_stamp))
     }
 
@@ -344,14 +320,13 @@ impl MasterProcess {
     }
 
     /// Commits one ordered round of writes: every member applies them
-    /// in order (each write still bumps the version by one, keeping
-    /// per-version snapshots, write-log and digest-log entries intact for
-    /// sync replay and rollback), but the round signs only **one** stamp
-    /// pair — at its final version — and pushes every applied write to
-    /// the slaves in one message.  A write that fails rolls back to its
-    /// own pre-write state (the store's write atomicity) and the rest of
-    /// the round continues.  The spacing rule re-arms after every round,
-    /// even one whose writes all failed.
+    /// in order (each write still bumps the version by one, keeping a
+    /// per-version snapshot-ring entry for sync replay and rollback), but
+    /// the round signs only **one** stamp pair — at its final version —
+    /// and pushes every applied write to the slaves in one message.  A
+    /// write that fails rolls back to its own pre-write state (the store's
+    /// write atomicity) and the rest of the round continues.  The spacing
+    /// rule re-arms after every round, even one whose writes all failed.
     fn commit_round(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -377,9 +352,7 @@ impl MasterProcess {
                         let commits = id::WRITE_COMMIT_US_SHARD.at(shard);
                         ctx.metrics().series_push(commits, now, version as f64);
                     }
-                    self.snapshots.record(&self.db);
-                    self.write_log.insert(version, ops.clone());
-                    self.digest_log.insert(version, self.db.state_digest());
+                    self.snapshots.record(&self.db, Some(ops.clone()));
                     self.auditor_state.on_write_committed(version, ops.clone(), now);
                     applied.push((version, ops));
                     WriteOutcome::Committed { version }
@@ -388,7 +361,6 @@ impl MasterProcess {
             };
             outcomes.push((client, req_id, outcome));
         }
-        self.prune_logs();
         self.earliest_next_write = now + self.cfg.max_latency;
         if !applied.is_empty() {
             if mine {
@@ -418,29 +390,6 @@ impl MasterProcess {
                 ctx.send(client, Msg::WriteResponse { req_id, outcome });
             }
             self.pump_writes(ctx);
-        }
-    }
-
-    /// Bounds the op and digest logs like the snapshot ring, in strict
-    /// lockstep: the digest log covers exactly the write log's window.
-    /// The digest seeded at construction (for the initial version, which
-    /// has no ops to replay) ages out as soon as the window starts —
-    /// sync replays only re-stamp versions the write log retains.
-    fn prune_logs(&mut self) {
-        while self.write_log.len() > self.cfg.snapshot_capacity {
-            let oldest = *self.write_log.keys().next().expect("non-empty");
-            self.write_log.remove(&oldest);
-            self.digest_log.remove(&oldest);
-        }
-        if let Some((&floor, _)) = self.write_log.first_key_value() {
-            while self
-                .digest_log
-                .first_key_value()
-                .is_some_and(|(&v, _)| v < floor)
-            {
-                let straggler = *self.digest_log.keys().next().expect("non-empty");
-                self.digest_log.remove(&straggler);
-            }
         }
     }
 
@@ -841,13 +790,13 @@ impl MasterProcess {
 
 impl Process<Msg> for MasterProcess {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        ctx.set_timer(self.cfg.tob_tick, T_TOB_TICK);
+        ctx.set_timer(TOB_TICK, T_TOB_TICK);
         ctx.set_timer(self.cfg.keepalive_period, T_KEEPALIVE);
-        ctx.set_timer(self.cfg.audit_tick, T_AUDIT);
+        ctx.set_timer(AUDIT_TICK, T_AUDIT);
         ctx.set_timer(self.cfg.max_latency / 8, T_WRITE_PUMP);
         // Peers may not be spawned yet during on_start, so the first
         // gossip/keep-alive round goes through a near-immediate timer.
-        ctx.set_timer(sdr_sim::SimDuration::from_millis(1), T_GOSSIP);
+        ctx.set_timer(SimDuration::from_millis(1), T_GOSSIP);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
@@ -855,7 +804,7 @@ impl Process<Msg> for MasterProcess {
             T_TOB_TICK => {
                 let actions = self.tob.on_tick();
                 self.drain_tob(ctx, actions);
-                ctx.set_timer(self.cfg.tob_tick, T_TOB_TICK);
+                ctx.set_timer(TOB_TICK, T_TOB_TICK);
             }
             T_KEEPALIVE => {
                 if !self.my_slaves.is_empty() {
@@ -897,7 +846,7 @@ impl Process<Msg> for MasterProcess {
                         );
                     }
                 }
-                ctx.set_timer(self.cfg.audit_tick, T_AUDIT);
+                ctx.set_timer(AUDIT_TICK, T_AUDIT);
             }
             T_WRITE_PUMP => {
                 self.pump_writes(ctx);
@@ -988,34 +937,26 @@ impl Process<Msg> for MasterProcess {
             }
             Msg::Accusation { evidence } => self.handle_accusation(ctx, *evidence),
             // Only the shard's own slaves (excluded ones included) may
-            // ask: every replay costs signatures and ships the write log.
+            // ask: every replay costs signatures and ships retained ops.
             Msg::SlaveSyncRequest { from_version } if self.slave_keys.contains_key(&from) => {
-                // Replay what we still hold, bounded per request; the
-                // slave re-requests if it is still behind afterwards.
-                // Each replayed version is a round of one with its *own*
-                // digest stamp (the digest log retains one per write-log
-                // entry) so the catching-up slave can re-anchor proof
-                // reads at every step.
-                let missing: Vec<(u64, Vec<UpdateOp>)> = self
-                    .write_log
-                    .range(from_version..)
-                    .take(16)
-                    .map(|(&v, ops)| (v, ops.clone()))
-                    .collect();
-                if let Some(stamp) = self.make_stamp(ctx) {
-                    for (version, ops) in missing {
-                        let Some(digest_stamp) = self.make_digest_stamp(ctx, version) else {
-                            continue;
-                        };
-                        ctx.send(
-                            from,
-                            Msg::StateUpdate {
-                                updates: vec![(version, ops)],
-                                stamp: stamp.clone(),
-                                digest_stamp,
-                            },
-                        );
-                    }
+                // The catch-up is one commit round: every retained write
+                // from `from_version` on, ending at the live version, so
+                // the one stamp pair a round carries re-anchors the slave
+                // there.  Writes evicted from the ring are gone; the slave
+                // re-requests if it is still behind afterwards.
+                let updates = self.snapshots.writes_from(from_version);
+                if updates.is_empty() {
+                    return;
+                }
+                if let Some((stamp, digest_stamp)) = self.make_stamps(ctx) {
+                    ctx.send(
+                        from,
+                        Msg::StateUpdate {
+                            updates,
+                            stamp,
+                            digest_stamp,
+                        },
+                    );
                 }
             }
             _ => {}

@@ -309,7 +309,10 @@ pub enum Msg {
         /// anchor slaves serve proof reads against).
         digest_stamp: StateDigestStamp,
     },
-    /// Slave → master: I am missing updates from `from_version`.
+    /// Slave → master: I am missing updates from `from_version`.  The
+    /// master answers with one [`Msg::StateUpdate`]: every write its
+    /// snapshot ring retains from `from_version` on, under one stamp pair
+    /// at its live version.
     SlaveSyncRequest {
         /// First version the slave lacks.
         from_version: u64,

@@ -1,6 +1,6 @@
-//! Batched sequencer commits: version arithmetic, log pruning lockstep,
-//! failed-batch rollback, and replica convergence under multi-version
-//! rounds anchored by a single digest stamp.
+//! Batched sequencer commits: version arithmetic, history pruning
+//! lockstep, failed-batch rollback, and replica convergence under
+//! multi-version rounds anchored by a single digest stamp.
 
 use proptest::prelude::*;
 use sdr_core::{metrics, SlaveBehavior, SystemBuilder, SystemConfig, Workload};
@@ -125,10 +125,11 @@ fn sequencer_version_tracks_committed_writes_under_batching() {
     assert!(rounds.max <= 4, "no round may exceed max_write_batch");
 }
 
-/// `write_log` and `digest_log` prune in lockstep under batched commits:
-/// every master keeps the identical, contiguous version window, bounded
-/// by `snapshot_capacity`, with the digest log covering exactly the
-/// write log (sync replay needs both for every retained version).
+/// The snapshot ring prunes its state handles, ops and digests in
+/// lockstep under batched commits: every master keeps a contiguous
+/// version window, bounded by `snapshot_capacity` and ending at the live
+/// version, with a digest for every retained version (sync replay needs
+/// the ops and the digest of each).
 #[test]
 fn log_pruning_stays_in_lockstep_under_batched_commits() {
     let mut sys = batched(808, 4, 8);
@@ -138,13 +139,21 @@ fn log_pruning_stays_in_lockstep_under_batched_commits() {
         "must commit past the retention window to exercise pruning"
     );
     for rank in 0..3 {
-        let (wl, dl) = sys.with_master(rank, |m| {
-            (m.write_log_versions(), m.digest_log_versions())
-        });
-        assert_eq!(wl, dl, "master {rank}: logs must prune in lockstep");
-        assert!(wl.len() <= 8, "master {rank}: window exceeds snapshot_capacity");
-        for pair in wl.windows(2) {
+        let (version, snaps) = sys.with_master(rank, |m| (m.version(), m.snapshot_versions()));
+        assert!(snaps.len() <= 8, "master {rank}: window exceeds snapshot_capacity");
+        assert!(
+            snaps.first().copied().unwrap_or(0) > 1,
+            "master {rank}: oldest version never pruned: {snaps:?}"
+        );
+        assert_eq!(snaps.last().copied(), Some(version), "master {rank}");
+        for pair in snaps.windows(2) {
             assert_eq!(pair[1], pair[0] + 1, "master {rank}: window must be contiguous");
+        }
+        for &v in &snaps {
+            assert!(
+                sys.with_master(rank, |m| m.snapshot_digest(v)).is_some(),
+                "master {rank}: retained v{v} has no digest"
+            );
         }
     }
 }

@@ -1,10 +1,20 @@
 //! Focused protocol-unit tests: exercise single mechanisms through small
 //! worlds where the surrounding noise (workload randomness) is disabled.
 
+use sdr_broadcast::MemberId;
+use sdr_core::acl::WritePolicy;
+use sdr_core::dataset::DatasetSpec;
+use sdr_core::master::MasterProcess;
 use sdr_core::messages::{RefuseReason, WriteOutcome};
+use sdr_core::slave::SlaveProcess;
 use sdr_core::{metrics, Msg, SlaveBehavior, System, SystemBuilder, SystemConfig, Workload};
-use sdr_sim::{Counter, Ctx, LinkModel, NetworkConfig, NodeId, Process, SimDuration, SimTime};
+use sdr_crypto::{Digest, HmacSigner, Sha256, Signer};
+use sdr_sim::{
+    CostModel, Counter, Ctx, LinkModel, NetworkConfig, NodeId, Process, SimDuration, SimTime,
+    World,
+};
 use sdr_store::{Document, Query, UpdateOp};
+use std::collections::HashMap;
 
 /// A quiet system: no reads, no writes — only protocol background traffic.
 fn quiet(seed: u64, n_masters: usize, n_slaves: usize) -> System {
@@ -32,12 +42,14 @@ fn quiet_with(seed: u64, n_masters: usize, behaviors: Vec<SlaveBehavior>) -> Sys
 }
 
 /// A bare node that sends what the harness injects for it and records
-/// read refusals, write responses (with arrival time) and state updates.
+/// read refusals, write responses (with arrival time), state updates and
+/// the anchor version of each proof-read reply.
 #[derive(Default)]
 struct Probe {
     refusals: Vec<(u64, RefuseReason)>,
     writes: Vec<(SimTime, u64, WriteOutcome)>,
     updates: usize,
+    proofs: Vec<u64>,
 }
 
 impl Process<Msg> for Probe {
@@ -48,8 +60,135 @@ impl Process<Msg> for Probe {
                 self.writes.push((ctx.now(), req_id, outcome))
             }
             Msg::StateUpdate { .. } => self.updates += 1,
+            Msg::ProofReadReply { digest_stamp, .. } => self.proofs.push(digest_stamp.version),
             _ => {}
         }
+    }
+}
+
+/// A real slave that also records, for every `StateUpdate` it receives,
+/// the versions carried and the versions of its stamp pair.
+struct RecordedSlave {
+    slave: SlaveProcess,
+    updates: Vec<(Vec<u64>, u64, u64)>,
+}
+
+impl Process<Msg> for RecordedSlave {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
+        if let Msg::StateUpdate {
+            updates,
+            stamp,
+            digest_stamp,
+        } = &msg
+        {
+            let versions = updates.iter().map(|(v, _)| *v).collect();
+            self.updates
+                .push((versions, stamp.version, digest_stamp.version));
+        }
+        self.slave.on_message(ctx, from, msg);
+    }
+}
+
+/// A hand-built shard on 10 ms links: master rank 0 (the sequencer) owns
+/// one recorded slave, rank 1 audits, and a probe writes and reads.
+struct ReplayWorld {
+    world: World<Msg>,
+    master: NodeId,
+    slave: NodeId,
+    probe: NodeId,
+}
+
+impl ReplayWorld {
+    fn new(seed: u64) -> Self {
+        let cfg = SystemConfig {
+            n_masters: 2,
+            n_slaves: 1,
+            n_clients: 1,
+            max_latency: SimDuration::from_millis(500),
+            keepalive_period: SimDuration::from_millis(125),
+            seed,
+            ..SystemConfig::default()
+        };
+        let db = DatasetSpec::default().build();
+        let signer = |label: &str| -> Box<dyn Signer> {
+            Box::new(HmacSigner::from_seed_label(seed, label.as_bytes()))
+        };
+        let masters = vec![NodeId(0), NodeId(1)];
+        let (slave, probe) = (NodeId(2), NodeId(3));
+        let master_keys: HashMap<NodeId, _> = (0..2)
+            .map(|r| (masters[r], signer(&format!("master-{r}")).public_key()))
+            .collect();
+        let slave_signer = signer("slave-0");
+        let slave_keys = HashMap::from([(slave, slave_signer.public_key())]);
+        let net = NetworkConfig::new(LinkModel::constant(SimDuration::from_millis(10)));
+        let mut world = World::new(seed, net, CostModel::standard());
+        for rank in 0..2u32 {
+            let master = MasterProcess::new(
+                cfg.clone(),
+                0,
+                MemberId(rank),
+                masters.clone(),
+                master_keys.clone(),
+                signer(&format!("master-{rank}")),
+                Sha256::digest(b"replay-world"),
+                db.clone(),
+                WritePolicy::allow_all(),
+                if rank == 0 { vec![slave] } else { Vec::new() },
+                slave_keys.clone(),
+                HashMap::from([(slave, MemberId(0))]),
+                probe,
+            );
+            world.spawn(format!("master-{rank}"), Box::new(master));
+        }
+        let slave_process =
+            SlaveProcess::new(cfg, db, SlaveBehavior::Honest, slave_signer, master_keys);
+        let recorded = RecordedSlave {
+            slave: slave_process,
+            updates: Vec::new(),
+        };
+        assert_eq!(world.spawn("slave", Box::new(recorded)), slave);
+        assert_eq!(world.spawn("probe", Box::new(Probe::default())), probe);
+        ReplayWorld {
+            world,
+            master: masters[0],
+            slave,
+            probe,
+        }
+    }
+
+    /// Sends `n` writes to the sequencer and runs until they committed.
+    fn commit(&mut self, n: u64) {
+        let before = self.committed();
+        for req_id in before + 1..=before + n {
+            let msg = Msg::WriteRequest { req_id, ops: append("x") };
+            self.world.inject(self.probe, self.master, msg);
+        }
+        // The spacing rule commits one round per `max_latency`.
+        self.world.run_for(SimDuration::from_millis(500 * n + 500));
+        assert_eq!(self.committed(), before + n, "writes did not commit");
+    }
+
+    fn committed(&mut self) -> u64 {
+        let writes = self.world.with_process(self.probe, |p: &mut Probe| p.writes.clone());
+        writes
+            .iter()
+            .filter(|(_, _, o)| matches!(o, WriteOutcome::Committed { .. }))
+            .count() as u64
+    }
+
+    fn master_version(&mut self) -> u64 {
+        self.world.with_process(self.master, |m: &mut MasterProcess| m.version())
+    }
+
+    /// The slave's version and the version of its proof-read anchor.
+    fn slave_state(&mut self) -> (u64, Option<u64>) {
+        self.world.with_process(self.slave, |r: &mut RecordedSlave| {
+            (r.slave.version(), r.slave.digest_anchor().map(|a| a.version))
+        })
+    }
+
+    fn updates(&mut self) -> Vec<(Vec<u64>, u64, u64)> {
+        self.world.with_process(self.slave, |r: &mut RecordedSlave| r.updates.clone())
     }
 }
 
@@ -391,4 +530,60 @@ fn spacing_rearms_after_a_failed_round() {
         "the round after a failed one came {:?} later, inside max_latency",
         ok_at.since(*failed_at)
     );
+}
+
+/// A slave that missed k rounds catches up in **one** round: the next
+/// push shows it the gap, it asks once, and the master answers with a
+/// single `StateUpdate` carrying every version it lacks under one stamp
+/// pair at the live version — so the slave lands on the master's version,
+/// re-anchors there, and serves proof reads again.
+#[test]
+fn sync_replay_catches_a_slave_up_in_one_round() {
+    const MISSED: u64 = 3;
+    let mut w = ReplayWorld::new(10);
+    w.world.run_for(SimDuration::from_secs(1));
+    let v0 = w.master_version();
+    assert_eq!(w.slave_state().0, v0);
+
+    w.world.set_island(w.slave, 1);
+    w.commit(MISSED);
+    w.world.heal_partitions();
+    assert_eq!(w.slave_state().0, v0, "the partition let an update through");
+
+    let seen = w.updates().len();
+    w.commit(1);
+    let live = w.master_version();
+    assert_eq!(live, v0 + MISSED + 1);
+    let replay = ((v0 + 1..=live).collect(), live, live);
+    assert_eq!(
+        w.updates()[seen..],
+        [(vec![live], live, live), replay],
+        "expected the live round, then one catch-up round"
+    );
+    assert_eq!(w.slave_state(), (live, Some(live)));
+    assert_eq!(w.world.metrics().counter(metrics::SLAVE_SYNC_REQUESTS), 1);
+
+    let query = Query::GetRow { table: "products".into(), key: 1 };
+    w.world.inject(w.probe, w.slave, Msg::ProofRead { req_id: 1, query });
+    w.world.run_for(SimDuration::from_millis(100));
+    let proofs = w.world.with_process(w.probe, |p: &mut Probe| p.proofs.clone());
+    assert_eq!(proofs, [live], "the caught-up slave must serve proof reads");
+}
+
+/// `from_version: 0` asks for everything retained; the seed version is in
+/// the ring but has no ops, so the replay starts at the first write.
+#[test]
+fn sync_replay_never_replays_the_seed_version() {
+    let mut w = ReplayWorld::new(11);
+    w.world.run_for(SimDuration::from_secs(1));
+    let seed = w.master_version();
+    w.commit(2);
+    let live = w.master_version();
+    let seen = w.updates().len();
+
+    let request = Msg::SlaveSyncRequest { from_version: 0 };
+    w.world.inject(w.slave, w.master, request);
+    w.world.run_for(SimDuration::from_millis(100));
+    assert_eq!(w.updates()[seen..], [((seed + 1..=live).collect(), live, live)]);
+    assert_eq!(w.slave_state(), (live, Some(live)));
 }

@@ -1,12 +1,12 @@
 //! Snapshot-ring eviction and Section 3.5 rollback re-materialisation
 //! over the copy-on-write store.
 //!
-//! The master keeps two bounded, version-keyed histories: the snapshot
-//! ring (cheap structural-sharing handles) and the write log (the op
-//! batches that produced each version).  These tests pin down that the
-//! two stay in lockstep under live traffic, that eviction works, and
-//! that any retained version re-materialises exactly — both by handle
-//! and by replaying the write log onto an older snapshot.
+//! The master keeps one bounded, version-keyed history: the snapshot
+//! ring, whose entries hold a cheap structural-sharing handle and the ops
+//! that produced the version (the write log).  These tests pin down that
+//! the two stay in lockstep under live traffic, that eviction works, and
+//! that any retained version re-materialises exactly — both by handle and
+//! by replaying the ring's ops onto an older snapshot.
 
 use sdr_core::dataset::DatasetSpec;
 use sdr_core::{SlaveBehavior, System, SystemBuilder, SystemConfig, Workload};
@@ -36,33 +36,50 @@ fn run_system(snapshot_capacity: usize, seed: u64) -> System {
     sys
 }
 
+/// The write log is the ring's ops, so it cannot drift from the state
+/// handles: under live traffic every master's ring stays within
+/// capacity, evicts its oldest versions and keeps a contiguous window
+/// ending at the live version, and the ops evict with their state.
 #[test]
 fn write_log_stays_in_lockstep_with_snapshot_ring() {
     let capacity = 4;
     let mut sys = run_system(capacity, 11);
     for rank in 0..sys.masters.len() {
-        let (version, snaps, log) = sys.with_master(rank, |m| {
-            (m.version(), m.snapshot_versions(), m.write_log_versions())
-        });
+        let (version, snaps) = sys.with_master(rank, |m| (m.version(), m.snapshot_versions()));
         assert!(
             version > capacity as u64 + 4,
             "master {rank}: too few writes committed ({version}) to exercise eviction"
         );
         assert!(snaps.len() <= capacity, "master {rank}: ring over capacity");
-        assert!(log.len() <= capacity, "master {rank}: log over capacity");
         // Eviction happened: the initial version is long gone.
         assert!(
             snaps.first().copied().unwrap_or(0) > 1,
             "master {rank}: oldest snapshot never evicted: {snaps:?}"
         );
-        // Lockstep: both histories cover the same trailing window, ending
-        // at the live version.
         assert_eq!(snaps.last().copied(), Some(version), "master {rank}");
-        assert_eq!(
-            snaps, log,
-            "master {rank}: snapshot ring and write log diverged"
-        );
+        for pair in snaps.windows(2) {
+            assert_eq!(pair[1], pair[0] + 1, "master {rank}: window must be contiguous");
+        }
     }
+
+    // The replayable versions are exactly the retained ones bar the seed,
+    // before and after the seed itself is evicted.
+    let mut db = Database::new();
+    let mut ring = SnapshotStore::new(capacity);
+    ring.record(&db, None);
+    let seed = db.version();
+    for i in 0..10u64 {
+        let ops = vec![UpdateOp::AppendFile {
+            path: "/docs/audit.log".into(),
+            contents: format!("audit entry {i}\n"),
+        }];
+        db.apply_write(&ops).expect("writes apply");
+        ring.record(&db, Some(ops));
+        let logged: Vec<u64> = ring.writes_from(0).into_iter().map(|(v, _)| v).collect();
+        let retained: Vec<u64> = ring.versions().into_iter().filter(|&v| v != seed).collect();
+        assert_eq!(logged, retained, "write log and snapshot ring diverged at v{}", db.version());
+    }
+    assert_eq!(ring.versions().len(), capacity);
 }
 
 #[test]
@@ -86,9 +103,10 @@ fn retained_snapshots_rematerialise_identically_across_masters() {
     );
 }
 
-/// Replaying the bounded write log onto an older snapshot must land on
+/// Replaying the ring's retained ops onto an older snapshot must land on
 /// the exact same state the newer snapshot retains — the re-execution
-/// path Section 3.5 uses after a delayed discovery.
+/// path Section 3.5 uses after a delayed discovery, and the ops a slave
+/// catch-up ships.
 #[test]
 fn write_log_replay_over_cow_handles_reproduces_snapshots() {
     let mut db = DatasetSpec {
@@ -103,8 +121,7 @@ fn write_log_replay_over_cow_handles_reproduces_snapshots() {
     }
     .build();
     let mut snaps = SnapshotStore::new(16);
-    let mut log: Vec<(u64, Vec<UpdateOp>)> = Vec::new();
-    snaps.record(&db);
+    snaps.record(&db, None);
 
     // A deterministic write stream touching rows and files.
     for i in 0..12u64 {
@@ -119,23 +136,22 @@ fn write_log_replay_over_cow_handles_reproduces_snapshots() {
                 contents: format!("audit entry {i}\n"),
             },
         ];
-        let version = db.apply_write(&ops).expect("writes apply");
-        snaps.record(&db);
-        log.push((version, ops));
+        db.apply_write(&ops).expect("writes apply");
+        snaps.record(&db, Some(ops));
     }
 
-    // Roll back to each retained version and replay the logged ops; the
+    // Roll back to each retained version and replay the retained ops; the
     // replay must hit every later snapshot's digest exactly, even though
     // all these states share structure.
     for start in snaps.versions() {
         let mut replay: Database = snaps.get(start).expect("retained").clone();
         assert_eq!(replay.state_digest(), snaps.get(start).unwrap().state_digest());
-        for (version, ops) in log.iter().filter(|(v, _)| *v > start) {
-            replay.apply_write(ops).expect("replay applies");
-            assert_eq!(replay.version(), *version);
+        for (version, ops) in snaps.writes_from(start + 1) {
+            replay.apply_write(&ops).expect("replay applies");
+            assert_eq!(replay.version(), version);
             assert_eq!(
                 replay.state_digest(),
-                snaps.get(*version).expect("retained").state_digest(),
+                snaps.get(version).expect("retained").state_digest(),
                 "replay from v{start} diverged at v{version}"
             );
         }

@@ -25,8 +25,6 @@ pub struct QueryCache {
     map: HashMap<Hash256, QueryResult>,
     order: VecDeque<Hash256>,
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl QueryCache {
@@ -36,8 +34,6 @@ impl QueryCache {
             map: HashMap::new(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -50,19 +46,9 @@ impl QueryCache {
         Sha256::digest(&buf)
     }
 
-    /// Looks up a result; updates hit/miss counters.
-    pub fn get(&mut self, version: u64, query: &Query) -> Option<QueryResult> {
-        let key = Self::key(version, query);
-        match self.map.get(&key) {
-            Some(r) => {
-                self.hits += 1;
-                Some(r.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+    /// Looks up a result.
+    pub fn get(&self, version: u64, query: &Query) -> Option<QueryResult> {
+        self.map.get(&Self::key(version, query)).cloned()
     }
 
     /// Inserts a result, evicting the oldest entry when full.
@@ -90,27 +76,7 @@ impl QueryCache {
         self.map.is_empty()
     }
 
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hit rate in `[0, 1]` (0 when unused).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Drops all entries (counters survive).
+    /// Drops all entries.
     pub fn clear(&mut self) {
         self.map.clear();
         self.order.clear();
@@ -127,19 +93,15 @@ impl QueryCache {
 /// 1 MiB budget holds ~hundreds of proof replies) and eviction is rare
 /// outside sustained cold scans.
 ///
-/// `clear()` drops all entries and counts one invalidation; hit/miss/
-/// eviction counters survive so end-of-run telemetry sees the whole
-/// history.
+/// The cache keeps no counters: its owner counts hits, misses,
+/// evictions (the count `put` returns) and invalidations through its
+/// own metrics.
 #[derive(Clone, Debug)]
 pub struct LruByteCache<V> {
     map: HashMap<Hash256, (V, usize, u64)>,
     budget: usize,
     bytes: usize,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    invalidations: u64,
 }
 
 impl<V> LruByteCache<V> {
@@ -150,27 +112,15 @@ impl<V> LruByteCache<V> {
             budget,
             bytes: 0,
             tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            invalidations: 0,
         }
     }
 
-    /// Looks up `key`, refreshing its recency; counts a hit or miss.
+    /// Looks up `key`, refreshing its recency.
     pub fn get(&mut self, key: &Hash256) -> Option<&V> {
         self.tick += 1;
-        match self.map.get_mut(key) {
-            Some((v, _, t)) => {
-                *t = self.tick;
-                self.hits += 1;
-                Some(&*v)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let (v, _, t) = self.map.get_mut(key)?;
+        *t = self.tick;
+        Some(&*v)
     }
 
     /// Inserts `value` weighing `bytes`, evicting LRU entries until the
@@ -202,15 +152,11 @@ impl<V> LruByteCache<V> {
         }
         self.map.insert(key, (value, bytes, self.tick));
         self.bytes += bytes;
-        self.evictions += evicted;
         evicted
     }
 
-    /// Drops all entries; counts one invalidation, keeps counters.
+    /// Drops all entries.
     pub fn clear(&mut self) {
-        if !self.map.is_empty() {
-            self.invalidations += 1;
-        }
         self.map.clear();
         self.bytes = 0;
     }
@@ -228,26 +174,6 @@ impl<V> LruByteCache<V> {
     /// Current total byte weight of cached values.
     pub fn bytes(&self) -> usize {
         self.bytes
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Entries evicted by the byte budget so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Wholesale `clear()`s so far (only non-empty clears count).
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations
     }
 }
 
@@ -272,9 +198,6 @@ mod tests {
         assert_eq!(c.get(1, &q(1)), None);
         c.put(1, &q(1), r(42));
         assert_eq!(c.get(1, &q(1)), Some(r(42)));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.hit_rate(), 0.5);
     }
 
     #[test]
@@ -305,16 +228,6 @@ mod tests {
         assert_eq!(c.len(), 1);
     }
 
-    #[test]
-    fn clear_keeps_counters() {
-        let mut c = QueryCache::new(2);
-        c.put(1, &q(1), r(1));
-        let _ = c.get(1, &q(1));
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.hits(), 1);
-    }
-
     fn h(n: u8) -> Hash256 {
         Sha256::digest(&[n])
     }
@@ -325,7 +238,7 @@ mod tests {
         assert!(c.get(&h(1)).is_none());
         assert_eq!(c.put(h(1), "a", 40), 0);
         assert_eq!(c.get(&h(1)), Some(&"a"));
-        assert_eq!((c.hits(), c.misses(), c.bytes()), (1, 1, 40));
+        assert_eq!(c.bytes(), 40);
     }
 
     #[test]
@@ -338,7 +251,6 @@ mod tests {
         assert!(c.get(&h(2)).is_none());
         assert_eq!(c.get(&h(1)), Some(&1));
         assert_eq!(c.get(&h(3)), Some(&3));
-        assert_eq!(c.evictions(), 1);
         assert!(c.bytes() <= 100);
     }
 
@@ -361,14 +273,12 @@ mod tests {
     }
 
     #[test]
-    fn lru_clear_counts_invalidation_once_and_keeps_counters() {
+    fn lru_clear_drops_entries_and_weight() {
         let mut c = LruByteCache::new(100);
         c.put(h(1), 1u32, 10);
-        let _ = c.get(&h(1));
         c.clear();
-        c.clear(); // Empty clear is not an invalidation.
         assert!(c.is_empty());
         assert_eq!(c.bytes(), 0);
-        assert_eq!((c.hits(), c.invalidations()), (1, 1));
+        assert!(c.get(&h(1)).is_none());
     }
 }

@@ -30,8 +30,9 @@
 //! * [`update`] — deterministic write operations;
 //! * [`cache`] — a `(version, query) → result` cache (the auditor's main
 //!   optimisation in Section 3.4);
-//! * [`snapshot`] — versioned snapshots enabling the delayed-discovery
-//!   rollback of Section 3.5 (O(1) per version thanks to structural
+//! * [`snapshot`] — versioned snapshots, each with the ops that produced
+//!   it, enabling the delayed-discovery rollback of Section 3.5 and
+//!   slave catch-up replays (O(1) per version thanks to structural
 //!   sharing);
 //! * [`proof`] — authenticated point reads: O(log n) Merkle path proofs
 //!   from a row or file up to [`Database::state_digest`], presence and

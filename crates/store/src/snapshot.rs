@@ -1,9 +1,13 @@
-//! Versioned snapshots supporting delayed-discovery rollback.
+//! The per-version history: each retained version's state and the ops
+//! that produced it.
 //!
 //! Section 3.5: after a delayed discovery "the harm may be undone, by
 //! rolling back the client to the state before that particular read".
-//! Masters and the auditor keep a bounded ring of per-version snapshots so
-//! any recent version can be re-materialised for re-execution or rollback.
+//! Masters keep a bounded ring of per-version snapshots so any recent
+//! version can be re-materialised for re-execution or rollback.  The same
+//! ring serves lazy-update catch-up (Section 3.1): each entry also holds
+//! the ops that produced its version, so [`SnapshotStore::writes_from`]
+//! replays what a lagging slave missed.
 //!
 //! Because [`Database`] is persistent, [`SnapshotStore::record`] retains
 //! an O(1) structural-sharing handle, not a deep copy: consecutive
@@ -12,12 +16,14 @@
 //! versions, not to `capacity x dataset`.
 
 use crate::database::Database;
+use crate::update::UpdateOp;
 use std::collections::BTreeMap;
 
-/// A bounded ring of `content_version → state` snapshots.
+/// A bounded ring of `content_version → (state, ops)` entries.
 #[derive(Clone, Debug)]
 pub struct SnapshotStore {
-    snaps: BTreeMap<u64, Database>,
+    /// The ops are `None` for a version no write produced (the seed).
+    snaps: BTreeMap<u64, (Database, Option<Vec<UpdateOp>>)>,
     capacity: usize,
 }
 
@@ -28,7 +34,7 @@ impl SnapshotStore {
     /// becomes a no-op and [`get`] never finds anything.  Use it for
     /// deployments that deliberately give up Section 3.5 rollback (every
     /// double-check for a non-current version then answers
-    /// `VersionUnavailable`).
+    /// `VersionUnavailable`) and slave catch-up replays.
     ///
     /// [`record`]: SnapshotStore::record
     /// [`get`]: SnapshotStore::get
@@ -39,61 +45,39 @@ impl SnapshotStore {
         }
     }
 
-    /// The configured capacity (0 = no-retention mode).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Records the state at its current version, evicting the oldest
-    /// snapshot beyond capacity.
+    /// Records the state at its current version with the `ops` that
+    /// produced it (`None` for the seed version, which is never
+    /// replayed), evicting the oldest entry beyond capacity.
     ///
     /// O(1) modulo the ring bookkeeping: the handle shares structure with
     /// the live database instead of deep-copying it.
-    pub fn record(&mut self, db: &Database) {
+    pub fn record(&mut self, db: &Database, ops: Option<Vec<UpdateOp>>) {
         if self.capacity == 0 {
             return;
         }
-        self.snaps.insert(db.version(), db.clone());
+        self.snaps.insert(db.version(), (db.clone(), ops));
         while self.snaps.len() > self.capacity {
-            let oldest = *self.snaps.keys().next().expect("non-empty");
-            self.snaps.remove(&oldest);
+            self.snaps.pop_first();
         }
     }
 
     /// The state at `version`, if retained.
     pub fn get(&self, version: u64) -> Option<&Database> {
-        self.snaps.get(&version)
+        self.snaps.get(&version).map(|(db, _)| db)
     }
 
-    /// Oldest retained version.
-    pub fn oldest(&self) -> Option<u64> {
-        self.snaps.keys().next().copied()
-    }
-
-    /// Newest retained version.
-    pub fn newest(&self) -> Option<u64> {
-        self.snaps.keys().next_back().copied()
+    /// Every retained write from `version` on, in ascending version
+    /// order: the replay a slave that lacks `version` needs.
+    pub fn writes_from(&self, version: u64) -> Vec<(u64, Vec<UpdateOp>)> {
+        self.snaps
+            .range(version..)
+            .filter_map(|(&v, (_, ops))| Some((v, ops.clone()?)))
+            .collect()
     }
 
     /// Retained versions in ascending order.
     pub fn versions(&self) -> Vec<u64> {
         self.snaps.keys().copied().collect()
-    }
-
-    /// Number of retained snapshots.
-    pub fn len(&self) -> usize {
-        self.snaps.len()
-    }
-
-    /// Whether no snapshots are retained.
-    pub fn is_empty(&self) -> bool {
-        self.snaps.is_empty()
-    }
-
-    /// Drops snapshots older than `version` (exclusive) — the auditor calls
-    /// this as it advances past audited versions.
-    pub fn prune_below(&mut self, version: u64) {
-        self.snaps = self.snaps.split_off(&version);
     }
 
     /// Shared-vs-owned node counts summed over every retained snapshot
@@ -106,7 +90,7 @@ impl SnapshotStore {
     /// proportional to churn between versions, not to `capacity × n`.
     pub fn node_stats(&self) -> crate::pmap::NodeStats {
         let mut out = crate::pmap::NodeStats::default();
-        for db in self.snaps.values() {
+        for (db, _) in self.snaps.values() {
             out.merge(db.node_stats());
         }
         out
@@ -119,13 +103,15 @@ mod tests {
     use crate::document::Document;
     use crate::update::UpdateOp;
 
-    fn advance(db: &mut Database, key: u64) {
-        db.apply_write(&[UpdateOp::Upsert {
+    /// Applies one upsert of row `key`; returns its ops for `record`.
+    fn advance(db: &mut Database, key: u64) -> Option<Vec<UpdateOp>> {
+        let ops = vec![UpdateOp::Upsert {
             table: "t".into(),
             key,
             doc: Document::new().with("k", key as i64),
-        }])
-        .unwrap();
+        }];
+        db.apply_write(&ops).unwrap();
+        Some(ops)
     }
 
     fn setup() -> Database {
@@ -142,11 +128,11 @@ mod tests {
     fn record_and_retrieve_versions() {
         let mut db = setup();
         let mut s = SnapshotStore::new(10);
-        s.record(&db); // v1
-        advance(&mut db, 1); // v2
-        s.record(&db);
-        advance(&mut db, 2); // v3
-        s.record(&db);
+        s.record(&db, None); // v1
+        let ops = advance(&mut db, 1); // v2
+        s.record(&db, ops);
+        let ops = advance(&mut db, 2); // v3
+        s.record(&db, ops);
 
         assert_eq!(s.get(2).unwrap().version(), 2);
         assert!(s.get(2).unwrap().table("t").unwrap().get(2).is_none());
@@ -158,30 +144,29 @@ mod tests {
         let mut db = setup();
         let mut s = SnapshotStore::new(2);
         for k in 1..=4 {
-            advance(&mut db, k);
-            s.record(&db);
+            let ops = advance(&mut db, k);
+            s.record(&db, ops);
         }
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.oldest(), Some(4));
-        assert_eq!(s.newest(), Some(5));
         assert_eq!(s.versions(), vec![4, 5]);
         assert!(s.get(2).is_none());
+        // Eviction drops a version's ops with its state.
+        assert_eq!(
+            s.writes_from(0).iter().map(|(v, _)| *v).collect::<Vec<_>>(),
+            vec![4, 5]
+        );
     }
 
     #[test]
     fn zero_capacity_is_no_retention_mode() {
         let mut db = setup();
         let mut s = SnapshotStore::new(0);
-        assert_eq!(s.capacity(), 0);
         for k in 1..=3 {
-            advance(&mut db, k);
-            s.record(&db);
+            let ops = advance(&mut db, k);
+            s.record(&db, ops);
         }
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
+        assert!(s.versions().is_empty());
         assert!(s.get(db.version()).is_none());
-        assert_eq!(s.oldest(), None);
-        assert_eq!(s.newest(), None);
+        assert!(s.writes_from(0).is_empty());
     }
 
     #[test]
@@ -191,7 +176,7 @@ mod tests {
             advance(&mut db, k);
         }
         let mut s = SnapshotStore::new(8);
-        s.record(&db);
+        s.record(&db, None);
         // One retained snapshot sharing everything with the live db:
         // nothing is exclusively owned by the ring.
         let one = s.node_stats();
@@ -202,11 +187,11 @@ mod tests {
         // grows with the churn (copied paths), while shared counts the
         // structure reused across versions.
         for k in 1..=4 {
-            advance(&mut db, k); // Upserts: touch existing keys only.
-            s.record(&db);
+            let ops = advance(&mut db, k); // Upserts: touch existing keys only.
+            s.record(&db, ops);
         }
         let many = s.node_stats();
-        assert_eq!(s.len(), 5);
+        assert_eq!(s.versions().len(), 5);
         assert!(many.total() > many.owned, "everything owned: {many:?}");
         // Total reachable across 5 snapshots of a 64-row table stays far
         // below 5 x 64 + overhead — retention cost is churn, not copies.
@@ -217,23 +202,27 @@ mod tests {
     }
 
     #[test]
-    fn prune_below_drops_old() {
+    fn writes_from_replays_every_write_but_never_the_seed() {
         let mut db = setup();
         let mut s = SnapshotStore::new(10);
+        s.record(&db, None); // v1, the seed: no ops.
+        let mut written = Vec::new();
         for k in 1..=3 {
-            advance(&mut db, k);
-            s.record(&db);
+            let ops = advance(&mut db, k);
+            s.record(&db, ops.clone());
+            written.push((db.version(), ops.unwrap()));
         }
-        s.prune_below(3);
-        assert_eq!(s.oldest(), Some(3));
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.writes_from(0), written);
+        assert_eq!(s.writes_from(1), written);
+        assert_eq!(s.writes_from(3), written[1..]);
+        assert!(s.writes_from(5).is_empty());
     }
 
     #[test]
     fn snapshot_is_isolated_from_live_state() {
         let mut db = setup();
         let mut s = SnapshotStore::new(10);
-        s.record(&db);
+        s.record(&db, None);
         let v1_digest = s.get(1).unwrap().state_digest();
         advance(&mut db, 9);
         assert_eq!(s.get(1).unwrap().state_digest(), v1_digest);
@@ -248,8 +237,8 @@ mod tests {
         let mut s = SnapshotStore::new(8);
         let mut reference = Vec::new();
         for k in 1..=6 {
-            advance(&mut db, k);
-            s.record(&db);
+            let ops = advance(&mut db, k);
+            s.record(&db, ops);
             reference.push((db.version(), db.state_digest()));
         }
         for (version, digest) in reference {
