@@ -366,7 +366,9 @@ fn bench_chunks(c: &mut Criterion) {
 /// Verified range reads on the 10k-row dataset: one O(log n + k) range
 /// proof for a 256-row page vs the strawman of 256 point proofs, and
 /// the manifest-slice stream header vs shipping the whole chunk table
-/// of a 1 MiB file.
+/// of a 1 MiB file.  Both sides ride the one proof engine: a point
+/// proof is the range of one, `[k, k]`, so the strawman measures 256
+/// ranges of one against one range of 256.
 fn bench_range(c: &mut Criterion) {
     let mut group = c.benchmark_group("range_10k");
     let db = large_dataset();
@@ -412,6 +414,7 @@ fn bench_range(c: &mut Criterion) {
                 .expect("verifies")
         })
     });
+    // 256 ranges of one, each a full root-to-row path.
     group.bench_function("verify_256_point_proofs", |b| {
         b.iter(|| {
             for (q, r, p) in &point_proofs {

@@ -89,9 +89,10 @@ impl AuditorState {
     pub fn enqueue(&mut self, pledge: Pledge, counters: &mut sdr_sim::Metrics) {
         let version = pledge.stamp.version;
         if version < self.db.version() {
-            // Its bucket already closed: under the advance rule no client
-            // can still accept this answer, so it was either checked in
-            // time or never mattered.
+            // Its bucket already closed, so it is never checked.  Yet the
+            // client accepted this answer in the same step that forwarded
+            // the pledge, before the pledge reached us: a late pledge is
+            // an accepted answer that nobody audits (`audit_late`).
             counters.inc(id::AUDIT_LATE);
             return;
         }

@@ -249,6 +249,9 @@ metrics_table! {
         audit_mismatch = counter AUDIT_MISMATCH "audit.mismatch";
         /// Pledges skipped by sampled auditing.
         audit_skipped = counter AUDIT_SKIPPED_SAMPLING "audit.skipped_sampling";
+        /// Pledges that reached the auditor after their version's bucket
+        /// closed: answers a client already accepted that nobody audits.
+        audit_late = counter AUDIT_LATE "audit.late";
         /// Writes committed.
         writes_committed = counter WRITE_COMMITTED "write.committed";
         /// Writes denied by ACL.
@@ -366,7 +369,6 @@ metrics_table! {
         series AUDIT_BACKLOG "audit.backlog";
         counter AUDIT_BOGUS_VERSION "audit.bogus_version";
         series AUDIT_LAG_US "audit.lag_us";
-        counter AUDIT_LATE "audit.late";
         counter AUDIT_QUERY_ERRORS "audit.query_errors";
         counter AUDIT_UNVERIFIABLE "audit.unverifiable";
         counter AUDIT_VERSION_ADVANCES "audit.version_advances";

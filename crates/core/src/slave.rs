@@ -312,9 +312,9 @@ pub struct SlaveProcess {
     /// Highest version this slave consumed-but-dropped (StaleServer only);
     /// keeps gap detection from re-requesting updates it chose to ignore.
     dropped_up_to: u64,
-    /// Result-hash bytes of every lie told (joined post-run against client
-    /// acceptance logs to measure wrong-accepted reads — the ground-truth
-    /// oracle described in DESIGN.md).
+    /// Result-hash bytes of every lie told, joined post-run against the
+    /// clients' acceptance logs to count `wrong_accepted` (`stats.rs`).
+    /// A lie this set does not record is not counted.
     lies_told: HashSet<Vec<u8>>,
     reads_served: u64,
     /// Hot-read fast path: honest `ProofReadReply` payloads memoized per
@@ -423,7 +423,15 @@ impl SlaveProcess {
         }
     }
 
+    /// Adopts a version stamp for pledges — only when it certifies the
+    /// version this replica has reached.  A stamp from ahead (a keep-alive
+    /// that overtook or outlived a lost update) would make an honest slave
+    /// pledge its older state's answers under a version it never applied,
+    /// and the audit, re-executing at that version, would convict it.
     fn accept_stamp(&mut self, stamp: VersionStamp) {
+        if stamp.version != self.effective_version() {
+            return;
+        }
         let newer = match &self.latest_stamp {
             Some(cur) => {
                 stamp.version > cur.version

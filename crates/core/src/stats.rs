@@ -175,7 +175,7 @@ impl SystemStats {
              lies: told={} wrong_accepted={} ({:.4}%)\n\
              double-check: sent={} mismatch={} throttled={}\n\
              discovery: immediate={} delayed={} exclusions={} reassignments={}\n\
-             audit: submitted={} checked={} cache_hits={} mismatch={} backlog={}\n\
+             audit: submitted={} checked={} cache_hits={} mismatch={} late={} backlog={}\n\
              caches: proof hit={} miss={} (rate={:.3}) evict={} inval={} bytes={} \
              stamp hit={} miss={} cert hit={} miss={}\n\
              sim: events={} queue_peak={} slots={} cancelled={} \
@@ -224,6 +224,7 @@ impl SystemStats {
             self.audit_checked,
             self.audit_cache_hits,
             self.audit_mismatch,
+            self.audit_late,
             self.audit_backlog,
             self.proof_cache_hits,
             self.proof_cache_misses,

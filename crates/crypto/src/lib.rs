@@ -58,7 +58,7 @@ pub use digest::{Digest, Hash160, Hash256};
 pub use drbg::HmacDrbg;
 pub use error::CryptoError;
 pub use hmac::{hmac_sha1, hmac_sha256, Hmac, HmacSha256};
-pub use merkle::{chunk_hash, verify_path, MerkleProof, MerkleRangeProof, MerkleTree, TreapStep};
+pub use merkle::{chunk_hash, MerkleProof, MerkleRangeProof, MerkleTree};
 pub use mss::{MssKeypair, MssPublicKey, MssSignature};
 pub use sha1::Sha1;
 pub use sha256::Sha256;

@@ -6,12 +6,11 @@
 //!   Merkle signature scheme (`crate::mss`) certifies one-time keys with
 //!   it, exactly the "hash-tree authentication [12]" the paper's
 //!   related-work section describes.
-//! * **Treap paths** ([`TreapStep`], [`verify_path`]) — authentication
-//!   paths through the search-tree-shaped digests the persistent store
-//!   (`sdr-store::pmap`) maintains, where every node carries an *entry*
-//!   (a key/value commitment) in addition to its two children.  These
-//!   back the protocol's authenticated point reads: a slave proves a row
-//!   or file against a master-signed state digest with O(log n) hashes.
+//! * Treap-shaped digests — the search trees of the persistent store
+//!   (`sdr-store::pmap`), where every node carries an *entry* (a
+//!   key/value commitment, [`entry_commitment`]) between its two
+//!   children ([`treap_node_hash`]).  The store's range proofs fold
+//!   these; a point read is the range of one.
 
 use crate::digest::{Digest, Hash256};
 use crate::error::CryptoError;
@@ -61,53 +60,6 @@ pub fn entry_commitment(key_commitment: &Hash256, value_commitment: &Hash256) ->
 /// `H(H(left, entry), right)`.
 pub fn treap_node_hash(left: &Hash256, entry: &Hash256, right: &Hash256) -> Hash256 {
     node_hash(&node_hash(left, entry), right)
-}
-
-/// One step up a treap-shaped authentication path: the ancestor's entry
-/// commitment, the subtree hash of its *other* child, and which side the
-/// proven subtree hangs off.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TreapStep {
-    /// The ancestor node's entry commitment ([`entry_commitment`]).
-    pub entry: Hash256,
-    /// Subtree hash of the ancestor's child on the *opposite* side.
-    pub sibling: Hash256,
-    /// `true` when the proven subtree is the ancestor's **left** child.
-    pub from_left: bool,
-}
-
-/// Folds a starting subtree hash up a treap authentication path,
-/// returning the implied root.  `steps` run leaf-to-root.
-pub fn fold_treap_path(start: &Hash256, steps: &[TreapStep]) -> Hash256 {
-    let mut acc = *start;
-    for step in steps {
-        acc = if step.from_left {
-            treap_node_hash(&acc, &step.entry, &step.sibling)
-        } else {
-            treap_node_hash(&step.sibling, &step.entry, &acc)
-        };
-    }
-    acc
-}
-
-/// Verifies that `start` (the commitment of the proven subtree — a
-/// present node's [`treap_node_hash`], or the empty-subtree digest for an
-/// absence proof) folds up `steps` to `root`.
-///
-/// This checks hash structure only; callers that need *semantic* claims
-/// (the path really is the search path for a key) must additionally
-/// check key ordering against the per-step keys they transported — the
-/// typed layer in `sdr-store` does exactly that.
-pub fn verify_path(
-    root: &Hash256,
-    start: &Hash256,
-    steps: &[TreapStep],
-) -> Result<(), CryptoError> {
-    if fold_treap_path(start, steps) == *root {
-        Ok(())
-    } else {
-        Err(CryptoError::InvalidProof)
-    }
 }
 
 /// A Merkle tree over a list of leaf hashes.
@@ -511,73 +463,5 @@ mod tests {
         let tree = MerkleTree::from_leaves(leaves(8)).unwrap();
         assert!(tree.prove_range(3, 3).is_err());
         assert!(tree.prove_range(3, 9).is_err());
-    }
-
-    /// A three-node treap (b at the root, a left, c right) proved by hand.
-    #[test]
-    fn treap_path_folds_to_root() {
-        let empty = leaf_hash(b"empty");
-        let entry = |k: &[u8], v: &[u8]| entry_commitment(&leaf_hash(k), &leaf_hash(v));
-        let ha = treap_node_hash(&empty, &entry(b"a", b"1"), &empty);
-        let hc = treap_node_hash(&empty, &entry(b"c", b"3"), &empty);
-        let root = treap_node_hash(&ha, &entry(b"b", b"2"), &hc);
-
-        // Prove `a` (left child of the root).
-        let steps = vec![TreapStep {
-            entry: entry(b"b", b"2"),
-            sibling: hc,
-            from_left: true,
-        }];
-        verify_path(&root, &ha, &steps).unwrap();
-        // Prove `c` (right child).
-        let steps_c = vec![TreapStep {
-            entry: entry(b"b", b"2"),
-            sibling: ha,
-            from_left: false,
-        }];
-        verify_path(&root, &hc, &steps_c).unwrap();
-        // Absence below `a`: the empty link folds up through a and b.
-        let absent = vec![
-            TreapStep {
-                entry: entry(b"a", b"1"),
-                sibling: empty,
-                from_left: true,
-            },
-            TreapStep {
-                entry: entry(b"b", b"2"),
-                sibling: hc,
-                from_left: true,
-            },
-        ];
-        verify_path(&root, &empty, &absent).unwrap();
-    }
-
-    #[test]
-    fn treap_path_rejects_tampering() {
-        let empty = leaf_hash(b"empty");
-        let entry = |k: &[u8], v: &[u8]| entry_commitment(&leaf_hash(k), &leaf_hash(v));
-        let ha = treap_node_hash(&empty, &entry(b"a", b"1"), &empty);
-        let root = treap_node_hash(&ha, &entry(b"b", b"2"), &empty);
-        let good = vec![TreapStep {
-            entry: entry(b"b", b"2"),
-            sibling: empty,
-            from_left: true,
-        }];
-        verify_path(&root, &ha, &good).unwrap();
-
-        // Flipping the side changes the fold.
-        let mut flipped = good.clone();
-        flipped[0].from_left = false;
-        assert!(verify_path(&root, &ha, &flipped).is_err());
-        // A forged entry (different value) fails.
-        let forged = treap_node_hash(&empty, &entry(b"a", b"666"), &empty);
-        assert!(verify_path(&root, &forged, &good).is_err());
-        // Entry/value separation: swapping key and value commitments fails.
-        let swapped = treap_node_hash(
-            &empty,
-            &entry_commitment(&leaf_hash(b"1"), &leaf_hash(b"a")),
-            &empty,
-        );
-        assert!(verify_path(&root, &swapped, &good).is_err());
     }
 }

@@ -50,7 +50,8 @@ use sdr_crypto::{Digest, Hash256, Sha256};
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Database {
-    tables: PMap<String, Table>,
+    /// Proofs read the table map directly ([`crate::proof`]).
+    pub(crate) tables: PMap<String, Table>,
     fs: FsView,
     version: u64,
 }
@@ -152,12 +153,6 @@ impl Database {
     /// Number of tables (part of the state-digest preimage).
     pub fn table_count(&self) -> usize {
         self.tables.len()
-    }
-
-    /// Inclusion proof for a table's entry in the table map (proof
-    /// plumbing; see [`crate::proof::RowProof`]).
-    pub fn prove_table_entry(&self, table: &str) -> crate::pmap::InclusionProof<String> {
-        self.tables.prove(&table.to_string())
     }
 
     /// Shared-vs-owned node counts across every persistent structure in

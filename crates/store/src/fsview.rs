@@ -36,7 +36,8 @@ pub struct GrepMatch {
 /// content (and the chunk store's bytes) structurally.
 #[derive(Clone, Debug, Default)]
 pub struct FsView {
-    files: PMap<String, FileManifest>,
+    /// Proofs read the path tree directly ([`crate::proof`]).
+    pub(crate) files: PMap<String, FileManifest>,
     store: ChunkStore,
 }
 
@@ -205,12 +206,6 @@ impl FsView {
     /// digests commit to every content byte.
     pub fn files_digest(&self) -> Hash256 {
         self.files.root_hash()
-    }
-
-    /// O(log n) inclusion (or absence) proof for a path against
-    /// [`FsView::files_digest`] (see [`PMap::prove`]).
-    pub fn prove_file(&self, path: &str) -> crate::pmap::InclusionProof<String> {
-        self.files.prove(&path.to_string())
     }
 
     /// Shared-vs-owned node counts across the path tree and the chunk

@@ -34,9 +34,10 @@
 //!   it, enabling the delayed-discovery rollback of Section 3.5 and
 //!   slave catch-up replays (O(1) per version thanks to structural
 //!   sharing);
-//! * [`proof`] — authenticated point reads: O(log n) Merkle path proofs
-//!   from a row or file up to [`Database::state_digest`], presence and
-//!   absence alike.
+//! * [`proof`] — authenticated static reads: one range-proof engine over
+//!   the persistent trees (a point read is the range of one), chained up
+//!   to [`Database::state_digest`] — presence, absence and completeness
+//!   alike.
 //!
 //! Everything is deterministic: canonical byte encodings make result hashes
 //! reproducible across masters, slaves, and the auditor, and the
@@ -54,13 +55,14 @@
 //!   until a double-check or the auditor's re-execution catches it.
 //!   Per-read cost: one result hash for the client, one re-execution for
 //!   the auditor.
-//! * **Proof-verified** (static point reads — `GetRow`, `ReadFile`): the
-//!   slave attaches a [`proof::StateProof`] anchored in a master-signed
-//!   state digest.  Correctness is *deterministic and immediate*: the
-//!   client verifies O(log n) hashes and needs no auditor, no
-//!   double-check, and no trust in the slave at all.  Per-read cost:
-//!   ~`depth × 65` proof bytes on the wire and O(log n) hashes at both
-//!   ends — no trusted-party work whatsoever.
+//! * **Proof-verified** (static reads — `GetRow`, `ReadFile`,
+//!   `ScanRange`): the slave attaches a [`proof::StateProof`] anchored in
+//!   a master-signed state digest.  Correctness is *deterministic and
+//!   immediate*: the client verifies O(log n + k) hashes and needs no
+//!   auditor, no double-check, and no trust in the slave at all.
+//!   Per point read: ~70 proof bytes per tree level on the wire (a key,
+//!   a value commitment and one sibling hash) and O(log n) hashes at
+//!   both ends — no trusted-party work whatsoever.
 //!
 //! Streamed file reads (`ReadFileRange`) extend the proof-verified
 //! path to large files: the slave sends one [`proof::StreamProof`]
@@ -81,18 +83,20 @@
 //! | `state_digest` after a write     | O(log n) re-hashed nodes        |
 //! | `state_digest`, nothing changed  | O(1)                            |
 //! | `prove_row` / `prove_file`       | O(log n) (cached subtree hashes)|
-//! | proof verification (client side) | O(log n) hashes                 |
+//! | point verification (client side) | O(log n) hashes                 |
 //!
-//! Range reads (`ScanRange`, half-open `[start, end)` over `k` rows)
-//! ride the same digest under one [`proof::RangeScanProof`]: a pruned
-//! treap skeleton whose out-of-range subtrees collapse to cached
-//! hashes and whose in-range rows are rebuilt from the claimed answer,
-//! so the proof attests membership *and* completeness — omitting any
-//! row changes the recomputed root:
+//! Every static read is one [`proof::TableProof`] or
+//! [`proof::FileProof`] over the same engine, a [`pmap::RangeProof`]: a
+//! pruned treap skeleton whose subtrees outside the key range collapse
+//! to cached hashes and whose in-range rows are rebuilt from the claimed
+//! answer, so the proof attests membership *and* completeness —
+//! omitting any row changes the recomputed root.  A point read proves
+//! `[key, key]`; a range read (`ScanRange`, half-open `[start, end)`
+//! over `k` rows) proves its range in one skeleton:
 //!
 //! | operation                           | cost                              |
 //! |-------------------------------------|-----------------------------------|
-//! | `k` point reads, proved one by one  | O(k log n) hashes, ~`k·depth×65` B|
+//! | `k` point reads, proved one by one  | O(k log n) hashes, ~`k·depth×70` B|
 //! | `prove_scan` / range verify         | O(log n + k) hashes               |
 //! | range proof on the wire             | O(log n) skeleton + O(k) rows     |
 //! | cross-shard stitched scan (s shards)| s range proofs, one per sub-range |
@@ -132,7 +136,7 @@
 //! [`Database::state_digest`] stays O(log n) per commit, so
 //! re-digesting after every write in a round costs far less than one
 //! signature.  That is what lets a single master-signed digest stamp
-//! anchor the round's final version (and every point-read [`proof`]
+//! anchor the round's final version (and every static-read [`proof`]
 //! served against it) instead of one stamp per write.
 
 #![forbid(unsafe_code)]
@@ -163,9 +167,9 @@ pub use error::StoreError;
 pub use exec::{execute, QueryCost};
 pub use fsview::FsView;
 pub use pattern::Pattern;
-pub use pmap::{InclusionProof, MerkleContent, NodeStats, PMap, ProofError, RangeProof};
+pub use pmap::{MerkleContent, NodeStats, PMap, ProofError, RangeProof};
 pub use predicate::{CmpOp, Predicate};
-pub use proof::{FileProof, RowProof, StateProof, StreamProof};
+pub use proof::{FileProof, StateProof, StreamProof, TableProof};
 pub use query::{Aggregate, Query, QueryResult};
 pub use snapshot::SnapshotStore;
 pub use table::Table;

@@ -17,33 +17,32 @@
 //! O(log n) nodes.
 //!
 //! Because the digest *is* a search tree, the map can also emit
-//! **authenticated point reads**: [`PMap::prove`] produces an
-//! [`InclusionProof`] — a hash path from an entry (or from the empty slot
-//! where a missing key would live) up to [`PMap::root_hash`] — reusing
-//! the cached subtree hashes so proof generation re-hashes only the
-//! O(log n) entry commitments along the search path.  Verification
-//! ([`InclusionProof::verify`]) checks both the hash fold and the
-//! BST search-order consistency of the path, so absence proofs are as
-//! binding as presence proofs.
+//! **authenticated reads**: [`PMap::prove_range`] produces a
+//! [`RangeProof`] — the tree skeleton around a key range, with every
+//! subtree outside the range collapsed to its cached hash — against
+//! [`PMap::root_hash`].  A point read is the range of one; a key's
+//! absence is proved by the same skeleton ending in the empty slot where
+//! the key would live.  Verification ([`RangeProof::verify`]) checks the
+//! hash fold and the BST order of the skeleton, so completeness and
+//! absence are as binding as presence.
 //!
 //! Cost model (n = entries, shared = a clone of this map is alive):
 //!
-//! | operation        | unshared        | shared                     |
-//! |------------------|-----------------|----------------------------|
-//! | `clone`          | O(1)            | O(1)                       |
-//! | `get` / `iter`   | O(log n) / O(n) | same                       |
-//! | `insert`/`remove`| O(log n)        | O(log n) node copies       |
-//! | `get_mut`        | O(log n)        | O(log n) node copies       |
-//! | `root_hash`      | O(1) amortized  | O(log n) after a mutation  |
-//! | `prove`/`verify` | O(log n)        | O(log n)                   |
+//! | operation              | unshared         | shared                      |
+//! |------------------------|------------------|-----------------------------|
+//! | `clone`                | O(1)             | O(1)                        |
+//! | `get` / `iter`         | O(log n) / O(n)  | same                        |
+//! | `insert`/`remove`      | O(log n)         | O(log n) node copies        |
+//! | `get_mut`              | O(log n)         | O(log n) node copies        |
+//! | `root_hash`            | O(1) amortized   | O(log n) after a mutation   |
+//! | `prove_range`/`verify` | O(log n + k)     | same (k = rows in range)    |
 
-use sdr_crypto::merkle::{
-    entry_commitment, fold_treap_path, leaf_hash, node_hash, treap_node_hash, TreapStep,
-};
+use sdr_crypto::merkle::{entry_commitment, leaf_hash, node_hash, treap_node_hash};
 use sdr_crypto::Hash256;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 
 /// Keys a [`PMap`] can index: ordered, cloneable, and canonically
@@ -311,137 +310,106 @@ impl<K: PKey, V: Clone + MerkleContent> PMap<K, V> {
         link_hash_uncached(&self.root)
     }
 
-    /// Produces an O(log n) inclusion (or absence) proof for `key`
-    /// against [`PMap::root_hash`].
+    /// Produces one O(log n + k) proof for every entry in the range that
+    /// starts at `start` (inclusive) and ends at `end` — including
+    /// *completeness*: a verifier that accepts the proof knows no
+    /// in-range entry was omitted.  A point read is the range of one,
+    /// `end = Bound::Included(key)`: a present key proves its value, an
+    /// absent one proves the empty slot where it would live.
     ///
-    /// Walks the search path, recording each ancestor's key, value
-    /// commitment, and opposite-subtree hash; subtree hashes come from
-    /// the per-node caches, so only the O(log n) entry commitments on
-    /// the path are re-hashed.  A missing key yields an absence proof:
-    /// the same path shape, anchored at the empty slot where the key
-    /// would live.
-    pub fn prove(&self, key: &K) -> InclusionProof<K> {
-        let mut steps = Vec::new();
-        let mut cur = &self.root;
-        loop {
-            let Some(n) = cur.as_deref() else {
-                steps.reverse();
-                return InclusionProof {
-                    anchor: ProofAnchor::Absent,
-                    steps,
-                };
-            };
-            match key.cmp(&n.key) {
-                Ordering::Equal => {
-                    steps.reverse();
-                    return InclusionProof {
-                        anchor: ProofAnchor::Present {
-                            left: link_hash(&n.left),
-                            right: link_hash(&n.right),
-                        },
-                        steps,
-                    };
-                }
-                Ordering::Less => {
-                    steps.push(ProofStep {
-                        key: n.key.clone(),
-                        value_commitment: value_commitment(&n.value),
-                        sibling: link_hash(&n.right),
-                        from_left: true,
-                    });
-                    cur = &n.left;
-                }
-                Ordering::Greater => {
-                    steps.push(ProofStep {
-                        key: n.key.clone(),
-                        value_commitment: value_commitment(&n.value),
-                        sibling: link_hash(&n.left),
-                        from_left: false,
-                    });
-                    cur = &n.right;
-                }
-            }
-        }
-    }
-
-    /// Produces one O(log n + k) proof for every entry in `[start, end)`
-    /// against [`PMap::root_hash`] — including *completeness*: a verifier
-    /// that accepts the proof knows no in-range entry was omitted.
-    ///
-    /// The proof is the tree skeleton around the range: the two boundary
-    /// search paths (out-of-range ancestors carry their value
-    /// commitments, out-of-range subtrees collapse to one cached subtree
-    /// hash each), with every maximal fully-in-range subtree collapsed to
-    /// a bare entry count.  Verification rebuilds those subtrees from the
-    /// claimed rows alone — the treap is deterministic, so a key set has
-    /// exactly one shape — and accepts only if the fold matches the root.
-    /// Completeness follows because a pruned subtree hash is only legal
-    /// where the BST bounds prove the subtree cannot intersect the range.
-    pub fn prove_range(&self, start: &K, end: &K) -> RangeProof<K> {
+    /// The proof is the tree skeleton around the range: the boundary
+    /// search paths, with out-of-range ancestors carrying their value
+    /// commitments, every subtree whose BST interval is disjoint from
+    /// the range collapsed to its cached subtree hash, and every maximal
+    /// fully-in-range subtree collapsed to a bare entry count.
+    /// Verification rebuilds those subtrees from the claimed rows alone —
+    /// the treap is deterministic, so a key set has exactly one shape —
+    /// and accepts only if the fold matches the root.  Completeness
+    /// follows because a pruned subtree hash is only legal where the BST
+    /// bounds prove the subtree cannot intersect the range.
+    pub fn prove_range(&self, start: &K, end: Bound<&K>) -> RangeProof<K> {
         RangeProof {
-            root: range_node(&self.root, start, end, None, None),
+            root: range_node(&self.root, &Span { start, end }, None, None),
         }
     }
 }
 
-/// Collapses an out-of-range subtree to its cached digest.
-fn prune<K: PKey, V: Clone + MerkleContent>(link: &Link<K, V>) -> RangeNode<K> {
-    match link {
-        None => RangeNode::Empty,
-        Some(_) => RangeNode::Pruned(link_hash(link)),
+/// The key range a [`RangeProof`] covers: `start` inclusive, `end` as
+/// given (`Included` for point reads, `Excluded` for scans).
+struct Span<'a, K> {
+    start: &'a K,
+    end: Bound<&'a K>,
+}
+
+impl<K: Ord> Span<'_, K> {
+    fn end_key(&self) -> Option<&K> {
+        match self.end {
+            Bound::Included(e) | Bound::Excluded(e) => Some(e),
+            Bound::Unbounded => None,
+        }
+    }
+
+    /// Whether `key` is in the range — the only test where `Included`
+    /// and `Excluded` differ.
+    fn contains(&self, key: &K) -> bool {
+        key >= self.start
+            && match self.end {
+                Bound::Included(e) => key <= e,
+                Bound::Excluded(e) => key < e,
+                Bound::Unbounded => true,
+            }
+    }
+
+    /// Whether no key of the open interval `(lo, hi)` can be in range.
+    fn disjoint(&self, lo: Option<&K>, hi: Option<&K>) -> bool {
+        hi.is_some_and(|h| h <= self.start)
+            || lo.is_some_and(|l| self.end_key().is_some_and(|e| l >= e))
+    }
+
+    /// Whether every key of the open interval `(lo, hi)` is in range.
+    fn covers(&self, lo: Option<&K>, hi: Option<&K>) -> bool {
+        lo.is_some_and(|l| l >= self.start)
+            && self.end_key().is_none_or(|e| hi.is_some_and(|h| h <= e))
     }
 }
 
-fn range_node<K: PKey, V: Clone + MerkleContent>(
-    link: &Link<K, V>,
-    start: &K,
-    end: &K,
-    lo: Option<&K>,
-    hi: Option<&K>,
+fn range_node<'t, K: PKey, V: Clone + MerkleContent>(
+    link: &'t Link<K, V>,
+    span: &Span<'_, K>,
+    lo: Option<&'t K>,
+    hi: Option<&'t K>,
 ) -> RangeNode<K> {
     let Some(n) = link.as_deref() else {
         return RangeNode::Empty;
     };
-    // The subtree's keys all lie in the open interval (lo, hi); when that
-    // interval sits inside [start, end), the verifier can rebuild the
-    // whole subtree from the rows, so only the count travels.
-    if lo.is_some_and(|l| l >= start) && hi.is_some_and(|h| h <= end) {
+    // The subtree's keys all lie in the open interval (lo, hi).
+    if span.disjoint(lo, hi) {
+        return RangeNode::Pruned(link_hash(link));
+    }
+    if span.covers(lo, hi) {
+        // The verifier rebuilds the whole subtree from the rows, so only
+        // the count travels.
         return RangeNode::InRange {
             count: n.len as u32,
         };
     }
-    if n.key < *start {
-        RangeNode::Path {
-            key: n.key.clone(),
-            value_commitment: Some(value_commitment(&n.value)),
-            left: Box::new(prune(&n.left)),
-            right: Box::new(range_node(&n.right, start, end, Some(&n.key), hi)),
-        }
-    } else if n.key >= *end {
-        RangeNode::Path {
-            key: n.key.clone(),
-            value_commitment: Some(value_commitment(&n.value)),
-            left: Box::new(range_node(&n.left, start, end, lo, Some(&n.key))),
-            right: Box::new(prune(&n.right)),
-        }
-    } else {
-        RangeNode::Path {
-            key: n.key.clone(),
-            value_commitment: None,
-            left: Box::new(range_node(&n.left, start, end, lo, Some(&n.key))),
-            right: Box::new(range_node(&n.right, start, end, Some(&n.key), hi)),
-        }
+    RangeNode::Path {
+        key: n.key.clone(),
+        value_commitment: (!span.contains(&n.key)).then(|| value_commitment(&n.value)),
+        left: Box::new(range_node(&n.left, span, lo, Some(&n.key))),
+        right: Box::new(range_node(&n.right, span, Some(&n.key), hi)),
     }
 }
 
 /// Why a proof failed verification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProofError {
-    /// A presence proof came without a value (or an absence proof with
-    /// one) — the proof's shape contradicts the claimed result.
+    /// The proof's shape contradicts the claimed result: a value where
+    /// the rows say none (or the reverse), rows left over or missing, or
+    /// a skeleton deeper than [`MAX_PROOF_DEPTH`].
     ShapeMismatch,
-    /// The path's keys are inconsistent with a binary search for the
-    /// target key (a malicious prover spliced paths together).
+    /// The skeleton's keys are inconsistent with the BST bounds around
+    /// them (a malicious prover spliced paths or hid rows).
     OrderViolation,
     /// The folded hash does not match the trusted root digest.
     RootMismatch,
@@ -457,142 +425,25 @@ impl fmt::Display for ProofError {
     }
 }
 
-/// What the proof is anchored at: the proven entry's node, or the empty
-/// slot where a missing key would live.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ProofAnchor {
-    /// The key is present; these are its node's child subtree hashes.
-    Present {
-        /// Subtree hash of the entry node's left child.
-        left: Hash256,
-        /// Subtree hash of the entry node's right child.
-        right: Hash256,
-    },
-    /// The key is absent; the anchor is the empty link its search
-    /// terminates at.
-    Absent,
-}
-
-/// One ancestor on an authentication path, keyed so verifiers can check
-/// search-order consistency (the value travels only as a commitment).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProofStep<K> {
-    /// The ancestor's key.
-    pub key: K,
-    /// Commitment to the ancestor's value.
-    pub value_commitment: Hash256,
-    /// Subtree hash of the ancestor's child on the opposite side.
-    pub sibling: Hash256,
-    /// `true` when the proven subtree is the ancestor's left child.
-    pub from_left: bool,
-}
-
-/// An O(log n) proof that a key is present with a given value — or
-/// absent — in a [`PMap`] with a known [`PMap::root_hash`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InclusionProof<K> {
-    /// Presence anchor (child hashes) or absence marker.
-    pub anchor: ProofAnchor,
-    /// Path steps, leaf-to-root order.
-    pub steps: Vec<ProofStep<K>>,
-}
-
-impl<K: PKey> InclusionProof<K> {
-    /// Folds the proof into the root digest it implies, checking shape
-    /// and search-order consistency on the way.
-    ///
-    /// `value_encoding` is the canonical encoding of the claimed value:
-    /// `Some` claims presence, `None` claims absence.  The search-order
-    /// check makes absence binding: the hash fold pins the path to real
-    /// tree nodes, and the per-step ordering check proves the path is
-    /// *the* BST search path for `key`, so an empty anchor means the key
-    /// is nowhere in the tree.
-    pub fn computed_root(
-        &self,
-        key: &K,
-        value_encoding: Option<&[u8]>,
-    ) -> Result<Hash256, ProofError> {
-        let start = match (&self.anchor, value_encoding) {
-            (ProofAnchor::Present { left, right }, Some(enc)) => {
-                let entry = entry_commitment(&key_commitment(key), &leaf_hash(enc));
-                treap_node_hash(left, &entry, right)
-            }
-            (ProofAnchor::Absent, None) => empty_hash(),
-            _ => return Err(ProofError::ShapeMismatch),
-        };
-        let mut crypto_steps = Vec::with_capacity(self.steps.len());
-        for step in &self.steps {
-            let consistent = match key.cmp(&step.key) {
-                Ordering::Less => step.from_left,
-                Ordering::Greater => !step.from_left,
-                Ordering::Equal => false, // The target cannot be its own ancestor.
-            };
-            if !consistent {
-                return Err(ProofError::OrderViolation);
-            }
-            crypto_steps.push(TreapStep {
-                entry: entry_commitment(&key_commitment(&step.key), &step.value_commitment),
-                sibling: step.sibling,
-                from_left: step.from_left,
-            });
-        }
-        Ok(fold_treap_path(&start, &crypto_steps))
-    }
-
-    /// Verifies the proof against a trusted root digest.
-    pub fn verify(
-        &self,
-        root: &Hash256,
-        key: &K,
-        value_encoding: Option<&[u8]>,
-    ) -> Result<(), ProofError> {
-        if self.computed_root(key, value_encoding)? == *root {
-            Ok(())
-        } else {
-            Err(ProofError::RootMismatch)
-        }
-    }
-
-    /// Whether this proof claims presence.
-    pub fn claims_present(&self) -> bool {
-        matches!(self.anchor, ProofAnchor::Present { .. })
-    }
-
-    /// Path length (tree depth of the proven slot).
-    pub fn depth(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Approximate wire size in bytes (anchor + per-step key, value
-    /// commitment, sibling hash, and direction bit).
-    pub fn wire_len(&self) -> usize {
-        let anchor = match self.anchor {
-            ProofAnchor::Present { .. } => 64,
-            ProofAnchor::Absent => 1,
-        };
-        let mut buf = Vec::new();
-        let steps: usize = self
-            .steps
-            .iter()
-            .map(|s| {
-                buf.clear();
-                s.key.encode_key(&mut buf);
-                buf.len() + 65
-            })
-            .sum();
-        anchor + steps
-    }
-}
+/// Deepest tree level a [`RangeProof`] fold descends to, counting the
+/// skeleton and the rebuilt in-range subtrees alike.  The fold recurses
+/// once per level before it compares any hash, so an unbounded skeleton
+/// from a Byzantine prover would overflow the verifier's stack.  The
+/// deepest honest proof measured on a 100k-row table (the `churn_mix`
+/// benchmark's catalogue, unsharded, seeds 11 and 23) is 41 levels; a
+/// treap's height grows as ~4.3 ln n, so 128 leaves room for tables far
+/// larger than memory.
+pub const MAX_PROOF_DEPTH: usize = 128;
 
 /// One node of a [`RangeProof`]'s tree skeleton.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RangeNode<K> {
     /// An empty link.
     Empty,
-    /// An out-of-range subtree, collapsed to its subtree digest.  Only
-    /// legal where the surrounding BST bounds prove the subtree is
-    /// disjoint from the queried range — that check is what makes
-    /// omission of in-range rows impossible.
+    /// A subtree collapsed to its subtree digest.  Only legal where the
+    /// surrounding BST bounds prove the subtree is disjoint from the
+    /// range — that check is what makes omission of in-range rows
+    /// impossible.
     Pruned(Hash256),
     /// One node on a boundary search path.  Out-of-range path nodes
     /// carry their value commitment; in-range path nodes take their
@@ -607,23 +458,23 @@ pub enum RangeNode<K> {
         /// Right child skeleton.
         right: Box<RangeNode<K>>,
     },
-    /// A maximal subtree entirely inside `[start, end)`: its next
-    /// `count` entries come from the claimed rows, and the verifier
-    /// rebuilds the (unique, deterministic) treap over them.
+    /// A maximal subtree entirely inside the range: its next `count`
+    /// entries come from the claimed rows, and the verifier rebuilds the
+    /// (unique, deterministic) treap over them.
     InRange {
         /// Number of rows this subtree consumes.
         count: u32,
     },
 }
 
-/// An O(log n + k) proof that `[start, end)` of a [`PMap`] contains
-/// exactly the k claimed rows — no more, no fewer — against
-/// [`PMap::root_hash`].  Built by [`PMap::prove_range`].
+/// An O(log n + k) proof that a key range of a [`PMap`] contains exactly
+/// the k claimed rows — no more, no fewer — against [`PMap::root_hash`].
+/// Built by [`PMap::prove_range`]; a point read is the range of one.
 ///
-/// Cost intuition: a k-row scan proved with [`PMap::prove`] ships and
-/// folds k full root-to-entry paths (k·O(log n) hashes); a `RangeProof`
-/// ships the two boundary paths once and k entry commitments, so both
-/// wire bytes and verify hashing drop to O(log n + k).
+/// Cost intuition: k point proofs ship and fold k full root-to-entry
+/// paths (k·O(log n) hashes); one range proof ships the boundary paths
+/// once and k entry commitments, so both wire bytes and verify hashing
+/// drop to O(log n + k).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RangeProof<K> {
     /// Root of the pruned tree skeleton.
@@ -635,31 +486,43 @@ impl<K: PKey> RangeProof<K> {
     /// encoding)`, ascending) into the root digest they imply.
     ///
     /// Checks, structurally: every pruned subtree is provably disjoint
-    /// from `[start, end)` (completeness), every in-range skeleton node
+    /// from the range (completeness), every in-range skeleton node
     /// matches the next claimed row, every `InRange` subtree's rows are
-    /// strictly ascending within its BST bounds, and the rows are
-    /// consumed exactly.  The caller compares the result against a
-    /// trusted digest (or uses [`RangeProof::verify`]).
+    /// strictly ascending within its BST bounds, the rows are consumed
+    /// exactly, and no level lies deeper than [`MAX_PROOF_DEPTH`].  The
+    /// caller compares the result against a trusted digest (or uses
+    /// [`RangeProof::verify`]).
     pub fn computed_root(
         &self,
         start: &K,
-        end: &K,
+        end: Bound<&K>,
         rows: &[(K, Vec<u8>)],
     ) -> Result<Hash256, ProofError> {
-        let metas: Vec<(u64, Hash256)> = rows
-            .iter()
-            .map(|(k, enc)| {
-                let mut buf = Vec::with_capacity(16);
-                k.encode_key(&mut buf);
-                (
-                    priority(&buf),
-                    entry_commitment(&key_commitment(k), &leaf_hash(enc)),
-                )
-            })
-            .collect();
-        let mut cursor = 0usize;
-        let hash = fold_range_node(&self.root, start, end, None, None, rows, &metas, &mut cursor)?;
-        if cursor != rows.len() {
+        let rows = rows.iter().map(|(k, enc)| claimed_row(k, enc)).collect();
+        self.fold(Span { start, end }, rows)
+    }
+
+    /// [`RangeProof::computed_root`] for the range of one, `[key, key]`:
+    /// `value` is the claimed encoding, `Some` claiming presence and
+    /// `None` absence.
+    pub fn point_root(&self, key: &K, value: Option<&[u8]>) -> Result<Hash256, ProofError> {
+        let row = value.map(|v| claimed_row(key, v)).into_iter().collect();
+        self.fold(Span { start: key, end: Bound::Included(key) }, row)
+    }
+
+    fn fold<'a>(
+        &self,
+        span: Span<'a, K>,
+        rows: Vec<Claimed<'a, K>>,
+    ) -> Result<Hash256, ProofError> {
+        let mut fold = Fold {
+            span,
+            rows,
+            cursor: 0,
+            buf: Vec::with_capacity(16),
+        };
+        let hash = fold.node(&self.root, None, None, 1)?;
+        if fold.cursor != fold.rows.len() {
             return Err(ProofError::ShapeMismatch);
         }
         Ok(hash)
@@ -670,7 +533,7 @@ impl<K: PKey> RangeProof<K> {
         &self,
         root: &Hash256,
         start: &K,
-        end: &K,
+        end: Bound<&K>,
         rows: &[(K, Vec<u8>)],
     ) -> Result<(), ProofError> {
         if self.computed_root(start, end, rows)? == *root {
@@ -687,113 +550,123 @@ impl<K: PKey> RangeProof<K> {
 
     /// Approximate wire size in bytes.
     pub fn wire_len(&self) -> usize {
-        range_node_wire_len(&self.root)
+        range_node_wire_len(&self.root, &mut Vec::with_capacity(16))
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn fold_range_node<'p, K: PKey>(
-    node: &'p RangeNode<K>,
-    start: &K,
-    end: &K,
-    lo: Option<&'p K>,
-    hi: Option<&'p K>,
-    rows: &[(K, Vec<u8>)],
-    metas: &[(u64, Hash256)],
-    cursor: &mut usize,
-) -> Result<Hash256, ProofError> {
-    match node {
-        // An empty link is safe to claim anywhere: its digest is a
-        // distinct domain, so a lie cannot fold to the trusted root.
-        RangeNode::Empty => Ok(empty_hash()),
-        RangeNode::Pruned(h) => {
-            // Keys here lie in (lo, hi); the subtree may be collapsed
-            // only when that interval cannot intersect [start, end).
-            let disjoint = hi.is_some_and(|h2| *h2 <= *start) || lo.is_some_and(|l| *l >= *end);
-            if disjoint {
-                Ok(*h)
-            } else {
-                Err(ProofError::OrderViolation)
-            }
-        }
-        RangeNode::InRange { count } => {
-            let contained =
-                lo.is_some_and(|l| *l >= *start) && hi.is_some_and(|h2| *h2 <= *end);
-            if !contained {
-                return Err(ProofError::OrderViolation);
-            }
-            let count = *count as usize;
-            let slice_end = cursor.checked_add(count).ok_or(ProofError::ShapeMismatch)?;
-            if count == 0 || slice_end > rows.len() {
-                return Err(ProofError::ShapeMismatch);
-            }
-            let (l, h) = (lo.expect("checked above"), hi.expect("checked above"));
-            for i in *cursor..slice_end {
-                let k = &rows[i].0;
-                let above_floor = if i == *cursor { *k > *l } else { *k > rows[i - 1].0 };
-                if !above_floor || *k >= *h {
+/// One claimed row as the fold uses it: key, heap priority, entry
+/// commitment.
+type Claimed<'a, K> = (&'a K, u64, Hash256);
+
+fn claimed_row<'a, K: PKey>(key: &'a K, value: &[u8]) -> Claimed<'a, K> {
+    let mut buf = Vec::with_capacity(16);
+    key.encode_key(&mut buf);
+    (key, priority(&buf), entry_commitment(&leaf_hash(&buf), &leaf_hash(value)))
+}
+
+/// One [`RangeProof`] fold: the range, the claimed rows (ascending), and
+/// how many of them the in-order walk has consumed.
+struct Fold<'a, K> {
+    span: Span<'a, K>,
+    rows: Vec<Claimed<'a, K>>,
+    cursor: usize,
+    /// Scratch space for key encodings.
+    buf: Vec<u8>,
+}
+
+impl<K: PKey> Fold<'_, K> {
+    fn node<'p>(
+        &mut self,
+        node: &'p RangeNode<K>,
+        lo: Option<&'p K>,
+        hi: Option<&'p K>,
+        depth: usize,
+    ) -> Result<Hash256, ProofError> {
+        match node {
+            // An empty link is safe to claim anywhere: its digest is a
+            // distinct domain, so a lie cannot fold to the trusted root.
+            RangeNode::Empty => Ok(empty_hash()),
+            RangeNode::Pruned(h) if self.span.disjoint(lo, hi) => Ok(*h),
+            RangeNode::Pruned(_) => Err(ProofError::OrderViolation),
+            // Only these two recurse, so only they can run deep.
+            _ if depth > MAX_PROOF_DEPTH => Err(ProofError::ShapeMismatch),
+            RangeNode::InRange { count } => {
+                if !self.span.covers(lo, hi) {
                     return Err(ProofError::OrderViolation);
                 }
-            }
-            let hash = fold_in_range(rows, metas, *cursor, slice_end);
-            *cursor = slice_end;
-            Ok(hash)
-        }
-        RangeNode::Path {
-            key,
-            value_commitment,
-            left,
-            right,
-        } => {
-            if lo.is_some_and(|l| *key <= *l) || hi.is_some_and(|h2| *key >= *h2) {
-                return Err(ProofError::OrderViolation);
-            }
-            // In-order: the left subtree's rows precede this node's.
-            let left_hash =
-                fold_range_node(left, start, end, lo, Some(key), rows, metas, cursor)?;
-            let in_range = *key >= *start && *key < *end;
-            let entry = match (in_range, value_commitment) {
-                (true, None) => {
-                    let i = *cursor;
-                    if i >= rows.len() || rows[i].0 != *key {
-                        return Err(ProofError::ShapeMismatch);
-                    }
-                    *cursor = i + 1;
-                    metas[i].1
+                let (a, count) = (self.cursor, *count as usize);
+                let b = a.checked_add(count).ok_or(ProofError::ShapeMismatch)?;
+                if count == 0 || b > self.rows.len() {
+                    return Err(ProofError::ShapeMismatch);
                 }
-                (false, Some(vc)) => entry_commitment(&key_commitment(key), vc),
-                _ => return Err(ProofError::ShapeMismatch),
-            };
-            let right_hash =
-                fold_range_node(right, start, end, Some(key), hi, rows, metas, cursor)?;
-            Ok(treap_node_hash(&left_hash, &entry, &right_hash))
+                for i in a..b {
+                    let floor = if i == a { lo } else { Some(self.rows[i - 1].0) };
+                    let k = self.rows[i].0;
+                    if floor.is_some_and(|f| k <= f) || hi.is_some_and(|h| k >= h) {
+                        return Err(ProofError::OrderViolation);
+                    }
+                }
+                let hash = self.in_range(a, b, depth)?;
+                self.cursor = b;
+                Ok(hash)
+            }
+            RangeNode::Path {
+                key,
+                value_commitment,
+                left,
+                right,
+            } => {
+                if lo.is_some_and(|l| key <= l) || hi.is_some_and(|h| key >= h) {
+                    return Err(ProofError::OrderViolation);
+                }
+                // In-order: the left subtree's rows precede this node's.
+                let left_hash = self.node(left, lo, Some(key), depth + 1)?;
+                let entry = match (self.span.contains(key), value_commitment) {
+                    (true, None) => {
+                        let i = self.cursor;
+                        if i >= self.rows.len() || self.rows[i].0 != key {
+                            return Err(ProofError::ShapeMismatch);
+                        }
+                        self.cursor = i + 1;
+                        self.rows[i].2
+                    }
+                    (false, Some(vc)) => {
+                        self.buf.clear();
+                        key.encode_key(&mut self.buf);
+                        entry_commitment(&leaf_hash(&self.buf), vc)
+                    }
+                    _ => return Err(ProofError::ShapeMismatch),
+                };
+                let right_hash = self.node(right, Some(key), hi, depth + 1)?;
+                Ok(treap_node_hash(&left_hash, &entry, &right_hash))
+            }
         }
     }
-}
 
-/// Rebuilds the digest of the unique deterministic treap over
-/// `rows[a..b]` — the node with the maximal `(priority, key)` is the
-/// root, recursively.  Expected O(k log k) like any treap build.
-fn fold_in_range<K: PKey>(
-    rows: &[(K, Vec<u8>)],
-    metas: &[(u64, Hash256)],
-    a: usize,
-    b: usize,
-) -> Hash256 {
-    if a >= b {
-        return empty_hash();
-    }
-    let mut root = a;
-    for i in a + 1..b {
-        if heap_gt(metas[i].0, &rows[i].0, metas[root].0, &rows[root].0) {
-            root = i;
+    /// Rebuilds the digest of the unique deterministic treap over
+    /// `rows[a..b]` — the row with the maximal `(priority, key)` is the
+    /// root, recursively.  Expected O(k log k) like any treap build; its
+    /// levels count towards [`MAX_PROOF_DEPTH`] like the skeleton's.
+    fn in_range(&self, a: usize, b: usize, depth: usize) -> Result<Hash256, ProofError> {
+        if a >= b {
+            return Ok(empty_hash());
         }
+        if depth > MAX_PROOF_DEPTH {
+            return Err(ProofError::ShapeMismatch);
+        }
+        let rows = &self.rows;
+        let mut root = a;
+        for i in a + 1..b {
+            if heap_gt(rows[i].1, rows[i].0, rows[root].1, rows[root].0) {
+                root = i;
+            }
+        }
+        Ok(treap_node_hash(
+            &self.in_range(a, root, depth + 1)?,
+            &rows[root].2,
+            &self.in_range(root + 1, b, depth + 1)?,
+        ))
     }
-    treap_node_hash(
-        &fold_in_range(rows, metas, a, root),
-        &metas[root].1,
-        &fold_in_range(rows, metas, root + 1, b),
-    )
 }
 
 fn range_node_depth<K>(node: &RangeNode<K>) -> usize {
@@ -805,7 +678,8 @@ fn range_node_depth<K>(node: &RangeNode<K>) -> usize {
     }
 }
 
-fn range_node_wire_len<K: PKey>(node: &RangeNode<K>) -> usize {
+/// `buf` is scratch space for key encodings.
+fn range_node_wire_len<K: PKey>(node: &RangeNode<K>, buf: &mut Vec<u8>) -> usize {
     match node {
         RangeNode::Empty => 1,
         RangeNode::Pruned(_) => 33,
@@ -816,12 +690,12 @@ fn range_node_wire_len<K: PKey>(node: &RangeNode<K>) -> usize {
             left,
             right,
         } => {
-            let mut buf = Vec::with_capacity(16);
-            key.encode_key(&mut buf);
+            buf.clear();
+            key.encode_key(buf);
             2 + buf.len()
                 + if value_commitment.is_some() { 32 } else { 0 }
-                + range_node_wire_len(left)
-                + range_node_wire_len(right)
+                + range_node_wire_len(left, buf)
+                + range_node_wire_len(right, buf)
         }
     }
 }
@@ -1269,29 +1143,39 @@ mod tests {
         out
     }
 
+    /// The range of one, `[k, k]`: a point read.
+    fn prove_point(m: &PMap<u64, String>, k: u64) -> RangeProof<u64> {
+        m.prove_range(&k, Bound::Included(&k))
+    }
+
+    fn verify_point(
+        proof: &RangeProof<u64>,
+        root: &Hash256,
+        k: u64,
+        value: Option<&str>,
+    ) -> Result<(), ProofError> {
+        let row: Vec<(u64, Vec<u8>)> = value.map(|v| (k, enc(v))).into_iter().collect();
+        proof.verify(root, &k, Bound::Included(&k), &row)
+    }
+
     #[test]
     fn proofs_verify_for_every_key_and_gap() {
         let m = map_of(&[2, 4, 6, 8, 10, 12, 14]);
         let root = m.root_hash();
         for k in 0..16u64 {
-            let proof = m.prove(&k);
+            let proof = prove_point(&m, k);
             if m.contains_key(&k) {
-                assert!(proof.claims_present());
-                proof.verify(&root, &k, Some(&enc(&format!("v{k}")))).unwrap();
+                verify_point(&proof, &root, k, Some(&format!("v{k}"))).unwrap();
                 // The right value is bound: a different value fails.
                 assert_eq!(
-                    proof.verify(&root, &k, Some(&enc("wrong"))),
+                    verify_point(&proof, &root, k, Some("wrong")),
                     Err(ProofError::RootMismatch)
                 );
                 // Claiming absence of a present key fails on shape.
-                assert_eq!(proof.verify(&root, &k, None), Err(ProofError::ShapeMismatch));
+                assert_eq!(verify_point(&proof, &root, k, None), Err(ProofError::ShapeMismatch));
             } else {
-                assert!(!proof.claims_present());
-                proof.verify(&root, &k, None).unwrap();
-                assert_eq!(
-                    proof.verify(&root, &k, Some(&enc("ghost"))),
-                    Err(ProofError::ShapeMismatch)
-                );
+                verify_point(&proof, &root, k, None).unwrap();
+                assert!(verify_point(&proof, &root, k, Some("ghost")).is_err());
             }
         }
     }
@@ -1299,73 +1183,103 @@ mod tests {
     #[test]
     fn empty_map_absence_proof() {
         let m: PMap<u64, String> = PMap::new();
-        let proof = m.prove(&7);
+        let proof = prove_point(&m, 7);
         assert_eq!(proof.depth(), 0);
-        proof.verify(&m.root_hash(), &7, None).unwrap();
+        verify_point(&proof, &m.root_hash(), 7, None).unwrap();
     }
 
     #[test]
     fn single_key_proofs() {
         let m = map_of(&[5]);
         let root = m.root_hash();
-        m.prove(&5).verify(&root, &5, Some(&enc("v5"))).unwrap();
+        verify_point(&prove_point(&m, 5), &root, 5, Some("v5")).unwrap();
         // Absence on both sides of the only key.
-        m.prove(&0).verify(&root, &0, None).unwrap();
-        m.prove(&u64::MAX).verify(&root, &u64::MAX, None).unwrap();
+        verify_point(&prove_point(&m, 0), &root, 0, None).unwrap();
+        verify_point(&prove_point(&m, u64::MAX), &root, u64::MAX, None).unwrap();
     }
 
     #[test]
     fn absence_proofs_at_both_ends_of_key_range() {
         let m = map_of(&(10..50).collect::<Vec<_>>());
         let root = m.root_hash();
-        m.prove(&0).verify(&root, &0, None).unwrap();
-        m.prove(&9).verify(&root, &9, None).unwrap();
-        m.prove(&50).verify(&root, &50, None).unwrap();
-        m.prove(&u64::MAX).verify(&root, &u64::MAX, None).unwrap();
+        for k in [0, 9, 50, u64::MAX] {
+            verify_point(&prove_point(&m, k), &root, k, None).unwrap();
+        }
+        // The extremes of the key space are provable when present too:
+        // `[u64::MAX, u64::MAX]` needs no `key + 1`.
+        let m = map_of(&[0, 7, u64::MAX]);
+        let root = m.root_hash();
+        for k in [0, u64::MAX] {
+            verify_point(&prove_point(&m, k), &root, k, Some(&format!("v{k}"))).unwrap();
+        }
     }
 
     #[test]
     fn proof_fails_against_digest_after_write() {
         let mut m = map_of(&[1, 2, 3]);
-        let proof = m.prove(&2);
+        let proof = prove_point(&m, 2);
         let old_root = m.root_hash();
         m.insert(4, "v4".to_string());
         let new_root = m.root_hash();
         // Still good against the root it was made for...
-        proof.verify(&old_root, &2, Some(&enc("v2"))).unwrap();
+        verify_point(&proof, &old_root, 2, Some("v2")).unwrap();
         // ...but stale against the post-write digest.
         assert_eq!(
-            proof.verify(&new_root, &2, Some(&enc("v2"))),
+            verify_point(&proof, &new_root, 2, Some("v2")),
             Err(ProofError::RootMismatch)
         );
         // A fresh proof tracks the new digest.
-        m.prove(&2).verify(&new_root, &2, Some(&enc("v2"))).unwrap();
+        verify_point(&prove_point(&m, 2), &new_root, 2, Some("v2")).unwrap();
     }
 
     #[test]
     fn spliced_path_rejected_by_order_check() {
         let m = map_of(&(0..32).collect::<Vec<_>>());
         let root = m.root_hash();
-        let mut proof = m.prove(&3);
-        assert!(!proof.steps.is_empty());
-        // Flip a step's direction: the fold changes AND the ordering
-        // check must fire before any hashing can be confused.
-        let i = proof.steps.len() - 1;
-        proof.steps[i].from_left = !proof.steps[i].from_left;
-        assert!(matches!(
-            proof.verify(&root, &3, Some(&enc("v3"))),
+        let mut proof = prove_point(&m, 3);
+        // Mirror the root: the path now descends on the wrong side of
+        // its first key, which the bounds check catches before any hash.
+        let RangeNode::Path { left, right, .. } = &mut proof.root else {
+            panic!("a 32-key map has a root path node")
+        };
+        std::mem::swap(left, right);
+        assert_eq!(
+            verify_point(&proof, &root, 3, Some("v3")),
             Err(ProofError::OrderViolation)
-        ));
+        );
     }
 
     #[test]
     fn proof_depth_is_logarithmic() {
         let m = map_of(&(0..1024).collect::<Vec<_>>());
-        let worst = (0..1024u64).map(|k| m.prove(&k).depth()).max().unwrap();
+        let worst = (0..1024u64).map(|k| prove_point(&m, k).depth()).max().unwrap();
         // A deterministic treap over 1024 keys stays well under the
         // linear worst case; generous bound to avoid flakiness.
         assert!(worst <= 40, "worst proof depth {worst}");
-        assert!(m.prove(&0).wire_len() > 0);
+        assert!(prove_point(&m, 0).wire_len() > 0);
+    }
+
+    /// The point proof is the search path alone: every sibling subtree,
+    /// the target's own children included, collapses to one hash.
+    #[test]
+    fn point_proof_prunes_every_subtree_off_the_path() {
+        fn count(node: &RangeNode<u64>) -> (usize, usize) {
+            match node {
+                RangeNode::Path { left, right, .. } => {
+                    let (l, r) = (count(left), count(right));
+                    (1 + l.0 + r.0, l.1 + r.1)
+                }
+                RangeNode::InRange { .. } => (0, 1),
+                _ => (0, 0),
+            }
+        }
+        let m = map_of(&(0..1024).collect::<Vec<_>>());
+        for k in [0u64, 511, 1023, 5000] {
+            let proof = prove_point(&m, k);
+            let (paths, in_range) = count(&proof.root);
+            assert_eq!(paths, proof.depth(), "key {k}: one path, no branches");
+            assert_eq!(in_range, 0);
+        }
     }
 
     /// The rows a correct slave would return for `[start, end)`.
@@ -1383,11 +1297,21 @@ mod tests {
         for start in 0..=42u64 {
             for end in start..=42 {
                 let rows = rows_of(&m, start, end);
-                let proof = m.prove_range(&start, &end);
+                let proof = m.prove_range(&start, Bound::Excluded(&end));
                 proof
-                    .verify(&root, &start, &end, &rows)
+                    .verify(&root, &start, Bound::Excluded(&end), &rows)
                     .unwrap_or_else(|e| panic!("[{start},{end}): {e}"));
+                // The closed range adds exactly the row at `end`, if any.
+                let mut closed = rows.clone();
+                closed.extend(m.get(&end).map(|v| (end, enc(v))));
+                m.prove_range(&start, Bound::Included(&end))
+                    .verify(&root, &start, Bound::Included(&end), &closed)
+                    .unwrap_or_else(|e| panic!("[{start},{end}]: {e}"));
             }
+            let tail = rows_of(&m, start, u64::MAX);
+            m.prove_range(&start, Bound::Unbounded)
+                .verify(&root, &start, Bound::Unbounded, &tail)
+                .unwrap_or_else(|e| panic!("[{start},..): {e}"));
         }
     }
 
@@ -1396,45 +1320,45 @@ mod tests {
         let m = map_of(&(0..100).collect::<Vec<_>>());
         let rows = rows_of(&m, 0, 1000);
         assert_eq!(rows.len(), 100);
-        let proof = m.prove_range(&0, &1000);
-        proof.verify(&m.root_hash(), &0, &1000, &rows).unwrap();
+        let proof = m.prove_range(&0, Bound::Excluded(&1000));
+        proof.verify(&m.root_hash(), &0, Bound::Excluded(&1000), &rows).unwrap();
 
         let empty: PMap<u64, String> = PMap::new();
-        let proof = empty.prove_range(&0, &1000);
-        proof.verify(&empty.root_hash(), &0, &1000, &[]).unwrap();
+        let proof = empty.prove_range(&0, Bound::Excluded(&1000));
+        proof.verify(&empty.root_hash(), &0, Bound::Excluded(&1000), &[]).unwrap();
     }
 
     #[test]
     fn range_proof_rejects_row_mutations() {
         let m = map_of(&(0..64).collect::<Vec<_>>());
         let root = m.root_hash();
-        let (start, end) = (10u64, 30u64);
-        let rows = rows_of(&m, start, end);
-        let proof = m.prove_range(&start, &end);
-        proof.verify(&root, &start, &end, &rows).unwrap();
+        let (start, end) = (10u64, Bound::Excluded(&30u64));
+        let rows = rows_of(&m, start, 30);
+        let proof = m.prove_range(&start, end);
+        proof.verify(&root, &start, end, &rows).unwrap();
 
         // Dropping any single row is caught (completeness).
         for i in 0..rows.len() {
             let mut dropped = rows.clone();
             dropped.remove(i);
             assert!(
-                proof.verify(&root, &start, &end, &dropped).is_err(),
+                proof.verify(&root, &start, end, &dropped).is_err(),
                 "dropping row {i} accepted"
             );
         }
         // Inserting a phantom row is caught.
         let mut extra = rows.clone();
         extra.insert(5, (15, enc("phantom")));
-        assert!(proof.verify(&root, &start, &end, &extra).is_err());
+        assert!(proof.verify(&root, &start, end, &extra).is_err());
         // Reordering is caught.
         let mut swapped = rows.clone();
         swapped.swap(3, 4);
-        assert!(proof.verify(&root, &start, &end, &swapped).is_err());
+        assert!(proof.verify(&root, &start, end, &swapped).is_err());
         // A wrong value is caught.
         let mut forged = rows.clone();
         forged[7].1 = enc("wrong");
         assert_eq!(
-            proof.verify(&root, &start, &end, &forged),
+            proof.verify(&root, &start, end, &forged),
             Err(ProofError::RootMismatch)
         );
     }
@@ -1472,29 +1396,29 @@ mod tests {
     fn range_proof_rejects_skeleton_tampering() {
         let m = map_of(&(0..64).collect::<Vec<_>>());
         let root = m.root_hash();
-        let (start, end) = (10u64, 30u64);
-        let rows = rows_of(&m, start, end);
+        let (start, end) = (10u64, Bound::Excluded(&30u64));
+        let rows = rows_of(&m, start, 30);
 
-        let mut poisoned = m.prove_range(&start, &end);
+        let mut poisoned = m.prove_range(&start, end);
         assert!(poison_first_pruned(&mut poisoned.root));
         assert_eq!(
-            poisoned.verify(&root, &start, &end, &rows),
+            poisoned.verify(&root, &start, end, &rows),
             Err(ProofError::RootMismatch)
         );
 
         // Omission: pruning an in-range subtree must fail the bounds
         // check (OrderViolation) no matter what hash it claims, even
         // when the rows are truncated to match.
-        let mut hiding = m.prove_range(&start, &end);
+        let mut hiding = m.prove_range(&start, end);
         assert!(hide_first_in_range(&mut hiding.root));
         assert!(matches!(
-            hiding.verify(&root, &start, &end, &rows),
+            hiding.verify(&root, &start, end, &rows),
             Err(ProofError::OrderViolation | ProofError::ShapeMismatch)
         ));
         for cut in 0..rows.len() {
             let truncated = &rows[..cut];
             assert!(
-                hiding.verify(&root, &start, &end, truncated).is_err(),
+                hiding.verify(&root, &start, end, truncated).is_err(),
                 "omission with {cut} rows accepted"
             );
         }
@@ -1504,12 +1428,12 @@ mod tests {
     fn range_proof_is_stale_after_write() {
         let mut m = map_of(&(0..32).collect::<Vec<_>>());
         let rows = rows_of(&m, 5, 15);
-        let proof = m.prove_range(&5, &15);
+        let proof = m.prove_range(&5, Bound::Excluded(&15));
         let old_root = m.root_hash();
         m.insert(7, "rewritten".to_string());
-        proof.verify(&old_root, &5, &15, &rows).unwrap();
+        proof.verify(&old_root, &5, Bound::Excluded(&15), &rows).unwrap();
         assert_eq!(
-            proof.verify(&m.root_hash(), &5, &15, &rows),
+            proof.verify(&m.root_hash(), &5, Bound::Excluded(&15), &rows),
             Err(ProofError::RootMismatch)
         );
     }
@@ -1520,17 +1444,84 @@ mod tests {
         let (start, end) = (1000u64, 1256u64);
         let rows = rows_of(&m, start, end);
         assert_eq!(rows.len(), 256);
-        let range = m.prove_range(&start, &end);
-        range.verify(&m.root_hash(), &start, &end, &rows).unwrap();
+        let range = m.prove_range(&start, Bound::Excluded(&end));
+        range.verify(&m.root_hash(), &start, Bound::Excluded(&end), &rows).unwrap();
 
-        let point_wire: usize = (start..end).map(|k| m.prove(&k).wire_len()).sum();
+        let point_wire: usize = (start..end).map(|k| prove_point(&m, k).wire_len()).sum();
         assert!(
             range.wire_len() * 5 <= point_wire,
-            "range proof {} bytes vs {} for 256 point proofs",
+            "range proof {} bytes vs {} for 256 ranges of one",
             range.wire_len(),
             point_wire
         );
         assert!(range.depth() <= 80, "boundary depth {}", range.depth());
+    }
+
+    /// A Byzantine prover's right spine of out-of-range `Path` nodes with
+    /// ascending keys passes every order check; without a depth bound
+    /// the recursive fold overflows the verifier's stack long before it
+    /// compares a hash.  Run on a 2 MiB thread, the size Rust gives
+    /// spawned threads by default.
+    #[test]
+    fn deep_skeleton_is_rejected_not_a_stack_overflow() {
+        const LEVELS: u64 = 10_000;
+        let verdict = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut node = RangeNode::Empty;
+                for k in (1..=LEVELS).rev() {
+                    node = RangeNode::Path {
+                        key: k,
+                        value_commitment: Some(leaf_hash(b"v")),
+                        left: Box::new(RangeNode::Empty),
+                        right: Box::new(node),
+                    };
+                }
+                let proof = RangeProof { root: node };
+                let key = LEVELS + 1;
+                let verdict = verify_point(&proof, &leaf_hash(b"root"), key, None);
+                // Dropping the spine recurses too; that much depth is
+                // fine (the decoder's own bound is a separate concern).
+                drop(proof);
+                verdict
+            })
+            .expect("spawn")
+            .join()
+            .expect("the fold returns instead of overflowing");
+        assert_eq!(verdict, Err(ProofError::ShapeMismatch));
+
+        // The same depth hidden in an `InRange` rebuild: rows whose
+        // priorities fall as their keys rise rebuild a right spine.
+        let prio = |k: u64| {
+            let mut buf = Vec::new();
+            k.encode_key(&mut buf);
+            priority(&buf)
+        };
+        let (mut rows, mut floor) = (vec![(1u64, enc("x"))], u64::MAX);
+        for k in 2.. {
+            let p = prio(k);
+            if p < floor && floor - p < u64::MAX / 256 {
+                rows.push((k, enc("x")));
+                floor = p;
+                if rows.len() > MAX_PROOF_DEPTH + 50 {
+                    break;
+                }
+            }
+        }
+        let proof = RangeProof {
+            root: RangeNode::Path {
+                key: 1,
+                value_commitment: None,
+                left: Box::new(RangeNode::Empty),
+                right: Box::new(RangeNode::InRange {
+                    count: rows.len() as u32 - 1,
+                }),
+            },
+        };
+        assert_eq!(
+            proof.computed_root(&1, Bound::Unbounded, &rows),
+            Err(ProofError::ShapeMismatch)
+        );
     }
 
     #[test]

@@ -1,65 +1,93 @@
-//! Whole-state authentication: chaining a point read to the state digest.
+//! Whole-state authentication: chaining a static read to the state digest.
 //!
-//! [`crate::pmap::InclusionProof`] authenticates one entry against one
-//! map's root.  The state digest, however, commits to a *two-level*
-//! structure: rows live in a table's row map, the table lives (as its
-//! row-map root) in the database's table map, and the digest binds the
-//! table map root, the file tree root, the table count, and the content
-//! version.  The types here splice the levels together so a slave can
-//! hand a client one self-contained object that verifies a `GetRow` or
-//! `ReadFile` answer — presence *or* absence — directly against a
-//! master-signed [`Database::state_digest`], with no pledge, audit, or
-//! trusted re-execution involved.
+//! One engine proves every static read: a [`RangeProof`] over one
+//! persistent map, where a point read is the range of one (`[key, key]`).
+//! The state digest, however, commits to a *two-level* structure: rows
+//! live in a table's row map, the table lives (as its row-map root) in
+//! the database's table map, and the digest binds the table map root,
+//! the file tree root, the table count, and the content version.  The
+//! types here splice the levels together so a slave can hand a client
+//! one self-contained object that verifies a `GetRow`, `ReadFile` or
+//! `ScanRange` answer — presence, absence *and* completeness — directly
+//! against a master-signed [`Database::state_digest`], with no pledge,
+//! audit, or trusted re-execution involved:
 //!
-//! Everything stays O(log n): proof generation walks one search path per
-//! level reusing cached subtree hashes, and verification re-hashes only
-//! the path.
+//! * rows: rows range → rows root → table entry `[name, name]` → tables
+//!   root → digest ([`TableProof`], for `GetRow` and `ScanRange` alike);
+//! * files: path entry `[path, path]` → files root → digest
+//!   ([`FileProof`], and [`StreamProof`] for chunk-by-chunk reads).
+//!
+//! Everything stays O(log n + k): proof generation walks the boundary
+//! search paths per level reusing cached subtree hashes, and
+//! verification re-hashes only the skeleton and the k claimed rows.
 
 use crate::chunk::{ChunkId, FileManifest, ManifestSlice};
 use crate::database::{digest_from_parts, Database};
 use crate::document::Document;
 use crate::error::StoreError;
-use crate::pmap::{InclusionProof, MerkleContent, ProofError, RangeProof};
+use crate::pmap::{MerkleContent, ProofError, RangeProof};
 use crate::query::{Query, QueryResult};
 use sdr_crypto::Hash256;
+use std::ops::Bound;
 
-/// Proof that a row is present (with given content) or absent in a table,
-/// chained up to the database's state digest.
+/// Compares a recomputed state digest with the trusted one.
+fn check_digest(digest: Hash256, expected: &Hash256) -> Result<(), ProofError> {
+    if digest == *expected {
+        Ok(())
+    } else {
+        Err(ProofError::RootMismatch)
+    }
+}
+
+/// Proof that the rows of one table with keys from `start` to `end` are
+/// *exactly* the claimed rows, chained up to the database's state
+/// digest.  A `GetRow` proves `[key, key]` (`end` is `Included`): zero
+/// rows prove the key absent.  A [`Query::ScanRange`] proves
+/// `[start, end)` (`end` is `Excluded`) with one proof: O(log n + k)
+/// hash work and wire bytes where k point proofs would cost k·O(log n)
+/// of each.
 #[derive(Clone, Debug, PartialEq)]
-pub struct RowProof {
-    /// The table the row was looked up in.
+pub struct TableProof {
+    /// The table read.
     pub table: String,
-    /// The primary key looked up.
-    pub key: u64,
-    /// Proof of the row (or its absence) within the table's row map.
-    pub row: InclusionProof<u64>,
+    /// Inclusive lower bound of the key range.
+    pub start: u64,
+    /// Upper bound of the key range.
+    pub end: Bound<u64>,
+    /// Range proof of the rows within the table's row map.
+    pub range: RangeProof<u64>,
     /// The table's row count (part of the table's digest preimage).
     pub table_len: u64,
-    /// Proof of the table's entry within the database's table map.
-    pub table_entry: InclusionProof<String>,
+    /// Proof of the table's entry (`[table, table]`) within the
+    /// database's table map.
+    pub table_entry: RangeProof<String>,
     /// Number of tables (part of the state-digest preimage).
     pub table_count: u32,
     /// Digest of the file tree (the other half of the state digest).
     pub files_digest: Hash256,
 }
 
-impl RowProof {
+impl TableProof {
     /// Verifies the proof against a trusted state digest for `version`.
     ///
-    /// `row` is the claimed content: `Some(doc)` claims presence with
-    /// exactly that document, `None` claims absence.
+    /// `rows` is the claimed answer, ascending by key.  Acceptance means
+    /// the table holds exactly these rows in the range — none forged,
+    /// none omitted.
     pub fn verify(
         &self,
         expected_digest: &Hash256,
         version: u64,
-        row: Option<&Document>,
+        rows: &[(u64, Document)],
     ) -> Result<(), ProofError> {
-        let row_encoding = row.map(|doc| {
-            let mut out = Vec::with_capacity(64);
-            doc.content_encode(&mut out);
-            out
-        });
-        let rows_root = self.row.computed_root(&self.key, row_encoding.as_deref())?;
+        let encoded: Vec<(u64, Vec<u8>)> = rows
+            .iter()
+            .map(|(k, doc)| {
+                let mut out = Vec::with_capacity(64);
+                doc.content_encode(&mut out);
+                (*k, out)
+            })
+            .collect();
+        let rows_root = self.range.computed_root(&self.start, self.end.as_ref(), &encoded)?;
 
         // The table's value in the outer map is (row count, rows root) —
         // recompute its encoding from the inner fold, so a forged
@@ -67,17 +95,30 @@ impl RowProof {
         let mut table_value = Vec::with_capacity(40);
         table_value.extend_from_slice(&self.table_len.to_be_bytes());
         table_value.extend_from_slice(rows_root.as_ref());
-        let tables_root = self
-            .table_entry
-            .computed_root(&self.table, Some(&table_value))?;
-
-        let digest = digest_from_parts(version, self.table_count, &tables_root, &self.files_digest);
-        if digest == *expected_digest {
-            Ok(())
-        } else {
-            Err(ProofError::RootMismatch)
-        }
+        let tables_root = self.table_entry.point_root(&self.table, Some(&table_value))?;
+        check_digest(
+            digest_from_parts(version, self.table_count, &tables_root, &self.files_digest),
+            expected_digest,
+        )
     }
+}
+
+/// The file half of the chain: the path's entry in the file tree (or its
+/// absence, when `encoding` is `None`) → files root → state digest.
+fn verify_file_entry(
+    file: &RangeProof<String>,
+    path: &String,
+    encoding: Option<Vec<u8>>,
+    tables_root: &Hash256,
+    table_count: u32,
+    version: u64,
+    expected_digest: &Hash256,
+) -> Result<(), ProofError> {
+    let files_root = file.point_root(path, encoding.as_deref())?;
+    check_digest(
+        digest_from_parts(version, table_count, tables_root, &files_root),
+        expected_digest,
+    )
 }
 
 /// Proof that a file exists (with given contents) or is absent, chained
@@ -87,7 +128,7 @@ pub struct FileProof {
     /// The path looked up.
     pub path: String,
     /// Proof of the file (or its absence) within the file tree.
-    pub file: InclusionProof<String>,
+    pub file: RangeProof<String>,
     /// Root of the table map (the other half of the state digest).
     pub tables_root: Hash256,
     /// Number of tables (part of the state-digest preimage).
@@ -113,13 +154,15 @@ impl FileProof {
             manifest.content_encode(&mut out);
             out
         });
-        let files_root = self.file.computed_root(&self.path, encoding.as_deref())?;
-        let digest = digest_from_parts(version, self.table_count, &self.tables_root, &files_root);
-        if digest == *expected_digest {
-            Ok(())
-        } else {
-            Err(ProofError::RootMismatch)
-        }
+        verify_file_entry(
+            &self.file,
+            &self.path,
+            encoding,
+            &self.tables_root,
+            self.table_count,
+            version,
+            expected_digest,
+        )
     }
 }
 
@@ -146,7 +189,7 @@ pub struct StreamProof {
     pub slice: Option<ManifestSlice>,
     /// Proof of the manifest (or the path's absence) within the file
     /// tree.
-    pub file: InclusionProof<String>,
+    pub file: RangeProof<String>,
     /// Root of the table map (the other half of the state digest).
     pub tables_root: Hash256,
     /// Number of tables (part of the state-digest preimage).
@@ -168,13 +211,15 @@ impl StreamProof {
             Some(slice) => Some(slice.verified_encoding()?),
             None => None,
         };
-        let files_root = self.file.computed_root(&self.path, encoding.as_deref())?;
-        let digest = digest_from_parts(version, self.table_count, &self.tables_root, &files_root);
-        if digest == *expected_digest {
-            Ok(())
-        } else {
-            Err(ProofError::RootMismatch)
-        }
+        verify_file_entry(
+            &self.file,
+            &self.path,
+            encoding,
+            &self.tables_root,
+            self.table_count,
+            version,
+            expected_digest,
+        )
     }
 
     /// Verifies one streamed chunk (by absolute chunk index) against the
@@ -204,88 +249,24 @@ impl StreamProof {
     }
 }
 
-/// Proof that the rows with keys in `[start, end)` of a table are
-/// *exactly* the k claimed rows, chained up to the database's state
-/// digest — the authenticated answer to a [`Query::ScanRange`].
-///
-/// One [`RangeProof`] covers the whole scan: O(log n + k) hash work and
-/// wire bytes where k point proofs would cost k·O(log n) of each.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RangeScanProof {
-    /// The table scanned.
-    pub table: String,
-    /// Inclusive lower bound of the scan.
-    pub start: u64,
-    /// Exclusive upper bound of the scan.
-    pub end: u64,
-    /// Range proof of the rows within the table's row map.
-    pub range: RangeProof<u64>,
-    /// The table's row count (part of the table's digest preimage).
-    pub table_len: u64,
-    /// Proof of the table's entry within the database's table map.
-    pub table_entry: InclusionProof<String>,
-    /// Number of tables (part of the state-digest preimage).
-    pub table_count: u32,
-    /// Digest of the file tree (the other half of the state digest).
-    pub files_digest: Hash256,
-}
-
-impl RangeScanProof {
-    /// Verifies the proof against a trusted state digest for `version`.
-    ///
-    /// `rows` is the claimed answer, ascending by key.  Acceptance means
-    /// the table holds exactly these rows in `[start, end)` — none
-    /// forged, none omitted.
-    pub fn verify(
-        &self,
-        expected_digest: &Hash256,
-        version: u64,
-        rows: &[(u64, Document)],
-    ) -> Result<(), ProofError> {
-        let encoded: Vec<(u64, Vec<u8>)> = rows
-            .iter()
-            .map(|(k, doc)| {
-                let mut out = Vec::with_capacity(64);
-                doc.content_encode(&mut out);
-                (*k, out)
-            })
-            .collect();
-        let rows_root = self.range.computed_root(&self.start, &self.end, &encoded)?;
-
-        let mut table_value = Vec::with_capacity(40);
-        table_value.extend_from_slice(&self.table_len.to_be_bytes());
-        table_value.extend_from_slice(rows_root.as_ref());
-        let tables_root = self
-            .table_entry
-            .computed_root(&self.table, Some(&table_value))?;
-
-        let digest = digest_from_parts(version, self.table_count, &tables_root, &self.files_digest);
-        if digest == *expected_digest {
-            Ok(())
-        } else {
-            Err(ProofError::RootMismatch)
-        }
-    }
-}
-
 /// A self-contained proof for one static read.
 #[derive(Clone, Debug, PartialEq)]
 pub enum StateProof {
-    /// Proof for a `GetRow` answer.
-    Row(RowProof),
+    /// Proof for a `GetRow` answer: the rows range `[key, key]`.
+    Row(TableProof),
     /// Proof for a `ReadFile` answer.
     File(FileProof),
-    /// Proof for a `ScanRange` answer (k rows, one proof).
-    Range(RangeScanProof),
+    /// Proof for a `ScanRange` answer: `[start, end)`, k rows, one proof.
+    Range(TableProof),
 }
 
 impl StateProof {
     /// Verifies that `result` is the authentic answer to `query` at the
     /// state committed to by `expected_digest`/`version`.
     ///
-    /// Checks three things: the proof is *about* the query (same table,
-    /// key, or path), the result has the shape the query produces, and
-    /// the hash path folds to the trusted digest.
+    /// Checks three things: the proof is *about* the query (same table
+    /// and key range, or path), the result has the shape the query
+    /// produces, and the proof folds to the trusted digest.
     pub fn verify_result(
         &self,
         expected_digest: &Hash256,
@@ -293,86 +274,66 @@ impl StateProof {
         query: &Query,
         result: &QueryResult,
     ) -> Result<(), ProofError> {
-        match (self, query, result) {
-            (
-                StateProof::Row(proof),
-                Query::GetRow { table, key },
-                QueryResult::Rows(rows),
-            ) => {
-                if proof.table != *table || proof.key != *key || rows.len() > 1 {
-                    return Err(ProofError::ShapeMismatch);
-                }
-                let row = match rows.first() {
-                    Some((k, doc)) if *k == *key => Some(doc),
-                    Some(_) => return Err(ProofError::ShapeMismatch),
-                    None => None,
-                };
-                proof.verify(expected_digest, version, row)
-            }
-            (StateProof::File(proof), Query::ReadFile { path }, QueryResult::Text(text)) => {
-                if proof.path != *path {
-                    return Err(ProofError::ShapeMismatch);
-                }
-                proof.verify(expected_digest, version, text.as_deref())
+        let (proof, table, start, end, rows) = match (self, query, result) {
+            (StateProof::Row(p), Query::GetRow { table, key }, QueryResult::Rows(rows)) => {
+                (p, table, *key, Bound::Included(*key), rows)
             }
             (
-                StateProof::Range(proof),
+                StateProof::Range(p),
                 Query::ScanRange { table, start, end },
                 QueryResult::Rows(rows),
-            ) => {
-                if proof.table != *table || proof.start != *start || proof.end != *end {
-                    return Err(ProofError::ShapeMismatch);
-                }
-                proof.verify(expected_digest, version, rows)
+            ) => (p, table, *start, Bound::Excluded(*end), rows),
+            (StateProof::File(p), Query::ReadFile { path }, QueryResult::Text(text))
+                if p.path == *path =>
+            {
+                return p.verify(expected_digest, version, text.as_deref());
             }
-            _ => Err(ProofError::ShapeMismatch),
+            _ => return Err(ProofError::ShapeMismatch),
+        };
+        if proof.table != *table || proof.start != start || proof.end != end {
+            return Err(ProofError::ShapeMismatch);
         }
+        proof.verify(expected_digest, version, rows)
     }
 
-    /// Total path length across both levels (hash work the verifier does).
+    /// Total skeleton depth across both levels (hash work the verifier
+    /// does).
     pub fn depth(&self) -> usize {
         match self {
-            StateProof::Row(p) => p.row.depth() + p.table_entry.depth(),
+            StateProof::Row(p) | StateProof::Range(p) => p.range.depth() + p.table_entry.depth(),
             StateProof::File(p) => p.file.depth(),
-            StateProof::Range(p) => p.range.depth() + p.table_entry.depth(),
         }
     }
 
-    /// Approximate wire size in bytes.
+    /// Approximate wire size in bytes: the skeletons plus the fields
+    /// they chain through (bounds, row count, table count, the other
+    /// half's root).
     pub fn wire_len(&self) -> usize {
         match self {
-            StateProof::Row(p) => p.row.wire_len() + p.table_entry.wire_len() + 44 + 32,
-            StateProof::File(p) => p.file.wire_len() + p.path.len() + 36,
-            StateProof::Range(p) => {
-                p.range.wire_len() + p.table_entry.wire_len() + p.table.len() + 60 + 32
+            StateProof::Row(p) | StateProof::Range(p) => {
+                p.range.wire_len() + p.table_entry.wire_len() + p.table.len() + 61
             }
+            StateProof::File(p) => p.file.wire_len() + p.path.len() + 36,
         }
     }
 }
 
 impl Database {
-    /// Produces a [`RowProof`] for `(table, key)` against the current
-    /// [`Database::state_digest`].  Errors when the table itself does
-    /// not exist (a missing *row* yields an absence proof instead).
+    /// Produces the proof of a `GetRow` — the rows range `[key, key]` —
+    /// against the current [`Database::state_digest`].  Errors when the
+    /// table itself does not exist (a missing *row* yields an absence
+    /// proof instead).
     pub fn prove_row(&self, table: &str, key: u64) -> Result<StateProof, StoreError> {
-        let t = self.table(table)?;
-        Ok(StateProof::Row(RowProof {
-            table: table.to_string(),
-            key,
-            row: t.prove_row(key),
-            table_len: t.len() as u64,
-            table_entry: self.prove_table_entry(table),
-            table_count: self.table_count() as u32,
-            files_digest: self.fs().files_digest(),
-        }))
+        self.prove_rows(table, key, Bound::Included(key)).map(StateProof::Row)
     }
 
     /// Produces a [`FileProof`] for `path` (presence or absence) against
     /// the current [`Database::state_digest`].
     pub fn prove_file(&self, path: &str) -> StateProof {
+        let path = path.to_string();
         StateProof::File(FileProof {
-            path: path.to_string(),
-            file: self.fs().prove_file(path),
+            file: self.fs().files.prove_range(&path, Bound::Included(&path)),
+            path,
             tables_root: self.tables_root(),
             table_count: self.table_count() as u32,
         })
@@ -384,31 +345,42 @@ impl Database {
     /// chunk-by-chunk streamed read, carrying only the chunk-table slice
     /// the range touches.
     pub fn prove_stream(&self, path: &str, offset: u64, len: u64) -> StreamProof {
+        let key = path.to_string();
         StreamProof {
-            path: path.to_string(),
             slice: self.fs().manifest(path).map(|m| m.slice(offset, len)),
-            file: self.fs().prove_file(path),
+            file: self.fs().files.prove_range(&key, Bound::Included(&key)),
+            path: key,
             tables_root: self.tables_root(),
             table_count: self.table_count() as u32,
         }
     }
 
-    /// Produces a [`RangeScanProof`] for the rows of `table` with keys
-    /// in `[start, end)` against the current
+    /// Produces the proof of a `ScanRange` — the rows of `table` with
+    /// keys in `[start, end)` — against the current
     /// [`Database::state_digest`].  Errors when the table itself does
     /// not exist (an empty range yields a valid zero-row proof instead).
     pub fn prove_scan(&self, table: &str, start: u64, end: u64) -> Result<StateProof, StoreError> {
+        self.prove_rows(table, start, Bound::Excluded(end)).map(StateProof::Range)
+    }
+
+    fn prove_rows(
+        &self,
+        table: &str,
+        start: u64,
+        end: Bound<u64>,
+    ) -> Result<TableProof, StoreError> {
         let t = self.table(table)?;
-        Ok(StateProof::Range(RangeScanProof {
-            table: table.to_string(),
+        let name = table.to_string();
+        Ok(TableProof {
+            range: t.rows.prove_range(&start, end.as_ref()),
+            table_len: t.len() as u64,
+            table_entry: self.tables.prove_range(&name, Bound::Included(&name)),
+            table: name,
             start,
             end,
-            range: t.prove_scan(start, end),
-            table_len: t.len() as u64,
-            table_entry: self.prove_table_entry(table),
             table_count: self.table_count() as u32,
             files_digest: self.fs().files_digest(),
-        }))
+        })
     }
 
     /// Proof machinery for an arbitrary static read; `None` for query

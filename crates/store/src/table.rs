@@ -40,7 +40,8 @@ fn bucket_insert(index: &mut FieldIndex, value: &Value, key: u64) {
 #[derive(Clone, Debug, Default)]
 pub struct Table {
     name: String,
-    rows: PMap<u64, Document>,
+    /// Proofs read the row map directly ([`crate::proof`]).
+    pub(crate) rows: PMap<u64, Document>,
     /// Outer registry is a plain map — there are only ever a handful of
     /// indexed fields, and each [`FieldIndex`] clones in O(1).
     indexes: BTreeMap<String, FieldIndex>,
@@ -200,26 +201,13 @@ impl Table {
         self.rows.root_hash()
     }
 
-    /// O(log n) inclusion (or absence) proof for a row against
-    /// [`Table::rows_digest`] (see [`PMap::prove`]).
-    pub fn prove_row(&self, key: u64) -> crate::pmap::InclusionProof<u64> {
-        self.rows.prove(&key)
-    }
-
     /// Rows with `start <= key < end`, ascending (the half-open scan a
-    /// [`Table::prove_scan`] proof covers).
+    /// [`Database::prove_scan`](crate::Database::prove_scan) proof covers).
     pub fn scan(&self, start: u64, end: u64) -> impl Iterator<Item = (u64, &Document)> {
         self.rows
             .iter_from(&start)
             .take_while(move |(&k, _)| k < end)
             .map(|(&k, d)| (k, d))
-    }
-
-    /// One O(log n + k) proof for every row in `[start, end)` —
-    /// completeness included — against [`Table::rows_digest`]
-    /// (see [`PMap::prove_range`]).
-    pub fn prove_scan(&self, start: u64, end: u64) -> crate::pmap::RangeProof<u64> {
-        self.rows.prove_range(&start, &end)
     }
 
     /// Shared-vs-owned node counts over rows and index buckets

@@ -10,7 +10,7 @@
 //! * [`core`] — the paper's system: masters, slaves, clients, auditor.
 //! * [`baselines`] — state-signing and state-machine-replication comparators.
 //!
-//! See `README.md` for a tour and `DESIGN.md` for the full inventory.
+//! See `README.md` for a tour of the system and its measurements.
 
 #![forbid(unsafe_code)]
 

@@ -150,6 +150,36 @@ fn combined_stress_keeps_invariants() {
     assert!(stats.reads_accepted > 100, "{}", stats.render());
 }
 
+/// Message loss alone must never convict an honest slave.  A slave that
+/// lost an update still receives keep-alives stamped with the master's
+/// newer version; pledging its older state's answers under that stamp
+/// would make the audit, which re-executes at the stamped version, find
+/// a mismatch.  These seeds each convicted an honest slave that way.
+#[test]
+fn lossy_network_never_convicts_honest_slaves() {
+    for seed in [21, 22, 24] {
+        let mut cfg = base_cfg(seed);
+        cfg.n_masters = 4;
+        cfg.double_check_prob = 0.1;
+        let net = NetworkConfig::new(
+            LinkModel::wan(SimDuration::from_millis(12)).with_loss(0.02),
+        );
+        let mut sys = SystemBuilder::new(cfg)
+            .behaviors(vec![SlaveBehavior::Honest; 5])
+            .workload(Workload::default())
+            .network(net)
+            .build();
+        sys.run_for(SimDuration::from_secs(80));
+        for i in 0..5 {
+            assert!(
+                !sys.with_slave(i, |s| s.is_excluded()),
+                "seed {seed}: honest slave {i} was excluded"
+            );
+        }
+        assert!(sys.stats().reads_accepted > 100, "seed {seed}: no progress");
+    }
+}
+
 /// Write access control: a deny-all policy rejects every client write
 /// while reads continue unharmed.
 #[test]
