@@ -171,7 +171,7 @@ fn bench_cow_store(c: &mut Criterion) {
     let mut snaps = SnapshotStore::new(4);
     group.bench_function("snapshot_record", |b| {
         b.iter(|| {
-            snaps.record(black_box(&db), None);
+            snaps.record(black_box(&db), None, 0);
         })
     });
     group.bench_function("db_clone", |b| b.iter(|| black_box(db.clone())));

@@ -13,6 +13,11 @@
 //! moved to that same content version", which guarantees no client will
 //! still accept results for the version it is closing out.
 //!
+//! It keeps no history of its own: it re-executes each pledge against the
+//! owning master's snapshot ring, which holds every version's state, ops
+//! and commit time, and which the master pins from the version under
+//! audit so nothing the audit has not closed is evicted.
+//!
 //! Its throughput advantages over slaves, all modeled here, are exactly the
 //! paper's four: it signs nothing, it answers nobody, it may cache results
 //! (it replays a known query stream), and it can spread work over idle
@@ -23,8 +28,8 @@ use crate::evidence::{Discovery, Evidence};
 use crate::metrics as id;
 use crate::pledge::{Pledge, ResultHash};
 use sdr_crypto::PublicKey;
-use sdr_sim::{Ctx, NodeId, SimTime};
-use sdr_store::{execute, Database, QueryCache, UpdateOp};
+use sdr_sim::{Ctx, NodeId, SimDuration, SimTime};
+use sdr_store::{execute, QueryCache, Snapshot, SnapshotStore};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Capacity of the auditor's result cache.
@@ -39,56 +44,54 @@ pub struct AuditFinding {
     pub evidence: Evidence,
 }
 
-/// The auditor's private state (embedded in every master; only the elected
-/// auditor receives pledges, but keeping the lagging replica warm on every
-/// master makes auditor failover cheap).
+/// The auditor's state (embedded in every master; only the elected
+/// auditor receives pledges and advances).
 pub struct AuditorState {
     cfg: SystemConfig,
-    /// The lagging replica: at version `v` while pledges for `v` are
-    /// being audited.
-    db: Database,
-    /// Committed writes not yet applied to the lagging replica, with
-    /// when each committed at this master (drives the advance rule).
-    pending_writes: BTreeMap<u64, (SimTime, Vec<UpdateOp>)>,
+    /// The version under audit: its pledges are re-executed against the
+    /// ring's entry for it until the advance rule closes it.
+    version: u64,
     /// Pledges bucketed by the version their stamp names.
     buckets: BTreeMap<u64, VecDeque<Pledge>>,
     cache: QueryCache,
-    backlog: u64,
 }
 
 impl AuditorState {
-    /// Creates the state from the initial replica.
-    pub fn new(cfg: &SystemConfig, initial: Database) -> Self {
+    /// Creates the state auditing from `version` (the seed).
+    pub fn new(cfg: &SystemConfig, version: u64) -> Self {
         AuditorState {
             cache: QueryCache::new(CACHE_CAPACITY),
             cfg: cfg.clone(),
-            db: initial,
-            pending_writes: BTreeMap::new(),
+            version,
             buckets: BTreeMap::new(),
-            backlog: 0,
         }
     }
 
     /// Version currently under audit.
     pub fn audit_version(&self) -> u64 {
-        self.db.version()
+        self.version
     }
 
     /// Pledges waiting across all buckets.
     pub fn backlog(&self) -> u64 {
-        self.backlog
+        self.buckets.values().map(|b| b.len() as u64).sum()
     }
 
-    /// Records a write the master group committed (the auditor applies it
-    /// later, per the lag rule).
-    pub fn on_write_committed(&mut self, version: u64, ops: Vec<UpdateOp>, now: SimTime) {
-        self.pending_writes.insert(version, (now, ops));
+    /// Resumes a newly elected auditor at `oldest`, the oldest version
+    /// its master's ring holds: pledges for anything older can no longer
+    /// be re-executed, so their buckets go.
+    pub fn resume_at(&mut self, oldest: u64) {
+        if oldest > self.version {
+            self.version = oldest;
+            self.buckets = self.buckets.split_off(&oldest);
+        }
     }
 
-    /// Accepts a pledge for background verification.
-    pub fn enqueue(&mut self, pledge: Pledge, counters: &mut sdr_sim::Metrics) {
+    /// Accepts a pledge for background verification; `live` is the
+    /// master's current version.
+    pub fn enqueue(&mut self, pledge: Pledge, live: u64, counters: &mut sdr_sim::Metrics) {
         let version = pledge.stamp.version;
-        if version < self.db.version() {
+        if version < self.version {
             // Its bucket already closed, so it is never checked.  Yet the
             // client accepted this answer in the same step that forwarded
             // the pledge, before the pledge reached us: a late pledge is
@@ -96,72 +99,36 @@ impl AuditorState {
             counters.inc(id::AUDIT_LATE);
             return;
         }
-        let newest_known = self
-            .pending_writes
-            .keys()
-            .next_back()
-            .copied()
-            .unwrap_or(self.db.version());
-        if version > newest_known + 8 {
+        if version > live + 8 {
             // A stamp for a far-future version cannot have a valid master
             // signature; don't let garbage accumulate.
             counters.inc(id::AUDIT_BOGUS_VERSION);
             return;
         }
         counters.inc(id::AUDIT_SUBMITTED);
-        self.backlog += 1;
         self.buckets.entry(version).or_default().push_back(pledge);
     }
 
-    /// Seconds of audit lag: how far behind the newest committed version
-    /// the lagging replica is, in commit-time terms.
-    pub fn lag(&self, now: SimTime) -> sdr_sim::SimDuration {
-        match self.pending_writes.values().next() {
-            Some(&(oldest_commit, _)) => now.since(oldest_commit),
-            None => sdr_sim::SimDuration::ZERO,
-        }
-    }
-
-    /// Whether the advance rule permits moving to `version + 1` at `now`.
-    fn may_advance(&self, now: SimTime) -> bool {
-        let next = self.db.version() + 1;
-        self.pending_writes.get(&next).is_some_and(|&(committed, _)| {
-            now.since(committed) > self.cfg.max_latency + self.cfg.keepalive_period
-        })
-    }
-
-    /// Runs one audit slice bounded by `cfg.audit_slice` of virtual CPU.
+    /// Runs one audit slice bounded by `cfg.audit_slice` of virtual CPU,
+    /// re-executing against `ring`, the master's snapshot ring.
     ///
     /// Returns findings (wrong pledges with evidence) for the master to
     /// route to the slaves' owners.
     pub fn process_slice(
         &mut self,
         ctx: &mut Ctx<'_, crate::messages::Msg>,
+        ring: &SnapshotStore,
         slave_keys: &HashMap<NodeId, PublicKey>,
         master_keys: &HashMap<NodeId, PublicKey>,
     ) -> Vec<AuditFinding> {
         let budget = self.cfg.audit_slice;
         let start = ctx.charged();
         let mut findings = Vec::new();
+        let since = |now: SimTime, s: &Snapshot| now.since(SimTime::from_micros(s.committed_us));
 
-        loop {
-            if ctx.charged().since_start(start) >= budget {
-                break;
-            }
-            let va = self.db.version();
-            let has_pledge = self
-                .buckets
-                .get(&va)
-                .is_some_and(|b| !b.is_empty());
-
-            if has_pledge {
-                let pledge = self
-                    .buckets
-                    .get_mut(&va)
-                    .and_then(VecDeque::pop_front)
-                    .expect("checked non-empty");
-                self.backlog = self.backlog.saturating_sub(1);
-
+        while ctx.charged().saturating_sub(start) < budget {
+            let va = self.version;
+            if let Some(pledge) = self.buckets.get_mut(&va).and_then(VecDeque::pop_front) {
                 // Sampled auditing (overload fallback, Section 3.4).
                 if self.cfg.audit_fraction < 1.0 && ctx.coin() >= self.cfg.audit_fraction {
                     ctx.metrics().inc(id::AUDIT_SKIPPED_SAMPLING);
@@ -196,7 +163,9 @@ impl AuditorState {
                         r
                     }
                     None => {
-                        let Ok((r, qcost)) = execute(&self.db, &pledge.query) else {
+                        // The ring never evicts the version under audit.
+                        let executed = ring.get(va).map(|s| execute(&s.state, &pledge.query));
+                        let Some(Ok((r, qcost))) = executed else {
                             ctx.metrics().inc(id::AUDIT_QUERY_ERRORS);
                             continue;
                         };
@@ -223,41 +192,31 @@ impl AuditorState {
                         },
                     });
                 }
-            } else if self.may_advance(ctx.now()) {
-                let next = self.db.version() + 1;
-                let (_, ops) = self.pending_writes.remove(&next).expect("may_advance");
-                ctx.charge(ctx.costs().write_apply * ops.len() as u64);
-                if self.db.apply_write(&ops).is_err() {
-                    // Committed writes applied deterministically cannot
-                    // fail here unless state diverged — surface loudly.
-                    ctx.metrics().inc(id::AUDIT_APPLY_ERRORS);
-                }
-                self.buckets.remove(&(next - 1));
+            } else if let Some(next) = ring
+                .get(va + 1)
+                .filter(|s| since(ctx.now(), s) > self.cfg.max_latency + self.cfg.keepalive_period)
+            {
+                // The advance rule: more than `max_latency` (plus one
+                // keep-alive period) since the next version committed.
+                let n_ops = next.ops.as_ref().map_or(0, Vec::len);
+                ctx.charge(ctx.costs().write_apply * n_ops as u64);
+                self.buckets.remove(&va);
+                self.version += 1;
                 ctx.metrics().inc(id::AUDIT_VERSION_ADVANCES);
             } else {
                 break;
             }
         }
 
-        // Telemetry for E7.
-        let lag = self.lag(ctx.now());
+        // Telemetry for E7: how long the oldest version the audit has
+        // not reached has been committed.
         let now = ctx.now();
+        let lag = ring.get(self.version + 1).map_or(SimDuration::ZERO, |s| since(now, s));
+        let backlog = self.backlog();
         ctx.metrics().series_push(id::AUDIT_LAG_US, now, lag.as_micros() as f64);
-        ctx.metrics()
-            .series_push(id::AUDIT_BACKLOG, now, self.backlog as f64);
+        ctx.metrics().series_push(id::AUDIT_BACKLOG, now, backlog as f64);
         ctx.metrics()
             .observe(id::AUDIT_LAG_HIST_US, lag.as_micros());
         findings
-    }
-}
-
-/// Extension trait: duration since a starting charge mark.
-trait ChargedSince {
-    fn since_start(&self, start: sdr_sim::SimDuration) -> sdr_sim::SimDuration;
-}
-
-impl ChargedSince for sdr_sim::SimDuration {
-    fn since_start(&self, start: sdr_sim::SimDuration) -> sdr_sim::SimDuration {
-        self.saturating_sub(start)
     }
 }

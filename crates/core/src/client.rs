@@ -38,7 +38,7 @@ use crate::config::SystemConfig;
 use crate::cost::proof_fold_charge;
 use crate::messages::{CheckVerdict, Msg, RefuseReason, StateDigestStamp, WriteOutcome};
 use crate::metrics as id;
-use crate::pledge::{Pledge, ResultHash};
+use crate::pledge::{Pledge, ResultHash, PLEDGE_ALGO};
 use crate::shard::ShardMap;
 use crate::verify::{self, ReadStrategy, RejectReason, VerifyEnv};
 use crate::workload::Workload;
@@ -835,7 +835,7 @@ impl ClientProcess {
             }
             Accept::Trusted => (false, Some(id::READ_ACCEPTED_SENSITIVE)),
             Accept::Proof(from, result) => {
-                let hash = ResultHash::of(result, self.cfg.pledge_hash);
+                let hash = ResultHash::of(result, PLEDGE_ALGO);
                 self.acceptances.push((from, hash.bytes().to_vec()));
                 if let Some(parent) = p.parent_scan {
                     let rows = result.row_count() as u64;

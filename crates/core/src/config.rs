@@ -4,10 +4,12 @@ use sdr_crypto::SignatureScheme;
 use sdr_sim::SimDuration;
 use serde::{FromJson, ToJson};
 
-/// Which hash goes into pledge packets.
+/// Which hash goes into a pledge packet.
 ///
-/// The paper specifies SHA-1 [1]; SHA-256 is offered as the modern choice.
-/// Either way the protocol logic is identical.
+/// The paper specifies SHA-1 \[1\], which every slave pledges with
+/// ([`crate::pledge::PLEDGE_ALGO`]); SHA-256 is offered as the modern
+/// choice.  Verifiers take the algorithm from the pledge itself, so the
+/// protocol logic is identical either way.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, ToJson, FromJson)]
 pub enum HashAlgo {
     /// SHA-1 (the paper's choice).
@@ -128,8 +130,6 @@ pub struct SystemConfig {
     pub sensitive_fraction: f64,
     /// Greedy-client detection parameters.
     pub greedy: GreedyConfig,
-    /// Hash algorithm inside pledges.
-    pub pledge_hash: HashAlgo,
     /// Signature scheme for all parties (HMAC stand-in for large sims,
     /// MSS for real end-to-end security).
     pub signer: SignatureScheme,
@@ -145,8 +145,10 @@ pub struct SystemConfig {
     /// up to `max_write_batch` consecutive versions.
     pub max_write_batch: usize,
     /// Versions each master's snapshot ring retains: the window for
-    /// rollback re-execution and for slave catch-up replays.  `0`
-    /// retains none.
+    /// rollback re-execution and for slave catch-up replays.  The
+    /// elected auditor's ring also keeps every version from the one
+    /// under audit on, however many that is.  `0` retains nothing
+    /// beyond what the elected auditor has not closed.
     pub snapshot_capacity: usize,
     /// World seed (drives all randomness).
     pub seed: u64,
@@ -175,7 +177,6 @@ impl Default for SystemConfig {
             cache_verify: false,
             sensitive_fraction: 0.0,
             greedy: GreedyConfig::default(),
-            pledge_hash: HashAlgo::Sha1,
             signer: SignatureScheme::Hmac,
             mss_height: 10,
             max_write_batch: 1,

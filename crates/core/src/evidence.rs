@@ -12,7 +12,7 @@ use crate::error::CoreError;
 use crate::pledge::{Pledge, ResultHash};
 use sdr_crypto::PublicKey;
 use sdr_sim::SimTime;
-use sdr_store::{execute, Database};
+use sdr_store::{execute, Database, QueryCost};
 
 /// How the misbehaviour was discovered (Section 3.5's two cases).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,18 +47,21 @@ impl Evidence {
     /// 3. re-executing the pledged query on `reference` produces a hash
     ///    that (a) matches `correct_hash` and (b) differs from the pledged
     ///    hash.
+    ///
+    /// Returns the work of that one re-execution, for the verifier to
+    /// charge.
     pub fn verify(
         &self,
         slave_key: &PublicKey,
         reference: &Database,
-    ) -> Result<(), CoreError> {
+    ) -> Result<QueryCost, CoreError> {
         self.pledge
             .verify_signature(slave_key)
             .map_err(|_| CoreError::BadEvidence("pledge signature invalid"))?;
         if reference.version() != self.pledge.stamp.version {
             return Err(CoreError::BadEvidence("reference at wrong version"));
         }
-        let (result, _) = execute(reference, &self.pledge.query)?;
+        let (result, cost) = execute(reference, &self.pledge.query)?;
         let recomputed = ResultHash::of(&result, self.pledge.result_hash.algo());
         if recomputed != self.correct_hash {
             return Err(CoreError::BadEvidence("correct_hash does not match re-execution"));
@@ -66,7 +69,7 @@ impl Evidence {
         if recomputed == self.pledge.result_hash {
             return Err(CoreError::BadEvidence("pledged result was actually correct"));
         }
-        Ok(())
+        Ok(cost)
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! Each master embeds a `sdr-broadcast` engine for totally ordered writes
 //! and membership, holds an authoritative replica plus one bounded
-//! history — the snapshot ring, which keeps each retained version's state
-//! and the ops that produced it — pushes lazy updates and signed
+//! history — the snapshot ring, which keeps each retained version's
+//! state, the ops that produced it and its commit time, and serves
+//! rollback, slave catch-up and the audit — pushes lazy updates and signed
 //! keep-alives to its slave set, serves double-checks and trusted reads,
 //! detects greedy clients, takes corrective action against slaves
 //! (Section 3.5), and — when elected — runs the auditor (see
@@ -66,8 +67,10 @@ pub struct MasterProcess {
     content_id: Hash256,
 
     db: Database,
-    /// The one per-version history: state plus producing ops, serving
-    /// rollback re-execution and slave catch-up alike.
+    /// The one per-version history: state, producing ops and commit
+    /// time, serving rollback re-execution, slave catch-up and the audit
+    /// alike.  On the elected auditor it is pinned from the version under
+    /// audit; every other master keeps `snapshot_capacity` versions.
     snapshots: SnapshotStore,
     policy: WritePolicy,
 
@@ -118,10 +121,9 @@ impl MasterProcess {
         directory: NodeId,
     ) -> Self {
         let n = member_nodes.len();
-        let auditor_state = AuditorState::new(&cfg, db.clone());
-        let mut snapshots = SnapshotStore::new(cfg.snapshot_capacity);
-        snapshots.record(&db, None);
-        MasterProcess {
+        let auditor_state = AuditorState::new(&cfg, db.version());
+        let snapshots = SnapshotStore::new(cfg.snapshot_capacity);
+        let mut master = MasterProcess {
             tob: TotalOrder::new(rank, n, TobConfig::default()),
             prev_view: View::initial(n),
             auditor_state,
@@ -149,7 +151,10 @@ impl MasterProcess {
             dc_times: HashMap::new(),
             evidence_log: Vec::new(),
             directory,
-        }
+        };
+        master.pin_audit_window();
+        master.snapshots.record(&master.db, None, 0);
+        master
     }
 
     /// The shard this master's subgroup owns.
@@ -199,7 +204,7 @@ impl MasterProcess {
 
     /// Digest of the retained snapshot at `version` (test inspection).
     pub fn snapshot_digest(&self, version: u64) -> Option<Hash256> {
-        self.snapshots.get(version).map(Database::state_digest)
+        self.snapshots.get(version).map(|s| s.state.state_digest())
     }
 
     /// Shared-vs-owned node counts over the snapshot ring (memory
@@ -236,8 +241,16 @@ impl MasterProcess {
         if version == self.db.version() {
             Some(&self.db)
         } else {
-            self.snapshots.get(version)
+            self.snapshots.get(version).map(|s| &s.state)
         }
+    }
+
+    /// Pins the ring from the version under audit while this master is
+    /// the elected auditor, so every pledge stays auditable however far
+    /// the audit lags; any other master's ring keeps its capacity.
+    fn pin_audit_window(&mut self) {
+        let from = self.is_auditor().then(|| self.auditor_state.audit_version());
+        self.snapshots.pin_from(from);
     }
 
     /// The stamp pair attached to keep-alives and state updates: the
@@ -352,8 +365,7 @@ impl MasterProcess {
                         let commits = id::WRITE_COMMIT_US_SHARD.at(shard);
                         ctx.metrics().series_push(commits, now, version as f64);
                     }
-                    self.snapshots.record(&self.db, Some(ops.clone()));
-                    self.auditor_state.on_write_committed(version, ops.clone(), now);
+                    self.snapshots.record(&self.db, Some(ops.clone()), now.as_micros());
                     applied.push((version, ops));
                     WriteOutcome::Committed { version }
                 }
@@ -546,6 +558,17 @@ impl MasterProcess {
                 );
             }
         }
+        if self.is_auditor() && old.auditor() != auditor {
+            // A newly elected auditor resumes at the oldest version its
+            // ring holds.  A ring that holds nothing (capacity 0) first
+            // records the live state, pinned so that it stays.
+            if self.snapshots.versions().is_empty() {
+                self.snapshots.pin_from(Some(self.db.version()));
+                self.snapshots.record(&self.db, None, ctx.now().as_micros());
+            }
+            self.auditor_state.resume_at(self.snapshots.versions()[0]);
+        }
+        self.pin_audit_window();
         if self.is_auditor() {
             // The auditor shed its slaves above; its clients must re-run
             // setup with another master (Section 3: clients of a departed
@@ -768,12 +791,10 @@ impl MasterProcess {
             return;
         };
         ctx.charge(ctx.costs().verify);
-        // Evidence re-executes the query internally; charge the work.
-        if let Ok((_, qcost)) = execute(reference, &evidence.pledge.query) {
-            ctx.charge(crate::cost::query_charge(&qcost, 0, ctx.costs()));
-        }
         match evidence.verify(key, reference) {
-            Ok(()) => {
+            Ok(qcost) => {
+                // Verifying re-executed the query once; charge the work.
+                ctx.charge(crate::cost::query_charge(&qcost, 0, ctx.costs()));
                 if evidence.discovery == Discovery::Delayed {
                     ctx.metrics().inc(id::DISCOVERY_DELAYED);
                 }
@@ -825,9 +846,12 @@ impl Process<Msg> for MasterProcess {
                 if self.is_auditor() {
                     let findings = self.auditor_state.process_slice(
                         ctx,
+                        &self.snapshots,
                         &self.slave_keys,
                         &self.master_keys,
                     );
+                    // Release what the audit closed.
+                    self.pin_audit_window();
                     for f in findings {
                         // Route to the slave's owner ("the auditor sends the
                         // incriminating pledge to the master in charge of
@@ -928,7 +952,8 @@ impl Process<Msg> for MasterProcess {
             }
             Msg::AuditSubmit { pledge } => {
                 if self.is_auditor() {
-                    self.auditor_state.enqueue(*pledge, ctx.metrics());
+                    let live = self.db.version();
+                    self.auditor_state.enqueue(*pledge, live, ctx.metrics());
                 } else {
                     // Stale client knowledge: forward to the real auditor.
                     let auditor = self.auditor_node();

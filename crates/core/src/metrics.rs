@@ -365,7 +365,6 @@ metrics_table! {
         counter ACCUSATION_REJECTED "accusation.rejected";
         counter ACCUSATION_UNKNOWN_SLAVE "accusation.unknown_slave";
         counter ACCUSATION_VERSION_UNAVAILABLE "accusation.version_unavailable";
-        counter AUDIT_APPLY_ERRORS "audit.apply_errors";
         series AUDIT_BACKLOG "audit.backlog";
         counter AUDIT_BOGUS_VERSION "audit.bogus_version";
         series AUDIT_LAG_US "audit.lag_us";

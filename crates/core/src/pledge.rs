@@ -17,7 +17,10 @@ use sdr_crypto::{CryptoError, PublicKey, Signature, Signer};
 use sdr_sim::{NodeId, SimDuration, SimTime};
 use sdr_store::{Query, QueryResult};
 
-/// Hash of a query result under the configured algorithm.
+/// The algorithm every slave pledges with: SHA-1, the paper's choice.
+pub const PLEDGE_ALGO: HashAlgo = HashAlgo::Sha1;
+
+/// Hash of a query result under some [`HashAlgo`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ResultHash {
     /// SHA-1 digest (the paper's choice).

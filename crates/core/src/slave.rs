@@ -19,7 +19,7 @@ use crate::config::SystemConfig;
 use crate::cost::{proof_fold_charge, query_charge};
 use crate::messages::{Msg, RefuseReason, StateDigestStamp, VersionStamp};
 use crate::metrics as id;
-use crate::pledge::{Pledge, ResultHash};
+use crate::pledge::{Pledge, ResultHash, PLEDGE_ALGO};
 use sdr_crypto::{Digest, Hash256, PublicKey, Sha256, Signer};
 use sdr_sim::{CostModel, Counter, Ctx, NodeId, Payload, Process, SimDuration, SimTime};
 use sdr_store::fsview::GrepMatch;
@@ -691,7 +691,7 @@ impl SlaveProcess {
         let lie = apply_lie_behavior(self.behavior, ctx, &mut answer);
         if let Some(forged) = &lie {
             ctx.metrics().inc(id::SLAVE_LIES);
-            let hash = ResultHash::of(forged, self.cfg.pledge_hash);
+            let hash = ResultHash::of(forged, PLEDGE_ALGO);
             self.lies_told.insert(hash.bytes().to_vec());
         }
 
@@ -703,7 +703,7 @@ impl SlaveProcess {
                     (Some(bad), SlaveBehavior::ConsistentLiar { .. }) => bad,
                     _ => &result,
                 };
-                let result_hash = ResultHash::of(pledged, self.cfg.pledge_hash);
+                let result_hash = ResultHash::of(pledged, PLEDGE_ALGO);
                 ctx.charge(costs.hash_cost(pledged.size()));
                 let stamp = self.latest_stamp.clone().expect("fresh implies stamp");
                 ctx.charge(costs.sign);

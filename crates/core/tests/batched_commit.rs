@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sdr_core::{metrics, SlaveBehavior, SystemBuilder, SystemConfig, Workload};
-use sdr_sim::SimDuration;
+use sdr_sim::{SimDuration, SimTime};
 use sdr_store::{Database, Document, UpdateOp};
 
 fn doc(v: i64) -> Document {
@@ -73,6 +73,16 @@ proptest! {
 }
 
 fn batched(seed: u64, max_write_batch: usize, snapshot_capacity: usize) -> sdr_core::System {
+    batched_with(seed, max_write_batch, snapshot_capacity, SlaveBehavior::Honest)
+}
+
+/// `batched` with the second slave running `behavior`.
+fn batched_with(
+    seed: u64,
+    max_write_batch: usize,
+    snapshot_capacity: usize,
+    behavior: SlaveBehavior,
+) -> sdr_core::System {
     let cfg = SystemConfig {
         n_masters: 3,
         n_slaves: 2,
@@ -86,7 +96,7 @@ fn batched(seed: u64, max_write_batch: usize, snapshot_capacity: usize) -> sdr_c
         ..SystemConfig::default()
     };
     SystemBuilder::new(cfg)
-        .behaviors(vec![SlaveBehavior::Honest; 2])
+        .behaviors(vec![SlaveBehavior::Honest, behavior])
         .workload(Workload {
             reads_per_sec: 1.0,
             writes_per_sec: 30.0,
@@ -183,4 +193,99 @@ fn slaves_converge_under_batched_pushes_without_digest_mismatches() {
         "batch anchors must never be tried against intermediate versions"
     );
     assert_eq!(sys.world.metrics().counter(metrics::SLAVE_BAD_UPDATES), 0);
+}
+
+/// The elected auditor lags several versions behind under batched
+/// rounds, further than a ring of 2 reaches: its ring is pinned from the
+/// version under audit, so every pledge is still audited and the liar
+/// convicted, while every other master keeps exactly its capacity.
+#[test]
+fn lagging_auditor_keeps_its_versions_past_capacity() {
+    let liar = SlaveBehavior::ConsistentLiar {
+        prob: 0.3,
+        collude: false,
+    };
+    let mut sys = batched_with(97, 4, 2, liar);
+    sys.run_for(SimDuration::from_secs(20));
+    let stats = sys.stats();
+    assert_eq!(stats.audit_late, 0, "a pledge missed its audit");
+    // The audit convicts: it holds evidence against the liar.  (Its
+    // owner, whose ring of 2 no longer holds the pledged versions,
+    // cannot re-verify that evidence, so no exclusion follows here.)
+    assert!(stats.audit_mismatch > 0, "the liar was never convicted");
+
+    let auditor = (0..3).find(|&r| sys.with_master(r, |m| m.is_auditor())).expect("elected");
+    let (audit, live, ring) = sys.with_master(auditor, |m| {
+        (m.auditor_state().audit_version(), m.version(), m.snapshot_versions())
+    });
+    assert!(live - audit > 2, "the audit never lagged past the capacity: {audit}..{live}");
+    assert_eq!(ring, (audit..=live).collect::<Vec<_>>(), "auditor ring");
+    for rank in (0..3).filter(|&r| r != auditor) {
+        let ring = sys.with_master(rank, |m| m.snapshot_versions());
+        assert!(ring.len() <= 2, "master {rank} holds {ring:?}");
+    }
+}
+
+/// After the elected auditor crashes, its successor resumes at the oldest
+/// version its own ring holds — not at the seed, which a ring of 4 has
+/// long evicted — catches up to the live version and keeps convicting.
+/// Every read is pledged, so the two rare liars keep feeding the audit.
+#[test]
+fn new_auditor_resumes_at_oldest_retained_version() {
+    let cfg = SystemConfig {
+        n_masters: 3,
+        n_slaves: 4,
+        n_clients: 8,
+        max_latency: SimDuration::from_millis(500),
+        keepalive_period: SimDuration::from_millis(125),
+        double_check_prob: 0.0,
+        proof_reads: false,
+        snapshot_capacity: 4,
+        seed: 5,
+        ..SystemConfig::default()
+    };
+    let liar = SlaveBehavior::ConsistentLiar {
+        prob: 0.01,
+        collude: false,
+    };
+    let mut sys = SystemBuilder::new(cfg)
+        .behaviors(vec![SlaveBehavior::Honest, liar, SlaveBehavior::Honest, liar])
+        .workload(Workload {
+            reads_per_sec: 4.0,
+            writes_per_sec: 0.2,
+            writer_fraction: 1.0,
+            ..Workload::default()
+        })
+        .build();
+    let crash_at = SimTime::from_secs(6);
+    sys.run_until(crash_at);
+    assert!(sys.with_master(2, |m| m.is_auditor()), "rank 2 starts as auditor");
+    let commits = sys.with_master(1, |m| m.version()) - 1;
+    assert!(commits > 4, "too few commits before the crash: {commits}");
+    let mismatches_at_crash = sys.stats().audit_mismatch;
+    sys.crash_master_at(crash_at, 2);
+
+    // Step finely until rank 1 takes over, to see where it resumes.
+    let mut waited = 0;
+    while !sys.with_master(1, |m| m.is_auditor()) {
+        sys.run_for(SimDuration::from_millis(1));
+        waited += 1;
+        assert!(waited < 5_000, "rank 1 never took over the audit");
+    }
+    let (resumed_at, ring) =
+        sys.with_master(1, |m| (m.auditor_state().audit_version(), m.snapshot_versions()));
+    assert!(resumed_at > 1, "the new auditor replays from the seed");
+    assert_eq!(ring.first(), Some(&resumed_at), "not the oldest retained version");
+
+    let mut caught_up = false;
+    for _ in 0..200 {
+        sys.run_for(SimDuration::from_millis(100));
+        let (audit, live) = sys.with_master(1, |m| (m.auditor_state().audit_version(), m.version()));
+        caught_up |= audit == live;
+    }
+    assert!(caught_up, "the new auditor never reached the live version");
+    assert!(
+        sys.stats().audit_mismatch > mismatches_at_crash,
+        "no lie was audited after the failover"
+    );
 }

@@ -66,7 +66,7 @@ fn write_log_stays_in_lockstep_with_snapshot_ring() {
     // before and after the seed itself is evicted.
     let mut db = Database::new();
     let mut ring = SnapshotStore::new(capacity);
-    ring.record(&db, None);
+    ring.record(&db, None, 0);
     let seed = db.version();
     for i in 0..10u64 {
         let ops = vec![UpdateOp::AppendFile {
@@ -74,7 +74,7 @@ fn write_log_stays_in_lockstep_with_snapshot_ring() {
             contents: format!("audit entry {i}\n"),
         }];
         db.apply_write(&ops).expect("writes apply");
-        ring.record(&db, Some(ops));
+        ring.record(&db, Some(ops), 0);
         let logged: Vec<u64> = ring.writes_from(0).into_iter().map(|(v, _)| v).collect();
         let retained: Vec<u64> = ring.versions().into_iter().filter(|&v| v != seed).collect();
         assert_eq!(logged, retained, "write log and snapshot ring diverged at v{}", db.version());
@@ -121,7 +121,7 @@ fn write_log_replay_over_cow_handles_reproduces_snapshots() {
     }
     .build();
     let mut snaps = SnapshotStore::new(16);
-    snaps.record(&db, None);
+    snaps.record(&db, None, 0);
 
     // A deterministic write stream touching rows and files.
     for i in 0..12u64 {
@@ -137,21 +137,21 @@ fn write_log_replay_over_cow_handles_reproduces_snapshots() {
             },
         ];
         db.apply_write(&ops).expect("writes apply");
-        snaps.record(&db, Some(ops));
+        snaps.record(&db, Some(ops), 0);
     }
 
     // Roll back to each retained version and replay the retained ops; the
     // replay must hit every later snapshot's digest exactly, even though
     // all these states share structure.
     for start in snaps.versions() {
-        let mut replay: Database = snaps.get(start).expect("retained").clone();
-        assert_eq!(replay.state_digest(), snaps.get(start).unwrap().state_digest());
+        let mut replay: Database = snaps.get(start).expect("retained").state.clone();
+        assert_eq!(replay.state_digest(), snaps.get(start).unwrap().state.state_digest());
         for (version, ops) in snaps.writes_from(start + 1) {
             replay.apply_write(&ops).expect("replay applies");
             assert_eq!(replay.version(), version);
             assert_eq!(
                 replay.state_digest(),
-                snaps.get(version).expect("retained").state_digest(),
+                snaps.get(version).expect("retained").state.state_digest(),
                 "replay from v{start} diverged at v{version}"
             );
         }
@@ -159,9 +159,10 @@ fn write_log_replay_over_cow_handles_reproduces_snapshots() {
     }
 }
 
-/// A zero-capacity ring (documented no-retention mode) leaves the master
-/// protocol functional: current-version double-checks still work because
-/// the live replica answers them.
+/// A zero-capacity ring retains nothing beyond what the elected auditor
+/// has not closed, and leaves the master protocol functional:
+/// current-version double-checks still work because the live replica
+/// answers them.
 #[test]
 fn no_retention_mode_keeps_system_live() {
     let mut sys = run_system(0, 13);
@@ -174,7 +175,15 @@ fn no_retention_mode_keeps_system_live() {
         stats.reads_issued
     );
     for rank in 0..sys.masters.len() {
-        let snaps = sys.with_master(rank, |m| m.snapshot_versions());
-        assert!(snaps.is_empty(), "master {rank} retained snapshots: {snaps:?}");
+        let (snaps, auditor, audit, live) = sys.with_master(rank, |m| {
+            let audit = m.auditor_state().audit_version();
+            (m.snapshot_versions(), m.is_auditor(), audit, m.version())
+        });
+        if auditor {
+            let window: Vec<u64> = (audit..=live).collect();
+            assert_eq!(snaps, window, "auditor {rank} must retain exactly its audit window");
+        } else {
+            assert!(snaps.is_empty(), "master {rank} retained snapshots: {snaps:?}");
+        }
     }
 }

@@ -171,7 +171,7 @@ pub use pmap::{MerkleContent, NodeStats, PMap, ProofError, RangeProof};
 pub use predicate::{CmpOp, Predicate};
 pub use proof::{FileProof, StateProof, StreamProof, TableProof};
 pub use query::{Aggregate, Query, QueryResult};
-pub use snapshot::SnapshotStore;
+pub use snapshot::{Snapshot, SnapshotStore};
 pub use table::Table;
 pub use update::UpdateOp;
 pub use value::Value;

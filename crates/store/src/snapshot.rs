@@ -1,13 +1,17 @@
-//! The per-version history: each retained version's state and the ops
-//! that produced it.
+//! The per-version history: each retained version's state, the ops that
+//! produced it and when it committed.
 //!
-//! Section 3.5: after a delayed discovery "the harm may be undone, by
-//! rolling back the client to the state before that particular read".
-//! Masters keep a bounded ring of per-version snapshots so any recent
-//! version can be re-materialised for re-execution or rollback.  The same
-//! ring serves lazy-update catch-up (Section 3.1): each entry also holds
-//! the ops that produced its version, so [`SnapshotStore::writes_from`]
-//! replays what a lagging slave missed.
+//! One ring serves three readers.  Section 3.5: after a delayed discovery
+//! "the harm may be undone, by rolling back the client to the state
+//! before that particular read", so any retained version can be
+//! re-materialised for re-execution or rollback.  Lazy-update catch-up
+//! (Section 3.1): each entry also holds the ops that produced its
+//! version, so [`SnapshotStore::writes_from`] replays what a lagging
+//! slave missed.  The audit (Section 3.4): the elected auditor
+//! re-executes each pledge against the entry for the version it names,
+//! and reads each entry's commit time for its advance rule — so the
+//! ring is [pinned](SnapshotStore::pin_from) from the version under
+//! audit, and no version the audit has not closed is ever evicted.
 //!
 //! Because [`Database`] is persistent, [`SnapshotStore::record`] retains
 //! an O(1) structural-sharing handle, not a deep copy: consecutive
@@ -19,51 +23,80 @@ use crate::database::Database;
 use crate::update::UpdateOp;
 use std::collections::BTreeMap;
 
-/// A bounded ring of `content_version → (state, ops)` entries.
+/// One retained version.
+#[derive(Clone, Debug)]
+pub struct Snapshot {
+    /// The state at this version.
+    pub state: Database,
+    /// The ops that produced it; `None` for a version no write produced
+    /// (the seed), which is never replayed.
+    pub ops: Option<Vec<UpdateOp>>,
+    /// When it committed, in microseconds of the recorder's clock.
+    pub committed_us: u64,
+}
+
+/// A bounded ring of `content_version → snapshot` entries.
 #[derive(Clone, Debug)]
 pub struct SnapshotStore {
-    /// The ops are `None` for a version no write produced (the seed).
-    snaps: BTreeMap<u64, (Database, Option<Vec<UpdateOp>>)>,
+    snaps: BTreeMap<u64, Snapshot>,
     capacity: usize,
+    /// Versions at or above this are never evicted (`u64::MAX`: none).
+    pinned_from: u64,
 }
 
 impl SnapshotStore {
-    /// Creates a store retaining at most `capacity` versions.
+    /// Creates a store retaining at most `capacity` unpinned versions.
     ///
-    /// `capacity == 0` is the explicit **no-retention mode**: [`record`]
-    /// becomes a no-op and [`get`] never finds anything.  Use it for
-    /// deployments that deliberately give up Section 3.5 rollback (every
-    /// double-check for a non-current version then answers
-    /// `VersionUnavailable`) and slave catch-up replays.
+    /// `capacity == 0` retains nothing beyond the [pinned] versions: an
+    /// unpinned ring stays empty, and a ring pinned from `v` holds exactly
+    /// the recorded versions from `v` on.  Deployments that choose it
+    /// give up Section 3.5 rollback (every double-check for a non-current
+    /// version then answers `VersionUnavailable`) and slave catch-up
+    /// replays, but never the audit.
     ///
-    /// [`record`]: SnapshotStore::record
-    /// [`get`]: SnapshotStore::get
+    /// [pinned]: SnapshotStore::pin_from
     pub fn new(capacity: usize) -> Self {
         SnapshotStore {
             snaps: BTreeMap::new(),
             capacity,
+            pinned_from: u64::MAX,
         }
     }
 
     /// Records the state at its current version with the `ops` that
-    /// produced it (`None` for the seed version, which is never
-    /// replayed), evicting the oldest entry beyond capacity.
+    /// produced it (`None` for the seed version) and its commit time,
+    /// evicting the oldest unpinned entries beyond capacity.
     ///
     /// O(1) modulo the ring bookkeeping: the handle shares structure with
     /// the live database instead of deep-copying it.
-    pub fn record(&mut self, db: &Database, ops: Option<Vec<UpdateOp>>) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.snaps.insert(db.version(), (db.clone(), ops));
-        while self.snaps.len() > self.capacity {
+    pub fn record(&mut self, db: &Database, ops: Option<Vec<UpdateOp>>, committed_us: u64) {
+        let snap = Snapshot {
+            state: db.clone(),
+            ops,
+            committed_us,
+        };
+        self.snaps.insert(db.version(), snap);
+        self.evict();
+    }
+
+    /// Pins every version from `from` on against eviction (`None`
+    /// unpins), then evicts what capacity and the new pin allow.
+    pub fn pin_from(&mut self, from: Option<u64>) {
+        self.pinned_from = from.unwrap_or(u64::MAX);
+        self.evict();
+    }
+
+    fn evict(&mut self) {
+        while self.snaps.len() > self.capacity
+            && self.snaps.first_key_value().is_some_and(|(&v, _)| v < self.pinned_from)
+        {
             self.snaps.pop_first();
         }
     }
 
-    /// The state at `version`, if retained.
-    pub fn get(&self, version: u64) -> Option<&Database> {
-        self.snaps.get(&version).map(|(db, _)| db)
+    /// The entry for `version`, if retained.
+    pub fn get(&self, version: u64) -> Option<&Snapshot> {
+        self.snaps.get(&version)
     }
 
     /// Every retained write from `version` on, in ascending version
@@ -71,7 +104,7 @@ impl SnapshotStore {
     pub fn writes_from(&self, version: u64) -> Vec<(u64, Vec<UpdateOp>)> {
         self.snaps
             .range(version..)
-            .filter_map(|(&v, (_, ops))| Some((v, ops.clone()?)))
+            .filter_map(|(&v, s)| Some((v, s.ops.clone()?)))
             .collect()
     }
 
@@ -90,8 +123,8 @@ impl SnapshotStore {
     /// proportional to churn between versions, not to `capacity × n`.
     pub fn node_stats(&self) -> crate::pmap::NodeStats {
         let mut out = crate::pmap::NodeStats::default();
-        for (db, _) in self.snaps.values() {
-            out.merge(db.node_stats());
+        for s in self.snaps.values() {
+            out.merge(s.state.node_stats());
         }
         out
     }
@@ -128,15 +161,15 @@ mod tests {
     fn record_and_retrieve_versions() {
         let mut db = setup();
         let mut s = SnapshotStore::new(10);
-        s.record(&db, None); // v1
+        s.record(&db, None, 0); // v1
         let ops = advance(&mut db, 1); // v2
-        s.record(&db, ops);
+        s.record(&db, ops, 0);
         let ops = advance(&mut db, 2); // v3
-        s.record(&db, ops);
+        s.record(&db, ops, 0);
 
-        assert_eq!(s.get(2).unwrap().version(), 2);
-        assert!(s.get(2).unwrap().table("t").unwrap().get(2).is_none());
-        assert!(s.get(3).unwrap().table("t").unwrap().get(2).is_some());
+        assert_eq!(s.get(2).unwrap().state.version(), 2);
+        assert!(s.get(2).unwrap().state.table("t").unwrap().get(2).is_none());
+        assert!(s.get(3).unwrap().state.table("t").unwrap().get(2).is_some());
     }
 
     #[test]
@@ -145,7 +178,7 @@ mod tests {
         let mut s = SnapshotStore::new(2);
         for k in 1..=4 {
             let ops = advance(&mut db, k);
-            s.record(&db, ops);
+            s.record(&db, ops, 0);
         }
         assert_eq!(s.versions(), vec![4, 5]);
         assert!(s.get(2).is_none());
@@ -162,11 +195,38 @@ mod tests {
         let mut s = SnapshotStore::new(0);
         for k in 1..=3 {
             let ops = advance(&mut db, k);
-            s.record(&db, ops);
+            s.record(&db, ops, 0);
         }
         assert!(s.versions().is_empty());
         assert!(s.get(db.version()).is_none());
         assert!(s.writes_from(0).is_empty());
+    }
+
+    #[test]
+    fn pinned_versions_outlive_capacity_until_unpinned() {
+        let mut db = setup();
+        let mut s = SnapshotStore::new(2);
+        s.pin_from(Some(db.version())); // v1
+        s.record(&db, None, 10);
+        for k in 1..=4 {
+            let ops = advance(&mut db, k);
+            s.record(&db, ops, 10 + k);
+        }
+        // Nothing at or above the pin is evicted, capacity or not.
+        assert_eq!(s.versions(), vec![1, 2, 3, 4, 5]);
+        assert_eq!(s.get(3).map(|e| e.committed_us), Some(12));
+        // Moving the pin releases what capacity no longer covers.
+        s.pin_from(Some(3));
+        assert_eq!(s.versions(), vec![3, 4, 5]);
+        s.pin_from(None);
+        assert_eq!(s.versions(), vec![4, 5]);
+        // With no capacity, a pinned ring holds exactly the pinned window.
+        let mut none = SnapshotStore::new(0);
+        none.pin_from(Some(db.version()));
+        none.record(&db, None, 0);
+        assert_eq!(none.versions(), vec![db.version()]);
+        none.pin_from(None);
+        assert!(none.versions().is_empty());
     }
 
     #[test]
@@ -176,7 +236,7 @@ mod tests {
             advance(&mut db, k);
         }
         let mut s = SnapshotStore::new(8);
-        s.record(&db, None);
+        s.record(&db, None, 0);
         // One retained snapshot sharing everything with the live db:
         // nothing is exclusively owned by the ring.
         let one = s.node_stats();
@@ -188,7 +248,7 @@ mod tests {
         // structure reused across versions.
         for k in 1..=4 {
             let ops = advance(&mut db, k); // Upserts: touch existing keys only.
-            s.record(&db, ops);
+            s.record(&db, ops, 0);
         }
         let many = s.node_stats();
         assert_eq!(s.versions().len(), 5);
@@ -205,11 +265,11 @@ mod tests {
     fn writes_from_replays_every_write_but_never_the_seed() {
         let mut db = setup();
         let mut s = SnapshotStore::new(10);
-        s.record(&db, None); // v1, the seed: no ops.
+        s.record(&db, None, 0); // v1, the seed: no ops.
         let mut written = Vec::new();
         for k in 1..=3 {
             let ops = advance(&mut db, k);
-            s.record(&db, ops.clone());
+            s.record(&db, ops.clone(), 0);
             written.push((db.version(), ops.unwrap()));
         }
         assert_eq!(s.writes_from(0), written);
@@ -222,10 +282,10 @@ mod tests {
     fn snapshot_is_isolated_from_live_state() {
         let mut db = setup();
         let mut s = SnapshotStore::new(10);
-        s.record(&db, None);
-        let v1_digest = s.get(1).unwrap().state_digest();
+        s.record(&db, None, 0);
+        let v1_digest = s.get(1).unwrap().state.state_digest();
         advance(&mut db, 9);
-        assert_eq!(s.get(1).unwrap().state_digest(), v1_digest);
+        assert_eq!(s.get(1).unwrap().state.state_digest(), v1_digest);
     }
 
     #[test]
@@ -238,11 +298,11 @@ mod tests {
         let mut reference = Vec::new();
         for k in 1..=6 {
             let ops = advance(&mut db, k);
-            s.record(&db, ops);
+            s.record(&db, ops, 0);
             reference.push((db.version(), db.state_digest()));
         }
         for (version, digest) in reference {
-            let snap = s.get(version).expect("retained");
+            let snap = &s.get(version).expect("retained").state;
             assert_eq!(snap.version(), version);
             assert_eq!(snap.state_digest(), digest);
             // The snapshot still answers queries against its own state:

@@ -1,4 +1,6 @@
-//! Smoke test: every example builds, and `quickstart` runs to completion.
+//! Smoke test: every example builds, `quickstart` runs to completion, and
+//! `master_failover` — the one example that crashes the elected auditor —
+//! ends with the service intact.
 //!
 //! Guards the README's promises — `cargo run --example quickstart` must
 //! always work from a clean checkout.  Uses the same `cargo` binary that
@@ -45,5 +47,23 @@ fn examples_build_and_quickstart_runs() {
     assert!(
         stdout.contains("running") && stdout.contains("simulated second"),
         "quickstart output missing expected banner:\n{stdout}"
+    );
+}
+
+#[test]
+fn master_failover_never_stops_the_service() {
+    let run = cargo()
+        .args(["run", "-q", "--example", "master_failover", "-p", "secure_replication"])
+        .output()
+        .expect("failed to spawn cargo run --example master_failover");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        run.status.success(),
+        "master_failover exited nonzero:\nstdout:\n{stdout}\nstderr:\n{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(
+        stdout.contains("the service never stopped"),
+        "master_failover output missing its final verdict:\n{stdout}"
     );
 }

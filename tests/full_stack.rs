@@ -111,8 +111,8 @@ fn evidence_verifies_offline_with_mss() {
     assert!(evidence.verify(&innocent.public_key(), &db).is_err());
 }
 
-/// All replicas and the auditor's lagging copy converge to the same state
-/// digest once the system quiesces.
+/// All replicas converge to the same state digest once the system
+/// quiesces.
 #[test]
 fn every_replica_converges_to_one_digest() {
     let cfg = SystemConfig {
