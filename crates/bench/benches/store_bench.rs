@@ -10,8 +10,8 @@ use sdr_core::StateDigestStamp;
 use sdr_crypto::{Digest, MssSigner, Sha256, Signer};
 use sdr_sim::{NodeId, SimTime};
 use sdr_store::{
-    execute, Aggregate, CmpOp, Database, Document, LruByteCache, Predicate, Query, QueryCache,
-    SnapshotStore, StateProof, UpdateOp,
+    execute, Aggregate, CmpOp, Database, Document, ExecMemo, LruByteCache, Predicate, Query,
+    QueryCache, SnapshotStore, StateProof, UpdateOp,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -95,6 +95,40 @@ fn bench_queries(c: &mut Criterion) {
             b.iter(|| black_box(execute(&db, &query).expect("query ok")))
         });
     }
+    group.finish();
+}
+
+/// The execution memo on the shape most of its hits take: a grouped
+/// aggregate over a 25k-row table (one shard of the `churn_100k`
+/// catalogue).  A miss executes and admits the result; a hit is the
+/// state digest, one key hash and an LRU probe.
+fn bench_exec_memo(c: &mut Criterion) {
+    let db = DatasetSpec {
+        n_products: 25_000,
+        n_reviews: 0,
+        n_files: 0,
+        lines_per_file: 0,
+        shared_block_lines: 0,
+        hot_fraction: 0.01,
+        skew: 0.0,
+        seed: 42,
+    }
+    .build();
+    let query = Query::Aggregate {
+        table: "products".into(),
+        predicate: Predicate::True,
+        agg: Aggregate::Avg("price".into()),
+        group_by: Some("category".into()),
+    };
+    let mut group = c.benchmark_group("exec_memo");
+    group.bench_function("miss", |b| {
+        b.iter(|| black_box(ExecMemo::new().execute(&db, &query).expect("query ok")))
+    });
+    let memo = ExecMemo::new();
+    memo.execute(&db, &query).expect("query ok");
+    group.bench_function("hit", |b| {
+        b.iter(|| black_box(memo.execute(&db, &query).expect("query ok")))
+    });
     group.finish();
 }
 
@@ -447,6 +481,7 @@ fn bench_range(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_queries,
+    bench_exec_memo,
     bench_state_digest,
     bench_cow_store,
     bench_proofs,

@@ -22,6 +22,13 @@
 //! paper's four: it signs nothing, it answers nobody, it may cache results
 //! (it replays a known query stream), and it can spread work over idle
 //! off-peak hours — the lag metric visualised by experiment E7.
+//!
+//! The modeled result cache keeps, per `(version, query)`, only what a
+//! comparison needs: the result's size (for the hash charge) and its
+//! hash, so it costs O(entries × 32 B) whatever the results weigh.  A
+//! miss re-executes through the deployment's [`ExecMemo`], which spares
+//! the host a query some slave or master already ran against the same
+//! state; the modeled charge is the same either way.
 
 use crate::config::SystemConfig;
 use crate::evidence::{Discovery, Evidence};
@@ -29,10 +36,10 @@ use crate::metrics as id;
 use crate::pledge::{Pledge, ResultHash};
 use sdr_crypto::PublicKey;
 use sdr_sim::{Ctx, NodeId, SimDuration, SimTime};
-use sdr_store::{execute, QueryCache, Snapshot, SnapshotStore};
+use sdr_store::{ExecMemo, QueryCache, Snapshot, SnapshotStore};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-/// Capacity of the auditor's result cache.
+/// Capacity of the auditor's result cache, in entries.
 const CACHE_CAPACITY: usize = 4_096;
 
 /// Outcome of one audit slice, to be routed by the owning master.
@@ -53,7 +60,8 @@ pub struct AuditorState {
     version: u64,
     /// Pledges bucketed by the version their stamp names.
     buckets: BTreeMap<u64, VecDeque<Pledge>>,
-    cache: QueryCache,
+    /// The size and hash of each re-executed result.
+    cache: QueryCache<(usize, ResultHash)>,
 }
 
 impl AuditorState {
@@ -110,7 +118,8 @@ impl AuditorState {
     }
 
     /// Runs one audit slice bounded by `cfg.audit_slice` of virtual CPU,
-    /// re-executing against `ring`, the master's snapshot ring.
+    /// re-executing through `memo` against `ring`, the master's snapshot
+    /// ring.
     ///
     /// Returns findings (wrong pledges with evidence) for the master to
     /// route to the slaves' owners.
@@ -118,6 +127,7 @@ impl AuditorState {
         &mut self,
         ctx: &mut Ctx<'_, crate::messages::Msg>,
         ring: &SnapshotStore,
+        memo: &ExecMemo,
         slave_keys: &HashMap<NodeId, PublicKey>,
         master_keys: &HashMap<NodeId, PublicKey>,
     ) -> Vec<AuditFinding> {
@@ -149,37 +159,48 @@ impl AuditorState {
                     continue;
                 }
 
-                // Re-execute (with the cache — the paper's optimisation).
+                // Re-execute (with the cache — the paper's optimisation)
+                // against the version under audit, which the ring never
+                // evicts.
                 let caching = self.cfg.auditor_cache;
+                let algo = pledge.result_hash.algo();
+                let run = || ring.get(va).map(|s| memo.execute(&s.state, &pledge.query));
                 let cached = if caching {
                     ctx.charge(ctx.costs().cache_lookup);
                     self.cache.get(va, &pledge.query)
                 } else {
                     None
                 };
-                let result = match cached {
-                    Some(r) => {
+                let (size, correct_hash) = match cached {
+                    Some((size, hash)) => {
                         ctx.metrics().inc(id::AUDIT_CACHE_HIT);
-                        r
+                        // A pledge naming another algorithm is rehashed on
+                        // the host; the model charges a hit the same.
+                        let hash = if hash.algo() == algo {
+                            hash
+                        } else {
+                            let done = run().expect("pinned").expect("ran before");
+                            ResultHash::of(&done.0, algo)
+                        };
+                        (size, hash)
                     }
                     None => {
-                        // The ring never evicts the version under audit.
-                        let executed = ring.get(va).map(|s| execute(&s.state, &pledge.query));
-                        let Some(Ok((r, qcost))) = executed else {
+                        let Some(Ok(done)) = run() else {
                             ctx.metrics().inc(id::AUDIT_QUERY_ERRORS);
                             continue;
                         };
-                        ctx.charge(crate::cost::query_charge(&qcost, r.size(), ctx.costs()));
+                        let (r, qcost) = &*done;
+                        ctx.charge(crate::cost::query_charge(qcost, r.size(), ctx.costs()));
+                        let entry = (r.size(), ResultHash::of(r, algo));
                         if caching {
-                            self.cache.put(va, &pledge.query, r.clone());
+                            self.cache.put(va, &pledge.query, entry);
                         }
-                        r
+                        entry
                     }
                 };
-                ctx.charge(ctx.costs().hash_cost(result.size()));
+                ctx.charge(ctx.costs().hash_cost(size));
                 ctx.metrics().inc(id::AUDIT_CHECKED);
 
-                let correct_hash = ResultHash::of(&result, pledge.result_hash.algo());
                 if correct_hash != pledge.result_hash {
                     ctx.metrics().inc(id::AUDIT_MISMATCH);
                     findings.push(AuditFinding {

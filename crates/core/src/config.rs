@@ -121,7 +121,8 @@ pub struct SystemConfig {
     pub cert_cache_entries: usize,
     /// Recheck mode: on every cache hit the host *also* recomputes the
     /// value fresh and compares, counting any divergence in the
-    /// `slave.cache_divergence` / `client.cache_divergence` metrics.
+    /// `slave.cache_divergence` / `client.cache_divergence` metrics; a
+    /// hit of the shared execution memo that differs panics.
     /// Purely a host-side oracle — virtual charges, message bytes, and
     /// the `RunReport` are byte-identical with it on or off.
     pub cache_verify: bool,

@@ -12,7 +12,7 @@ use crate::error::CoreError;
 use crate::pledge::{Pledge, ResultHash};
 use sdr_crypto::PublicKey;
 use sdr_sim::SimTime;
-use sdr_store::{execute, Database, QueryCost};
+use sdr_store::{Database, ExecMemo, QueryCost};
 
 /// How the misbehaviour was discovered (Section 3.5's two cases).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,11 +49,12 @@ impl Evidence {
     ///    hash.
     ///
     /// Returns the work of that one re-execution, for the verifier to
-    /// charge.
+    /// charge; `memo` may have done the work already.
     pub fn verify(
         &self,
         slave_key: &PublicKey,
         reference: &Database,
+        memo: &ExecMemo,
     ) -> Result<QueryCost, CoreError> {
         self.pledge
             .verify_signature(slave_key)
@@ -61,15 +62,16 @@ impl Evidence {
         if reference.version() != self.pledge.stamp.version {
             return Err(CoreError::BadEvidence("reference at wrong version"));
         }
-        let (result, cost) = execute(reference, &self.pledge.query)?;
-        let recomputed = ResultHash::of(&result, self.pledge.result_hash.algo());
+        let done = memo.execute(reference, &self.pledge.query)?;
+        let (result, cost) = &*done;
+        let recomputed = ResultHash::of(result, self.pledge.result_hash.algo());
         if recomputed != self.correct_hash {
             return Err(CoreError::BadEvidence("correct_hash does not match re-execution"));
         }
         if recomputed == self.pledge.result_hash {
             return Err(CoreError::BadEvidence("pledged result was actually correct"));
         }
-        Ok(cost)
+        Ok(*cost)
     }
 }
 
@@ -80,7 +82,7 @@ mod tests {
     use crate::messages::VersionStamp;
     use sdr_crypto::{HmacSigner, Signer};
     use sdr_sim::NodeId;
-    use sdr_store::{Document, Query, QueryResult, UpdateOp, Value};
+    use sdr_store::{execute, Document, Query, QueryResult, UpdateOp, Value};
 
     fn reference() -> Database {
         let mut db = Database::new();
@@ -136,7 +138,8 @@ mod tests {
     #[test]
     fn genuine_evidence_verifies() {
         let (ev, slave, db) = make_evidence(true);
-        ev.verify(&slave.public_key(), &db).unwrap();
+        ev.verify(&slave.public_key(), &db, &ExecMemo::new())
+            .unwrap();
     }
 
     #[test]
@@ -144,7 +147,7 @@ mod tests {
         // Evidence built from a correct answer must not verify.
         let (ev, slave, db) = make_evidence(false);
         assert_eq!(
-            ev.verify(&slave.public_key(), &db),
+            ev.verify(&slave.public_key(), &db, &ExecMemo::new()),
             Err(CoreError::BadEvidence("pledged result was actually correct"))
         );
     }
@@ -158,7 +161,7 @@ mod tests {
             key: 2,
         };
         assert_eq!(
-            ev.verify(&slave.public_key(), &db),
+            ev.verify(&slave.public_key(), &db, &ExecMemo::new()),
             Err(CoreError::BadEvidence("pledge signature invalid"))
         );
     }
@@ -173,7 +176,7 @@ mod tests {
         }])
         .unwrap();
         assert_eq!(
-            ev.verify(&slave.public_key(), &db),
+            ev.verify(&slave.public_key(), &db, &ExecMemo::new()),
             Err(CoreError::BadEvidence("reference at wrong version"))
         );
     }
@@ -186,7 +189,7 @@ mod tests {
             HashAlgo::Sha1,
         );
         assert_eq!(
-            ev.verify(&slave.public_key(), &db),
+            ev.verify(&slave.public_key(), &db, &ExecMemo::new()),
             Err(CoreError::BadEvidence("correct_hash does not match re-execution"))
         );
     }

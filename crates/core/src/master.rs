@@ -30,8 +30,9 @@ use crate::pledge::{Pledge, ResultHash};
 use sdr_broadcast::{Action, MemberId, TobConfig, TotalOrder, View};
 use sdr_crypto::{CertRole, Certificate, CertificateBody, Hash256, PublicKey, Signer};
 use sdr_sim::{Ctx, NodeId, Process, SimDuration, SimTime};
-use sdr_store::{execute, Database, SnapshotStore, UpdateOp};
+use sdr_store::{Database, ExecMemo, SnapshotStore, UpdateOp};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Admission bound on queued *rounds* of writes: keeps worst-case commit
 /// latency at `MAX_PENDING_ROUNDS x max_latency`, safely inside client
@@ -95,6 +96,10 @@ pub struct MasterProcess {
     auditor_state: AuditorState,
     evidence_log: Vec<Evidence>,
     directory: NodeId,
+    /// The execution memo shared by every replica of the deployment:
+    /// double-checks, accusations, trusted reads and the audit go
+    /// through it.
+    memo: ExecMemo,
 }
 
 impl MasterProcess {
@@ -119,6 +124,7 @@ impl MasterProcess {
         slave_keys: HashMap<NodeId, PublicKey>,
         slave_owner: HashMap<NodeId, MemberId>,
         directory: NodeId,
+        memo: ExecMemo,
     ) -> Self {
         let n = member_nodes.len();
         let auditor_state = AuditorState::new(&cfg, db.version());
@@ -151,6 +157,7 @@ impl MasterProcess {
             dc_times: HashMap::new(),
             evidence_log: Vec::new(),
             directory,
+            memo,
         };
         master.pin_audit_window();
         master.snapshots.record(&master.db, None, 0);
@@ -701,13 +708,14 @@ impl MasterProcess {
         let Some(reference) = self.reference_state(pledge.stamp.version) else {
             return CheckVerdict::VersionUnavailable;
         };
-        let Ok((correct, qcost)) = execute(reference, &pledge.query) else {
+        let Ok(done) = self.memo.execute(reference, &pledge.query) else {
             return CheckVerdict::VersionUnavailable;
         };
-        ctx.charge(crate::cost::query_charge(&qcost, correct.size(), ctx.costs()));
+        let (correct, qcost) = &*done;
+        ctx.charge(crate::cost::query_charge(qcost, correct.size(), ctx.costs()));
         ctx.charge(ctx.costs().hash_cost(correct.size()));
 
-        let correct_hash = ResultHash::of(&correct, pledge.result_hash.algo());
+        let correct_hash = ResultHash::of(correct, pledge.result_hash.algo());
         if correct_hash == pledge.result_hash {
             ctx.metrics().inc(id::DC_MATCH);
             return CheckVerdict::Match;
@@ -734,7 +742,9 @@ impl MasterProcess {
         } else {
             ctx.metrics().inc(id::DC_UNVERIFIABLE_PLEDGE);
         }
-        CheckVerdict::Mismatch { correct }
+        CheckVerdict::Mismatch {
+            correct: correct.clone(),
+        }
     }
 
     fn handle_setup(&mut self, ctx: &mut Ctx<'_, Msg>, client: NodeId) {
@@ -791,7 +801,7 @@ impl MasterProcess {
             return;
         };
         ctx.charge(ctx.costs().verify);
-        match evidence.verify(key, reference) {
+        match evidence.verify(key, reference, &self.memo) {
             Ok(qcost) => {
                 // Verifying re-executed the query once; charge the work.
                 ctx.charge(crate::cost::query_charge(&qcost, 0, ctx.costs()));
@@ -847,6 +857,7 @@ impl Process<Msg> for MasterProcess {
                     let findings = self.auditor_state.process_slice(
                         ctx,
                         &self.snapshots,
+                        &self.memo,
                         &self.slave_keys,
                         &self.master_keys,
                     );
@@ -945,7 +956,8 @@ impl Process<Msg> for MasterProcess {
             }
             Msg::TrustedRead { req_id, query } => {
                 ctx.metrics().inc(id::MASTER_TRUSTED_READS);
-                if let Ok((result, qcost)) = execute(&self.db, &query) {
+                if let Ok(done) = self.memo.execute(&self.db, &query) {
+                    let (result, qcost) = Arc::unwrap_or_clone(done);
                     ctx.charge(crate::cost::query_charge(&qcost, result.size(), ctx.costs()));
                     ctx.send(from, Msg::TrustedReadResponse { req_id, result });
                 }

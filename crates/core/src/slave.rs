@@ -24,7 +24,7 @@ use sdr_crypto::{Digest, Hash256, PublicKey, Sha256, Signer};
 use sdr_sim::{CostModel, Counter, Ctx, NodeId, Payload, Process, SimDuration, SimTime};
 use sdr_store::fsview::GrepMatch;
 use sdr_store::{
-    execute, Database, Document, LruByteCache, Query, QueryResult, StreamProof, UpdateOp, Value,
+    Database, Document, ExecMemo, LruByteCache, Query, QueryResult, StreamProof, UpdateOp, Value,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -110,15 +110,20 @@ fn out_of_sync(ctx: &mut Ctx<'_, Msg>, metric: Counter) -> RefuseReason {
     RefuseReason::OutOfSync
 }
 
-/// Executes `query`, adding its modeled cost to `cost`; the error is the
-/// metric to count.
+/// Executes `query` through the deployment's memo, adding its modeled
+/// cost to `cost` (the same whether it ran here or earlier); the error
+/// is the metric to count.
 fn run_query(
+    memo: &ExecMemo,
     db: &Database,
     query: &Query,
     costs: &CostModel,
     cost: &mut SimDuration,
 ) -> Result<QueryResult, Counter> {
-    let (result, qcost) = execute(db, query).map_err(|_| id::SLAVE_QUERY_ERRORS)?;
+    let done = memo
+        .execute(db, query)
+        .map_err(|_| id::SLAVE_QUERY_ERRORS)?;
+    let (result, qcost) = Arc::unwrap_or_clone(done);
     *cost += query_charge(&qcost, result.size(), costs);
     Ok(result)
 }
@@ -325,6 +330,8 @@ pub struct SlaveProcess {
     /// Same for `StreamProof` headers, keyed by `(anchor stamp, path)`
     /// (chunk payloads are per-request and stay uncached).
     stream_proof_cache: LruByteCache<StreamProof>,
+    /// The execution memo shared by every replica of the deployment.
+    memo: ExecMemo,
 }
 
 impl SlaveProcess {
@@ -335,6 +342,7 @@ impl SlaveProcess {
         behavior: SlaveBehavior,
         signer: Box<dyn Signer>,
         master_keys: HashMap<NodeId, PublicKey>,
+        memo: ExecMemo,
     ) -> Self {
         let budget = cfg.proof_cache_bytes;
         SlaveProcess {
@@ -354,6 +362,7 @@ impl SlaveProcess {
             reads_served: 0,
             reply_cache: LruByteCache::new(budget),
             stream_proof_cache: LruByteCache::new(budget),
+            memo,
         }
     }
 
@@ -602,12 +611,12 @@ impl SlaveProcess {
         }
 
         let costs = *ctx.costs();
-        let (db, verify) = (&self.db, self.cfg.cache_verify);
+        let (db, memo, verify) = (&self.db, &self.memo, self.cfg.cache_verify);
         let caching = self.cfg.proof_cache_bytes > 0;
         let anchor = self.latest_digest_stamp.as_ref();
         let mut answer = match kind {
             ReadKind::Pledge => {
-                let build = |cost: &mut _| Ok((run_query(db, &query, &costs, cost)?, 0));
+                let build = |cost: &mut _| Ok((run_query(memo, db, &query, &costs, cost)?, 0));
                 Answer::Pledged(fetch(ctx, verify, None, build)?.0)
             }
             ReadKind::Proof => {
@@ -615,7 +624,7 @@ impl SlaveProcess {
                 let slot =
                     caching.then(|| (&mut self.reply_cache, cache_key(anchor, &query.encode())));
                 let (reply, cached) = fetch(ctx, verify, slot, |cost| {
-                    let result = run_query(db, &query, &costs, cost)?;
+                    let result = run_query(memo, db, &query, &costs, cost)?;
                     // Not a point read or scan, or the table itself is gone.
                     let Some(Ok(proof)) = db.prove_query(&query) else {
                         return Err(id::SLAVE_PROOF_UNSUPPORTED);

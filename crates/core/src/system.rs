@@ -8,6 +8,10 @@
 //! auditor and gets none), and spawns the directory, every shard's
 //! masters and slaves, and the clients into an `sdr-sim` [`World`].
 //!
+//! Every master and slave of one deployment shares one [`ExecMemo`], so
+//! the host executes each computed query once per state however many
+//! replicas re-execute it in the model.
+//!
 //! Node layout is shard-major and collapses to the classic single-group
 //! layout when `n_shards == 1`: all masters (shard 0 ranks, then shard 1
 //! ranks, …), all slaves (shard-major), the directory, then the clients.
@@ -29,6 +33,7 @@ use sdr_crypto::{
     PublicKey, SignatureScheme, Signer,
 };
 use sdr_sim::{CostModel, LinkModel, NetworkConfig, NodeId, SimDuration, SimTime, World};
+use sdr_store::{ExecMemo, ExecMemoStats};
 use std::collections::HashMap;
 
 /// Builder for a complete simulated deployment.
@@ -237,6 +242,7 @@ impl SystemBuilder {
         // (identical across the shard's masters and slaves); one
         // generator pass builds every slice.
         let shard_dbs = self.workload.dataset.build_shards(&map);
+        let memo = ExecMemo::new().check_hits(cfg.cache_verify);
 
         // Spawn masters, shard-major.
         {
@@ -258,6 +264,7 @@ impl SystemBuilder {
                         shard_slave_keys[s].clone(),
                         shard_slave_owner[s].clone(),
                         directory_id,
+                        memo.clone(),
                     );
                     let id = world.spawn(format!("master-{}", s * nm + rank), Box::new(process));
                     debug_assert_eq!(id, master_ids[s * nm + rank]);
@@ -276,6 +283,7 @@ impl SystemBuilder {
                 behaviors[i],
                 signer,
                 shard_master_keys[s].clone(),
+                memo.clone(),
             );
             let id = world.spawn(format!("slave-{i}"), Box::new(process));
             debug_assert_eq!(id, slave_ids[i]);
@@ -321,6 +329,7 @@ impl SystemBuilder {
             clients: client_ids,
             content_key,
             initial_dataset: self.workload.dataset,
+            memo,
         }
     }
 }
@@ -345,6 +354,7 @@ pub struct System {
     pub content_key: PublicKey,
     /// Dataset spec the content was generated from.
     pub initial_dataset: DatasetSpec,
+    memo: ExecMemo,
 }
 
 impl System {
@@ -401,6 +411,13 @@ impl System {
     pub fn with_client<R>(&mut self, index: usize, f: impl FnOnce(&mut ClientProcess) -> R) -> R {
         let node = self.clients[index];
         self.world.with_process::<ClientProcess, R>(node, f)
+    }
+
+    /// Host-side counters of the execution memo the replicas share.
+    /// They describe the simulator's own work, not the modeled system's,
+    /// so they are not part of [`SystemStats`].
+    pub fn exec_memo_stats(&self) -> ExecMemoStats {
+        self.memo.stats()
     }
 
     /// Harvests statistics (metrics + the lie/acceptance oracle join).

@@ -6,14 +6,20 @@ use sdr_core::acl::WritePolicy;
 use sdr_core::dataset::DatasetSpec;
 use sdr_core::master::MasterProcess;
 use sdr_core::messages::{RefuseReason, WriteOutcome};
+use sdr_core::pledge::ResultHash;
 use sdr_core::slave::SlaveProcess;
-use sdr_core::{metrics, Msg, SlaveBehavior, System, SystemBuilder, SystemConfig, Workload};
+use sdr_core::{
+    metrics, HashAlgo, Msg, Pledge, SlaveBehavior, System, SystemBuilder, SystemConfig,
+    VersionStamp, Workload,
+};
 use sdr_crypto::{Digest, HmacSigner, Sha256, Signer};
 use sdr_sim::{
     CostModel, Counter, Ctx, LinkModel, NetworkConfig, NodeId, Process, SimDuration, SimTime,
     World,
 };
-use sdr_store::{Document, Query, UpdateOp};
+use sdr_store::{
+    execute, Aggregate, Document, ExecMemo, Predicate, Query, QueryResult, UpdateOp, Value,
+};
 use std::collections::HashMap;
 
 /// A quiet system: no reads, no writes — only protocol background traffic.
@@ -122,6 +128,7 @@ impl ReplayWorld {
         let slave_keys = HashMap::from([(slave, slave_signer.public_key())]);
         let net = NetworkConfig::new(LinkModel::constant(SimDuration::from_millis(10)));
         let mut world = World::new(seed, net, CostModel::standard());
+        let memo = ExecMemo::new();
         for rank in 0..2u32 {
             let master = MasterProcess::new(
                 cfg.clone(),
@@ -137,11 +144,18 @@ impl ReplayWorld {
                 slave_keys.clone(),
                 HashMap::from([(slave, MemberId(0))]),
                 probe,
+                memo.clone(),
             );
             world.spawn(format!("master-{rank}"), Box::new(master));
         }
-        let slave_process =
-            SlaveProcess::new(cfg, db, SlaveBehavior::Honest, slave_signer, master_keys);
+        let slave_process = SlaveProcess::new(
+            cfg,
+            db,
+            SlaveBehavior::Honest,
+            slave_signer,
+            master_keys,
+            memo,
+        );
         let recorded = RecordedSlave {
             slave: slave_process,
             updates: Vec::new(),
@@ -586,4 +600,42 @@ fn sync_replay_never_replays_the_seed_version() {
     w.world.run_for(SimDuration::from_millis(100));
     assert_eq!(w.updates()[seen..], [((seed + 1..=live).collect(), live, live)]);
     assert_eq!(w.slave_state(), (live, Some(live)));
+}
+
+/// The auditor's result cache keeps a result's size and hash, not the
+/// result: a cached `(version, query)` pledged under another hash
+/// algorithm is rehashed, so an honest pledge under either algorithm
+/// passes and a lying one is still convicted.
+#[test]
+fn auditor_cache_rehashes_a_pledge_under_another_algorithm() {
+    let seed = 41;
+    let mut w = ReplayWorld::new(seed);
+    let auditor = NodeId(1);
+    let db = DatasetSpec::default().build();
+    let query = Query::Aggregate {
+        table: "products".into(),
+        predicate: Predicate::True,
+        agg: Aggregate::Count,
+        group_by: Some("category".into()),
+    };
+    let (honest, _) = execute(&db, &query).unwrap();
+    let lie = QueryResult::Scalar(Value::Int(0));
+    let mut master = HmacSigner::from_seed_label(seed, b"master-0");
+    let mut slave = HmacSigner::from_seed_label(seed, b"slave-0");
+    let stamp = VersionStamp::build(db.version(), SimTime::ZERO, NodeId(0), &mut master).unwrap();
+    for (result, algo) in [
+        (&honest, HashAlgo::Sha1),
+        (&honest, HashAlgo::Sha256),
+        (&lie, HashAlgo::Sha256),
+    ] {
+        let hash = ResultHash::of(result, algo);
+        let pledge = Pledge::build(query.clone(), hash, stamp.clone(), w.slave, &mut slave).unwrap();
+        let submit = Msg::AuditSubmit { pledge: Box::new(pledge) };
+        w.world.inject(w.probe, auditor, submit);
+    }
+    w.world.run_for(SimDuration::from_secs(2));
+    let count = |name| w.world.metrics().counter(name);
+    assert_eq!(count(metrics::AUDIT_CHECKED), 3);
+    assert_eq!(count(metrics::AUDIT_CACHE_HIT), 2);
+    assert_eq!(count(metrics::AUDIT_MISMATCH), 1, "exactly the lie is convicted");
 }

@@ -28,8 +28,10 @@
 //! * [`exec`] — the executor, which returns both the result and a
 //!   [`exec::QueryCost`] so the simulator can charge realistic work;
 //! * [`update`] — deterministic write operations;
-//! * [`cache`] — a `(version, query) → result` cache (the auditor's main
-//!   optimisation in Section 3.4);
+//! * [`cache`] — the execution memo every replica of a deployment shares
+//!   (each computed query runs once per state digest), the auditor's
+//!   `(version, query)` cache (its main optimisation in Section 3.4) and
+//!   the slave's byte-budgeted reply cache;
 //! * [`snapshot`] — versioned snapshots, each with the ops that produced
 //!   it, enabling the delayed-discovery rollback of Section 3.5 and
 //!   slave catch-up replays (O(1) per version thanks to structural
@@ -159,7 +161,7 @@ pub mod table;
 pub mod update;
 pub mod value;
 
-pub use cache::{LruByteCache, QueryCache};
+pub use cache::{ExecMemo, ExecMemoStats, LruByteCache, QueryCache, EXEC_MEMO_BUDGET};
 pub use chunk::{ChunkId, ChunkStats, ChunkStore, FileManifest, ManifestEntry};
 pub use database::{digest_from_parts, Database};
 pub use document::Document;

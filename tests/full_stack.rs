@@ -7,7 +7,7 @@ use secure_replication::core::pledge::{Pledge, ResultHash};
 use secure_replication::core::{metrics, SlaveBehavior, SystemBuilder, SystemConfig, Workload};
 use secure_replication::crypto::{MssSigner, SignatureScheme, Signer};
 use secure_replication::sim::{NodeId, SimDuration, SimTime};
-use secure_replication::store::{execute, Database, Document, Query, UpdateOp};
+use secure_replication::store::{execute, Database, Document, ExecMemo, Query, UpdateOp};
 
 /// A short deployment using the *real* Merkle signature scheme everywhere
 /// (not the HMAC stand-in): pledges, stamps, and certificates all carry
@@ -101,14 +101,15 @@ fn evidence_verifies_offline_with_mss() {
     };
     // An independent verifier holding only the slave's public key and a
     // replica at the right version convicts the slave.
+    let memo = ExecMemo::new();
     evidence
-        .verify(&slave.public_key(), &db)
+        .verify(&slave.public_key(), &db, &memo)
         .expect("conviction stands offline");
 
     // The same evidence against a *different* key (i.e. accusing an
     // innocent slave) fails.
     let innocent = MssSigner::generate([3; 32], 4).expect("keygen");
-    assert!(evidence.verify(&innocent.public_key(), &db).is_err());
+    assert!(evidence.verify(&innocent.public_key(), &db, &memo).is_err());
 }
 
 /// All replicas converge to the same state digest once the system
