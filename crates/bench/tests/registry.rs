@@ -73,6 +73,35 @@ fn large_catalog_scenario_runs_shrunk() {
     assert!(stats.writes_committed > 0, "no writes committed");
 }
 
+/// The ground truth's invariants hold on every registered scenario: no
+/// proof, range or stream read is accepted wrong, and no honest slave is
+/// excluded.  Each runs at its first cell and seed, shrunk as above, with
+/// every cache hit and every proof-accepted result re-checked
+/// (`cache_verify`).
+#[test]
+fn every_scenario_keeps_the_ground_truth_invariants() {
+    use sdr_core::scenario::Runner;
+    use sdr_sim::SimDuration;
+
+    for name in registry::names() {
+        let mut spec = registry::lookup(name).expect("registered");
+        spec.duration = SimDuration::from_secs(10);
+        spec.checkpoints.clear();
+        spec.seeds = vec![spec.seeds[0]];
+        for axis in &mut spec.grid.axes {
+            axis.values.truncate(1);
+        }
+        spec.config.cache_verify = true;
+        let report = Runner::new(spec).run().expect("scenario runs");
+        let stats = &report.cells[0].runs[0].stats;
+        assert!(
+            stats.wrong_accepted_proof == 0 && stats.honest_excluded == 0,
+            "{name}: {}",
+            stats.render()
+        );
+    }
+}
+
 /// The five examples are registered too (they fetch specs by name).
 #[test]
 fn example_scenarios_are_registered() {

@@ -38,8 +38,9 @@ use crate::config::SystemConfig;
 use crate::cost::proof_fold_charge;
 use crate::messages::{CheckVerdict, Msg, RefuseReason, StateDigestStamp, WriteOutcome};
 use crate::metrics as id;
-use crate::pledge::{Pledge, ResultHash, PLEDGE_ALGO};
+use crate::pledge::Pledge;
 use crate::shard::ShardMap;
+use crate::truth::Truth;
 use crate::verify::{self, ReadStrategy, RejectReason, VerifyEnv};
 use crate::workload::Workload;
 use rand::Rng;
@@ -189,11 +190,12 @@ enum Accept<'a> {
     Checked { corrected: bool },
     /// Authoritative answer from trusted hardware.
     Trusted,
-    /// This result from this slave folded up to the signed digest.
-    Proof(NodeId, &'a QueryResult),
-    /// Every announced chunk verified against the manifest slice (or the
-    /// header alone proved an empty or absent range).
-    Stream { chunks: u64, bytes: u64 },
+    /// This result from this slave folded up to the signed digest
+    /// `anchor` names.
+    Proof { from: NodeId, result: &'a QueryResult, anchor: (u64, Hash256) },
+    /// Every announced chunk from `from` verified against the manifest
+    /// slice (or the header alone proved an empty or absent range).
+    Stream { chunks: u64, bytes: u64, from: NodeId, anchor: (u64, Hash256) },
 }
 
 /// One scattered cross-shard range scan: the parent of `parts.len()`
@@ -211,6 +213,8 @@ struct ScanState {
     parts: Vec<(u64, u64, Option<u64>)>,
     /// Sub-request id → index into `parts`.
     by_req: HashMap<u64, usize>,
+    /// The slave of the first verified part the ground truth found wrong.
+    wrong: Option<NodeId>,
 }
 
 /// Progress of one verified chunk stream.
@@ -219,6 +223,8 @@ struct StreamState {
     proof: StreamProof,
     /// The slave streaming to us; chunks from anyone else are ignored.
     source: NodeId,
+    /// The `(version, digest)` the header was verified against.
+    anchor: (u64, Hash256),
     /// First manifest index the stream carries.
     first: u32,
     /// Number of chunks announced.
@@ -309,9 +315,8 @@ pub struct ClientProcess {
     /// replica roster with a table lookup per certificate.
     cert_cache: LruByteCache<()>,
 
-    /// `(slave, accepted result-hash bytes)` — joined post-run against
-    /// slave lie logs to count wrong answers that slipped through.
-    acceptances: Vec<(NodeId, Vec<u8>)>,
+    /// The harness's ground truth, asked once per accepted read.
+    truth: Truth,
     counters: ClientCounters,
 }
 
@@ -360,6 +365,7 @@ impl ClientProcess {
         directory: NodeId,
         content_key: PublicKey,
         is_writer: bool,
+        truth: Truth,
     ) -> Self {
         let dc_prob = workload
             .greedy_clients
@@ -402,14 +408,9 @@ impl ClientProcess {
             deferred_writes: vec![VecDeque::new(); cfg_shards],
             stamp_cache,
             cert_cache,
-            acceptances: Vec::new(),
+            truth,
             counters: ClientCounters::default(),
         }
-    }
-
-    /// Acceptance log: `(slave, result-hash bytes)` of every accepted read.
-    pub fn acceptances(&self) -> &[(NodeId, Vec<u8>)] {
-        &self.acceptances
     }
 
     /// Per-client counters.
@@ -720,6 +721,7 @@ impl ClientProcess {
             issued_at: ctx.now(),
             parts: Vec::with_capacity(parts.len()),
             by_req: HashMap::new(),
+            wrong: None,
         };
         for (i, (shard, lo, hi)) in parts.into_iter().enumerate() {
             let sub = Query::ScanRange {
@@ -751,20 +753,23 @@ impl ClientProcess {
         ctx.metrics().inc(id::READ_FAILED);
     }
 
-    /// Records one verified sub-scan.  When the last part lands, runs the
-    /// stitch check — the parts must tile `[start, end)` exactly — and
-    /// returns when the scan was issued, for [`Self::accept`] to count
-    /// the parent as one accepted proof read.
+    /// Records one verified sub-scan (`wrong`: its slave, if the ground
+    /// truth found it wrong).  When the last part lands, runs the stitch
+    /// check — the parts must tile `[start, end)` exactly — and returns
+    /// when the scan was issued and whether any part was wrong, for
+    /// [`Self::accept`] to count the parent as one accepted proof read.
     fn scan_part_done(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         parent: u64,
         req: u64,
         rows: u64,
-    ) -> Option<SimTime> {
+        wrong: Option<NodeId>,
+    ) -> Option<(SimTime, Option<NodeId>)> {
         let scan = self.scans.get_mut(&parent)?;
         let idx = *scan.by_req.get(&req)?;
         scan.parts[idx].2 = Some(rows);
+        scan.wrong = scan.wrong.or(wrong);
         if scan.parts.iter().any(|(_, _, r)| r.is_none()) {
             return None;
         }
@@ -788,7 +793,7 @@ impl ClientProcess {
         let total: u64 = scan.parts.iter().filter_map(|(_, _, r)| *r).sum();
         ctx.metrics().inc(id::READ_RANGE_STITCHED);
         ctx.metrics().observe(id::RANGE_SCAN_ROWS, total);
-        Some(scan.issued_at)
+        Some((scan.issued_at, scan.wrong))
     }
 
     /// Sends a read again after a timeout, refusal, reassignment or
@@ -814,19 +819,23 @@ impl ClientProcess {
         p.awaiting.contains(&from).then_some(&p.path)
     }
 
-    /// The one acceptance tail: removes the pending read and emits the
-    /// acceptance log, the counters and the latency histograms.  A
-    /// verified sub-scan reports to its parent's stitcher instead, and
-    /// the parent is counted here once its last piece tiles.
+    /// The one acceptance tail: removes the pending read, asks the ground
+    /// truth whether it is right, and emits the counters and the latency
+    /// histograms.  A verified sub-scan reports to its parent's stitcher
+    /// instead, and the parent is counted here once its last piece tiles.
+    /// A trusted master's answer is authoritative and is not asked about.
     fn accept(&mut self, ctx: &mut Ctx<'_, Msg>, req: u64, how: Accept<'_>) {
         let Some(p) = self.pending.remove(&req) else { return };
         let mut issued_at = p.issued_at;
+        // The slave that served the read, if the read is wrong.
+        let mut wrong = None;
         let (on_proof_path, extra) = match how {
             Accept::Pledged => {
                 if let PathState::Pledged { responses, .. } = &p.path {
-                    for (slave, _, pl) in responses {
-                        self.acceptances.push((*slave, pl.result_hash.bytes().to_vec()));
-                    }
+                    wrong = responses
+                        .iter()
+                        .find(|(_, result, pl)| !self.truth.pledge_right(p.shard, pl, result))
+                        .map(|(slave, _, _)| *slave);
                 }
                 (false, None)
             }
@@ -834,24 +843,32 @@ impl ClientProcess {
                 (false, corrected.then_some(id::READ_CORRECTED_BY_MASTER))
             }
             Accept::Trusted => (false, Some(id::READ_ACCEPTED_SENSITIVE)),
-            Accept::Proof(from, result) => {
-                let hash = ResultHash::of(result, PLEDGE_ALGO);
-                self.acceptances.push((from, hash.bytes().to_vec()));
+            Accept::Proof { from, result, anchor } => {
+                let check = self.cfg.cache_verify.then_some((&p.query, result));
+                wrong = (!self.truth.anchor_right(p.shard, anchor, check)).then_some(from);
                 if let Some(parent) = p.parent_scan {
                     let rows = result.row_count() as u64;
-                    match self.scan_part_done(ctx, parent, req, rows) {
-                        Some(scan_issued_at) => issued_at = scan_issued_at,
+                    match self.scan_part_done(ctx, parent, req, rows, wrong) {
+                        Some(scan) => (issued_at, wrong) = scan,
                         None => return,
                     }
                 }
                 (true, None)
             }
-            Accept::Stream { chunks, bytes } => {
+            Accept::Stream { chunks, bytes, from, anchor } => {
+                wrong = (!self.truth.anchor_right(p.shard, anchor, None)).then_some(from);
                 ctx.metrics().observe(id::STREAM_CHUNKS, chunks);
                 ctx.metrics().observe(id::STREAM_BYTES, bytes);
                 (true, Some(id::READ_STREAM_ACCEPTED))
             }
         };
+        if let Some(slave) = wrong {
+            self.truth.note_wrong(slave);
+            ctx.metrics().inc(id::READ_WRONG_ACCEPTED);
+            if on_proof_path {
+                ctx.metrics().inc(id::READ_WRONG_ACCEPTED_PROOF);
+            }
+        }
         self.counters.reads_accepted += 1;
         ctx.metrics().inc(id::READ_ACCEPTED);
         if let Some(metric) = extra {
@@ -1031,7 +1048,8 @@ impl ClientProcess {
             ctx.metrics()
                 .add(id::RANGE_ROWS_VERIFIED, result.row_count() as u64);
         }
-        self.accept(ctx, req, Accept::Proof(from, &result));
+        let anchor = (stamp.version, stamp.digest);
+        self.accept(ctx, req, Accept::Proof { from, result: &result, anchor });
     }
 
     /// Shared rejection path for proof-verified replies — point proofs,
@@ -1114,9 +1132,11 @@ impl ClientProcess {
         if !verified {
             return;
         }
+        let anchor = (stamp.version, stamp.digest);
         if chunk_count == 0 {
             // Nothing to stream: proven absence or an empty range.
-            return self.accept(ctx, req, Accept::Stream { chunks: 0, bytes: 0 });
+            let how = Accept::Stream { chunks: 0, bytes: 0, from, anchor };
+            return self.accept(ctx, req, how);
         }
         let Some(PathState::Proof {
             stream,
@@ -1129,6 +1149,7 @@ impl ClientProcess {
         *stream = Some(Box::new(StreamState {
             proof,
             source: from,
+            anchor,
             first: first_chunk,
             count: chunk_count,
             received: HashSet::new(),
@@ -1190,7 +1211,8 @@ impl ClientProcess {
                 ctx.metrics().inc(id::READ_STREAM_CHUNKS_VERIFIED);
                 if st.received.len() as u32 == st.count {
                     let (chunks, bytes) = (u64::from(st.count), st.bytes);
-                    self.accept(ctx, req, Accept::Stream { chunks, bytes });
+                    let (from, anchor) = (st.source, st.anchor);
+                    self.accept(ctx, req, Accept::Stream { chunks, bytes, from, anchor });
                 }
             }
             Err(e) => {

@@ -122,9 +122,12 @@ pub struct SystemConfig {
     /// Recheck mode: on every cache hit the host *also* recomputes the
     /// value fresh and compares, counting any divergence in the
     /// `slave.cache_divergence` / `client.cache_divergence` metrics; a
-    /// hit of the shared execution memo that differs panics.
-    /// Purely a host-side oracle — virtual charges, message bytes, and
-    /// the `RunReport` are byte-identical with it on or off.
+    /// hit of the shared execution memo that differs panics; and the
+    /// ground truth re-executes every accepted point and scan result at
+    /// its anchor's version (a difference counts in
+    /// `wrong_accepted_proof`).  Purely a host-side oracle — virtual
+    /// charges, message bytes, and the `RunReport` of a run it finds
+    /// nothing wrong in are byte-identical with it on or off.
     pub cache_verify: bool,
     /// Fraction of reads that are security-sensitive (Section 4 variant;
     /// 0.0 = everything normal).

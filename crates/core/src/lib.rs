@@ -34,7 +34,9 @@
 //!
 //! [`system`] wires everything into an `sdr-sim` world; [`workload`]
 //! generates read/write mixes (including diurnal patterns and greedy
-//! clients); [`stats`] extracts the numbers the experiment harness prints.
+//! clients); [`stats`] extracts the numbers the experiment harness prints;
+//! [`truth`] is the harness's ground truth, which judges every accepted
+//! read.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,6 +59,7 @@ pub mod shard;
 pub mod slave;
 pub mod stats;
 pub mod system;
+pub mod truth;
 pub mod verify;
 pub mod workload;
 

@@ -27,6 +27,7 @@ use crate::messages::{
 };
 use crate::metrics as id;
 use crate::pledge::{Pledge, ResultHash};
+use crate::truth::Truth;
 use sdr_broadcast::{Action, MemberId, TobConfig, TotalOrder, View};
 use sdr_crypto::{CertRole, Certificate, CertificateBody, Hash256, PublicKey, Signer};
 use sdr_sim::{Ctx, NodeId, Process, SimDuration, SimTime};
@@ -100,6 +101,8 @@ pub struct MasterProcess {
     /// double-checks, accusations, trusted reads and the audit go
     /// through it.
     memo: ExecMemo,
+    /// The harness's ground truth: every round is committed to it.
+    truth: Truth,
 }
 
 impl MasterProcess {
@@ -125,6 +128,7 @@ impl MasterProcess {
         slave_owner: HashMap<NodeId, MemberId>,
         directory: NodeId,
         memo: ExecMemo,
+        truth: Truth,
     ) -> Self {
         let n = member_nodes.len();
         let auditor_state = AuditorState::new(&cfg, db.version());
@@ -158,6 +162,7 @@ impl MasterProcess {
             evidence_log: Vec::new(),
             directory,
             memo,
+            truth,
         };
         master.pin_audit_window();
         master.snapshots.record(&master.db, None, 0);
@@ -192,6 +197,11 @@ impl MasterProcess {
     /// Evidence collected so far (forensics).
     pub fn evidence_log(&self) -> &[Evidence] {
         &self.evidence_log
+    }
+
+    /// Slaves this master has excluded.
+    pub fn excluded(&self) -> &HashSet<NodeId> {
+        &self.excluded
     }
 
     /// This master's current slave set (test inspection).
@@ -382,6 +392,7 @@ impl MasterProcess {
         }
         self.earliest_next_write = now + self.cfg.max_latency;
         if !applied.is_empty() {
+            self.truth.commit(self.shard as usize, &applied, self.db.state_digest());
             if mine {
                 ctx.metrics()
                     .observe(id::WRITE_BATCH_SIZE, applied.len() as u64);

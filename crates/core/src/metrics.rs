@@ -223,8 +223,18 @@ metrics_table! {
         proof_latency = hist READ_PROOF_LATENCY_US "read.proof_latency_us" [mean, p50, p99];
         /// Lies slaves told (ground truth).
         lies_told = counter SLAVE_LIES "slave.lies";
-        /// Accepted reads whose result was a lie (oracle join).
-        wrong_accepted = computed u64;
+        /// Accepted reads that were wrong, judged against the ground truth
+        /// at the version their evidence names, once per read whatever its
+        /// quorum (a trusted master's answer is not judged).
+        wrong_accepted = counter READ_WRONG_ACCEPTED "read.wrong_accepted";
+        /// The proof, range and stream reads among `wrong_accepted`: 0
+        /// unless client-side verification itself is broken.
+        wrong_accepted_proof = counter READ_WRONG_ACCEPTED_PROOF "read.wrong_accepted_proof";
+        /// The reads among `wrong_accepted` whose serving slave no master
+        /// had excluded by the end of the run: liars not (yet) caught.
+        wrong_accepted_unconvicted = computed u64;
+        /// Honest slaves in any master's excluded set at the end of the run.
+        honest_excluded = computed u64;
         /// Double-checks sent by clients.
         dc_sent = counter DC_SENT "dc.sent";
         /// Double-check mismatches (immediate discoveries at the master).

@@ -26,7 +26,7 @@ use sdr_store::fsview::GrepMatch;
 use sdr_store::{
     Database, Document, ExecMemo, LruByteCache, Query, QueryResult, StreamProof, UpdateOp, Value,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// The evidence a read request asks for: the one parameter of
@@ -57,7 +57,8 @@ enum Answer {
 }
 
 /// The lie step, shared by every evidence kind: one coin, then the liar
-/// corrupts what it ships and the forgery is returned for the lie log.
+/// corrupts what it ships and returns the forgery (a consistent liar
+/// pledges it).
 /// Only a pledge can cover a lie (a consistent liar pledges the corrupted
 /// hash); proofs and stream headers stay *honest* because forging one
 /// against the signed digest would need a hash collision — which is
@@ -317,10 +318,6 @@ pub struct SlaveProcess {
     /// Highest version this slave consumed-but-dropped (StaleServer only);
     /// keeps gap detection from re-requesting updates it chose to ignore.
     dropped_up_to: u64,
-    /// Result-hash bytes of every lie told, joined post-run against the
-    /// clients' acceptance logs to count `wrong_accepted` (`stats.rs`).
-    /// A lie this set does not record is not counted.
-    lies_told: HashSet<Vec<u8>>,
     reads_served: u64,
     /// Hot-read fast path: honest `ProofReadReply` payloads memoized per
     /// `(anchor stamp, query)` as shared allocations, so a flash crowd
@@ -358,7 +355,6 @@ impl SlaveProcess {
             excluded: false,
             sync_cooldown_until: SimTime::ZERO,
             dropped_up_to: 0,
-            lies_told: HashSet::new(),
             reads_served: 0,
             reply_cache: LruByteCache::new(budget),
             stream_proof_cache: LruByteCache::new(budget),
@@ -369,11 +365,6 @@ impl SlaveProcess {
     /// The slave's verification key.
     pub fn public_key(&self) -> PublicKey {
         self.signer.public_key()
-    }
-
-    /// Result hashes of lies told so far (test/stats oracle).
-    pub fn lies_told(&self) -> &HashSet<Vec<u8>> {
-        &self.lies_told
     }
 
     /// Number of reads served.
@@ -698,10 +689,8 @@ impl SlaveProcess {
         ctx.metrics().inc(id::SLAVE_READS);
 
         let lie = apply_lie_behavior(self.behavior, ctx, &mut answer);
-        if let Some(forged) = &lie {
+        if lie.is_some() {
             ctx.metrics().inc(id::SLAVE_LIES);
-            let hash = ResultHash::of(forged, PLEDGE_ALGO);
-            self.lies_told.insert(hash.bytes().to_vec());
         }
 
         match answer {

@@ -6,42 +6,25 @@
 use crate::metrics;
 use crate::system::System;
 use sdr_sim::NodeId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 pub use crate::metrics::SystemStats;
 
 impl SystemStats {
     /// Collects statistics from a (finished or running) system.
     pub fn collect(sys: &mut System) -> Self {
-        // Oracle join: which accepted result hashes were lies?  The set is
-        // for the join; the *count* of lie events is the `slave.lies`
-        // counter (identical lies to repeated queries hash identically).
-        let mut lie_sets: HashMap<usize, HashSet<Vec<u8>>> = HashMap::new();
-        for i in 0..sys.slaves.len() {
-            let lies = sys.with_slave(i, |s| s.lies_told().clone());
-            lie_sets.insert(i, lies);
+        // Ground truth at collect: the slaves any master has excluded.
+        let mut excluded = HashSet::<NodeId>::new();
+        for rank in 0..sys.masters.len() {
+            sys.with_master(rank, |m| excluded.extend(m.excluded()));
         }
-        let slave_index: HashMap<_, _> = sys
-            .slaves
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (*n, i))
+        let honest_excluded = (sys.slaves.iter().zip(&sys.behaviors))
+            .filter(|(n, b)| !b.is_malicious() && excluded.contains(*n))
+            .count() as u64;
+        let wrong_accepted_unconvicted = sys.truth.wrong_unconvicted(|s| excluded.contains(&s));
+        let per_client = (0..sys.clients.len())
+            .map(|i| sys.with_client(i, |c| c.counters()))
             .collect();
-
-        let mut wrong_accepted = 0u64;
-        let mut per_client = Vec::with_capacity(sys.clients.len());
-        for i in 0..sys.clients.len() {
-            let (acc, counters) =
-                sys.with_client(i, |c| (c.acceptances().to_vec(), c.counters()));
-            for (slave, hash) in acc {
-                if let Some(idx) = slave_index.get(&slave) {
-                    if lie_sets.get(idx).is_some_and(|l| l.contains(&hash)) {
-                        wrong_accepted += 1;
-                    }
-                }
-            }
-            per_client.push(counters);
-        }
 
         // Snapshot-ring memory telemetry: retention cost vs churn.
         let mut snapshot_nodes = sdr_store::NodeStats::default();
@@ -87,7 +70,8 @@ impl SystemStats {
         let queue_depth = sys.world.queue_depth();
         let m = sys.world.metrics();
         SystemStats {
-            wrong_accepted,
+            wrong_accepted_unconvicted,
+            honest_excluded,
             audit_backlog,
             snapshot_nodes_owned: snapshot_nodes.owned as u64,
             snapshot_nodes_shared: snapshot_nodes.shared as u64,
@@ -172,7 +156,8 @@ impl SystemStats {
              ranges: rows_verified={} proof_bytes_p50={} scattered={} stitch_rejects={}\n\
              chunks: stored={} deduped={} logical={}B physical={}B dedup_ratio={:.3}\n\
              writes: committed={} denied={} per_round_mean={:.2}\n\
-             lies: told={} wrong_accepted={} ({:.4}%)\n\
+             lies: told={} wrong_accepted={} ({:.4}%) proof={} unconvicted={} \
+             honest_excluded={}\n\
              double-check: sent={} mismatch={} throttled={}\n\
              discovery: immediate={} delayed={} exclusions={} reassignments={}\n\
              audit: submitted={} checked={} cache_hits={} mismatch={} late={} backlog={}\n\
@@ -213,6 +198,9 @@ impl SystemStats {
             self.lies_told,
             self.wrong_accepted,
             100.0 * self.wrong_accept_rate(),
+            self.wrong_accepted_proof,
+            self.wrong_accepted_unconvicted,
+            self.honest_excluded,
             self.dc_sent,
             self.dc_mismatch,
             self.dc_throttled,

@@ -10,7 +10,9 @@
 //!
 //! Every master and slave of one deployment shares one [`ExecMemo`], so
 //! the host executes each computed query once per state however many
-//! replicas re-execute it in the model.
+//! replicas re-execute it in the model.  The masters commit every round
+//! to one [`Truth`] and check every stamp against it; the clients ask it
+//! whether each read they accept is right.
 //!
 //! Node layout is shard-major and collapses to the classic single-group
 //! layout when `n_shards == 1`: all masters (shard 0 ranks, then shard 1
@@ -25,6 +27,7 @@ use crate::messages::Msg;
 use crate::shard::ShardMap;
 use crate::slave::{SlaveBehavior, SlaveProcess};
 use crate::stats::SystemStats;
+use crate::truth::Truth;
 use crate::workload::Workload;
 use crate::acl::WritePolicy;
 use sdr_broadcast::MemberId;
@@ -243,6 +246,7 @@ impl SystemBuilder {
         // generator pass builds every slice.
         let shard_dbs = self.workload.dataset.build_shards(&map);
         let memo = ExecMemo::new().check_hits(cfg.cache_verify);
+        let truth = Truth::new(&shard_dbs, memo.clone());
 
         // Spawn masters, shard-major.
         {
@@ -265,6 +269,7 @@ impl SystemBuilder {
                         shard_slave_owner[s].clone(),
                         directory_id,
                         memo.clone(),
+                        truth.clone(),
                     );
                     let id = world.spawn(format!("master-{}", s * nm + rank), Box::new(process));
                     debug_assert_eq!(id, master_ids[s * nm + rank]);
@@ -274,7 +279,7 @@ impl SystemBuilder {
 
         // Spawn slaves, shard-major; each knows only its own shard's
         // master keys, so another shard's stamps never anchor it.
-        let mut behaviors = self.behaviors;
+        let behaviors = self.behaviors;
         for (i, signer) in slave_signers.into_iter().enumerate() {
             let s = i / ns;
             let process = SlaveProcess::new(
@@ -288,7 +293,6 @@ impl SystemBuilder {
             let id = world.spawn(format!("slave-{i}"), Box::new(process));
             debug_assert_eq!(id, slave_ids[i]);
         }
-        behaviors.clear();
 
         // Spawn the shard-routing directory.
         let entries: Vec<ShardEntry> = (0..n_shards)
@@ -314,6 +318,7 @@ impl SystemBuilder {
                 directory_id,
                 content_key,
                 i < n_writers,
+                truth.clone(),
             );
             let id = world.spawn(format!("client-{i}"), Box::new(process));
             debug_assert_eq!(id, *expected_id);
@@ -329,7 +334,9 @@ impl SystemBuilder {
             clients: client_ids,
             content_key,
             initial_dataset: self.workload.dataset,
+            behaviors,
             memo,
+            truth,
         }
     }
 }
@@ -354,7 +361,10 @@ pub struct System {
     pub content_key: PublicKey,
     /// Dataset spec the content was generated from.
     pub initial_dataset: DatasetSpec,
+    /// Each slave's behaviour, by global index (ground truth).
+    pub(crate) behaviors: Vec<SlaveBehavior>,
     memo: ExecMemo,
+    pub(crate) truth: Truth,
 }
 
 impl System {
@@ -420,7 +430,7 @@ impl System {
         self.memo.stats()
     }
 
-    /// Harvests statistics (metrics + the lie/acceptance oracle join).
+    /// Harvests statistics.
     pub fn stats(&mut self) -> SystemStats {
         SystemStats::collect(self)
     }

@@ -203,6 +203,7 @@ fn corrupted_stream_chunk_rejected_at_that_chunk() {
 fn stale_server_detected_by_audit() {
     let mut cfg = small_config(6);
     cfg.double_check_prob = 0.02;
+    cfg.audit_fraction = 1.0;
     let mut behaviors = vec![SlaveBehavior::Honest; cfg.n_slaves];
     // Freeze at the initial version: it keeps serving pre-write data.
     behaviors[3] = SlaveBehavior::StaleServer { freeze_at: 4 };
@@ -220,6 +221,36 @@ fn stale_server_detected_by_audit() {
         "stale server never caught: {}",
         stats.render()
     );
+    // A stale server records no lie of its own, but the answers it
+    // pledged under fresh stamps were wrong, and some were accepted.
+    assert_eq!(stats.lies_told, 0);
+    assert!(stats.wrong_accepted >= 1, "{}", stats.render());
+}
+
+/// Two colluding liars answer one quorum-2 read with the same forgery:
+/// one wrong read, counted once however many pledges agree on it.  With
+/// no double-checks and no audit nobody catches them, so every wrong read
+/// is unconvicted too.
+#[test]
+fn colluding_quorum_lie_counts_once_per_read() {
+    let mut cfg = small_config(12);
+    // One slave-owning master (the other is the auditor) assigns both
+    // slaves to every client.
+    cfg.n_masters = 2;
+    cfg.n_slaves = 2;
+    cfg.read_quorum = 2;
+    cfg.double_check_prob = 0.0;
+    cfg.audit_fraction = 0.0;
+    let liar = SlaveBehavior::ConsistentLiar { prob: 1.0, collude: true };
+    let mut sys = build(cfg, vec![liar; 2], Workload::default());
+    sys.run_for(SimDuration::from_secs(20));
+    let stats = sys.stats();
+
+    // Every accepted read was a lie both slaves pledged.
+    assert!(stats.reads_accepted > 20, "{}", stats.render());
+    assert_eq!(stats.wrong_accepted, stats.reads_accepted, "{}", stats.render());
+    assert_eq!(stats.wrong_accepted_unconvicted, stats.wrong_accepted);
+    assert_eq!(stats.wrong_accepted_proof, 0);
 }
 
 #[test]
@@ -237,7 +268,8 @@ fn wrong_accepts_bounded_and_all_detected_eventually() {
     assert!(stats.exclusions >= 1);
     assert!(
         stats.wrong_accepted <= stats.lies_told,
-        "oracle join inconsistent"
+        "more wrong reads than lies: {}",
+        stats.render()
     );
     let detected = stats.audit_mismatch + stats.dc_mismatch;
     assert!(

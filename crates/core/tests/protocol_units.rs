@@ -8,6 +8,7 @@ use sdr_core::master::MasterProcess;
 use sdr_core::messages::{RefuseReason, WriteOutcome};
 use sdr_core::pledge::ResultHash;
 use sdr_core::slave::SlaveProcess;
+use sdr_core::truth::Truth;
 use sdr_core::{
     metrics, HashAlgo, Msg, Pledge, SlaveBehavior, System, SystemBuilder, SystemConfig,
     VersionStamp, Workload,
@@ -129,6 +130,7 @@ impl ReplayWorld {
         let net = NetworkConfig::new(LinkModel::constant(SimDuration::from_millis(10)));
         let mut world = World::new(seed, net, CostModel::standard());
         let memo = ExecMemo::new();
+        let truth = Truth::new(std::slice::from_ref(&db), memo.clone());
         for rank in 0..2u32 {
             let master = MasterProcess::new(
                 cfg.clone(),
@@ -145,6 +147,7 @@ impl ReplayWorld {
                 HashMap::from([(slave, MemberId(0))]),
                 probe,
                 memo.clone(),
+                truth.clone(),
             );
             world.spawn(format!("master-{rank}"), Box::new(master));
         }

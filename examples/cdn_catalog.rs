@@ -20,13 +20,15 @@ fn day_summary(day: usize, stats: &SystemStats) {
         "\n--- end of day {day} ---\n\
          catalogue reads accepted: {} (of {} issued)\n\
          price/stock updates committed: {}\n\
-         compromised-node lies told: {}, slipped past clients: {}\n\
+         compromised-node lies told: {}; accepted reads wrong by the ground truth: {} \
+         ({} from edge nodes not yet excluded)\n\
          discoveries: {} immediate + {} delayed; edge nodes excluded: {}",
         stats.reads_accepted,
         stats.reads_issued,
         stats.writes_committed,
         stats.lies_told,
         stats.wrong_accepted,
+        stats.wrong_accepted_unconvicted,
         stats.discovery_immediate,
         stats.discovery_delayed,
         stats.exclusions,

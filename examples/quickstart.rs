@@ -31,9 +31,9 @@ fn main() {
 
     if stats.exclusions > 0 {
         println!(
-            "\nthe lying slave was caught and excluded; {} wrong answers were accepted \
-             before corrective action, every one of them visible to the audit.",
-            stats.wrong_accepted
+            "\nthe lying slave was caught and excluded; {} accepted reads were wrong by \
+             the ground truth before corrective action ({} from a slave never excluded).",
+            stats.wrong_accepted, stats.wrong_accepted_unconvicted
         );
     } else {
         println!(

@@ -138,12 +138,7 @@ fn combined_stress_keeps_invariants() {
     let stats = sys.stats();
 
     // Safety: honest slaves (indices 0, 2, 3) never excluded.
-    for i in [0usize, 2, 3] {
-        assert!(
-            !sys.with_slave(i, |s| s.is_excluded()),
-            "honest slave {i} was excluded"
-        );
-    }
+    assert_eq!(stats.honest_excluded, 0, "{}", stats.render());
     // Wrong results only from the consistent liar, bounded by its lies.
     assert!(stats.wrong_accepted <= stats.lies_told);
     // The system made progress through all of it.
@@ -154,7 +149,9 @@ fn combined_stress_keeps_invariants() {
 /// lost an update still receives keep-alives stamped with the master's
 /// newer version; pledging its older state's answers under that stamp
 /// would make the audit, which re-executes at the stamped version, find
-/// a mismatch.  These seeds each convicted an honest slave that way.
+/// a mismatch.  These seeds each convicted an honest slave that way, and
+/// the ground truth judges each such answer wrong the moment it is
+/// accepted.
 #[test]
 fn lossy_network_never_convicts_honest_slaves() {
     for seed in [21, 22, 24] {
@@ -170,13 +167,13 @@ fn lossy_network_never_convicts_honest_slaves() {
             .network(net)
             .build();
         sys.run_for(SimDuration::from_secs(80));
-        for i in 0..5 {
-            assert!(
-                !sys.with_slave(i, |s| s.is_excluded()),
-                "seed {seed}: honest slave {i} was excluded"
-            );
-        }
-        assert!(sys.stats().reads_accepted > 100, "seed {seed}: no progress");
+        let stats = sys.stats();
+        assert!(
+            stats.honest_excluded == 0 && stats.wrong_accepted == 0,
+            "seed {seed}: {}",
+            stats.render()
+        );
+        assert!(stats.reads_accepted > 100, "seed {seed}: no progress");
     }
 }
 

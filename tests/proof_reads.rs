@@ -88,6 +88,9 @@ fn proof_path_rejects_lies_immediately() {
         n_clients: 4,
         double_check_prob: 0.0,
         audit_fraction: 0.0, // No detectors: the proof check stands alone.
+        // Every proof-accepted result is also re-executed on the ground
+        // truth at its anchor's version.
+        cache_verify: true,
         seed: 97,
         ..SystemConfig::default()
     };
@@ -129,6 +132,7 @@ fn proof_path_rejects_lies_immediately() {
     // *proof-accepted* reads can be wrong; pledged reads may still have
     // accepted consistent lies (that is exactly the paper's gap).
     assert!(stats.proof_reads_accepted > 0, "{}", stats.render());
+    assert_eq!(stats.wrong_accepted_proof, 0, "{}", stats.render());
 }
 
 /// A proof request for a query shape with no Merkle path (here a range

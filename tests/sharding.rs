@@ -148,19 +148,13 @@ fn byzantine_shard_cannot_affect_other_shards_proof_reads() {
         "healthy replica present: fallback must not fire"
     );
 
-    // Shard 1's replicas served reads and told no lies: the Byzantine
-    // replica's blast radius ends at its shard boundary.
-    let mut shard1_served = 0u64;
-    for i in 2..4 {
-        shard1_served += sys.with_slave(i, |s| s.reads_served());
-        let lies = sys.with_slave(i, |s| s.lies_told().clone());
-        assert!(lies.is_empty(), "shard 1 slave {i} lied");
-    }
+    // Shard 1's replicas served reads, and no honest replica anywhere was
+    // excluded: the Byzantine replica's blast radius ends at its shard
+    // boundary.
+    let shard1_served: u64 = (2..4).map(|i| sys.with_slave(i, |s| s.reads_served())).sum();
     assert!(shard1_served > 0, "shard 1 served nothing");
-
-    // And every lie in the run came from the shard-0 liar.
-    let liar_lies = sys.with_slave(0, |s| s.lies_told().clone());
-    assert!(!liar_lies.is_empty());
+    assert_eq!(stats.honest_excluded, 0, "{}", stats.render());
+    assert_eq!(stats.wrong_accepted_proof, 0);
 }
 
 /// When the whole shard lies, the one proof-path retry is spent and the
