@@ -136,7 +136,8 @@ struct PendingPublish<T> {
 #[derive(Clone, Debug)]
 struct ViewChange {
     proposed: View,
-    waiting: HashSet<MemberId>,
+    /// Members whose state has not arrived yet, in member order.
+    waiting: Vec<MemberId>,
     started_tick: u64,
 }
 
@@ -372,22 +373,28 @@ impl<T: Clone> TotalOrder<T> {
     fn start_view_change_with(&mut self, rejoiner: MemberId) -> Vec<Action<T>> {
         let mut members = self.view.members.clone();
         members.push(rejoiner);
-        let proposed = View::new(self.view.id + 1, members);
-        let waiting: HashSet<MemberId> = proposed
+        self.propose_view(View::new(self.view.id + 1, members))
+    }
+
+    /// Coordinates a change to `proposed`: asks every other member for
+    /// its state, in member order, and installs the view at once when
+    /// there is nobody to ask.
+    fn propose_view(&mut self, proposed: View) -> Vec<Action<T>> {
+        let waiting: Vec<MemberId> = proposed
             .members
             .iter()
             .copied()
             .filter(|&m| m != self.me)
             .collect();
-        let mut actions = Vec::new();
-        for &m in &waiting {
-            actions.push(Action::Send {
-                to: m,
+        let mut actions: Vec<Action<T>> = waiting
+            .iter()
+            .map(|&to| Action::Send {
+                to,
                 msg: TobMessage::StateRequest {
                     proposed: proposed.clone(),
                 },
-            });
-        }
+            })
+            .collect();
         let empty = waiting.is_empty();
         self.view_change = Some(ViewChange {
             proposed,
@@ -504,7 +511,7 @@ impl<T: Clone> TotalOrder<T> {
                         self.log.insert(seq, (origin, publish_id, payload));
                     }
                 }
-                vc.waiting.remove(&from);
+                vc.waiting.retain(|&m| m != from);
                 let done = vc.waiting.is_empty();
                 if done {
                     self.finish_view_change()
@@ -719,75 +726,18 @@ impl<T: Clone> TotalOrder<T> {
                 .collect();
             let coordinator = survivors.first().copied();
             if coordinator == Some(self.me) && self.view_change.is_none() {
-                let proposed = View::new(self.view.id + 1, survivors.clone());
-                let waiting: HashSet<MemberId> = proposed
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|&m| m != self.me)
-                    .collect();
-                if waiting.is_empty() {
-                    self.view_change = Some(ViewChange {
-                        proposed,
-                        waiting,
-                        started_tick: self.tick,
-                    });
-                    actions.extend(self.finish_view_change());
-                } else {
-                    for &m in &waiting.clone() {
-                        actions.push(Action::Send {
-                            to: m,
-                            msg: TobMessage::StateRequest {
-                                proposed: proposed.clone(),
-                            },
-                        });
-                    }
-                    self.view_change = Some(ViewChange {
-                        proposed,
-                        waiting,
-                        started_tick: self.tick,
-                    });
-                }
+                let proposed = View::new(self.view.id + 1, survivors);
+                actions.extend(self.propose_view(proposed));
             }
         }
 
         // View-change timeout: drop non-responders and re-propose.
         if let Some(vc) = &self.view_change {
             if self.tick.saturating_sub(vc.started_tick) > u64::from(self.config.suspect_after) {
-                let stalled: Vec<MemberId> = vc.waiting.iter().copied().collect();
-                let proposed = View::new(vc.proposed.id + 1, {
-                    vc.proposed
-                        .members
-                        .iter()
-                        .copied()
-                        .filter(|m| !stalled.contains(m))
-                        .collect()
-                });
-                let waiting: HashSet<MemberId> = proposed
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|&m| m != self.me)
-                    .collect();
-                let mut acts = Vec::new();
-                for &m in &waiting {
-                    acts.push(Action::Send {
-                        to: m,
-                        msg: TobMessage::StateRequest {
-                            proposed: proposed.clone(),
-                        },
-                    });
-                }
-                let empty = waiting.is_empty();
-                self.view_change = Some(ViewChange {
-                    proposed,
-                    waiting,
-                    started_tick: self.tick,
-                });
-                if empty {
-                    acts.extend(self.finish_view_change());
-                }
-                actions.extend(acts);
+                let survivors = vc.proposed.members.iter().copied();
+                let survivors = survivors.filter(|m| !vc.waiting.contains(m)).collect();
+                let proposed = View::new(vc.proposed.id + 1, survivors);
+                actions.extend(self.propose_view(proposed));
             }
         }
 
@@ -1055,5 +1005,26 @@ mod tests {
             "sequencer log should be pruned, has {}",
             h.engines[0].log.len()
         );
+    }
+
+    /// The coordinator of a view change asks the survivors for their
+    /// state in member order, so the run does not depend on hash order.
+    #[test]
+    fn view_change_asks_for_state_in_member_order() {
+        let mut e: TotalOrder<String> = TotalOrder::new(MemberId(0), 6, TobConfig::default());
+        let mut asked = Vec::new();
+        // Members 1–4 keep talking; member 5 falls silent and is suspected.
+        while asked.is_empty() {
+            for m in 1..5 {
+                e.on_message(MemberId(m), TobMessage::ViewProbe);
+            }
+            for a in e.on_tick() {
+                if let Action::Send { to, msg: TobMessage::StateRequest { .. } } = a {
+                    asked.push(to);
+                }
+            }
+            assert!(e.tick < 20, "no view change started");
+        }
+        assert_eq!(asked, (1..5).map(MemberId).collect::<Vec<_>>());
     }
 }

@@ -57,6 +57,15 @@ const K_WRITE_TIMEOUT: u64 = 5;
 const K_SETUP_TIMEOUT: u64 = 6;
 const K_CHURN: u64 = 7;
 
+/// How long a read waits for its replies before retrying.
+const READ_TIMEOUT: SimDuration = SimDuration::from_millis(1_500);
+/// Retries before a read gives up.
+const READ_RETRIES: u32 = 3;
+/// Entries in the stamp-verification cache.
+const STAMP_CACHE_ENTRIES: usize = 64;
+/// Entries in the verified-certificate set.
+const CERT_CACHE_ENTRIES: usize = 256;
+
 fn tag(kind: u64, req: u64) -> u64 {
     (kind << 40) | req
 }
@@ -322,22 +331,16 @@ pub struct ClientProcess {
 
 /// One signature check memoised in a verified-statement set: a statement
 /// whose `key` is in `cache` pays a lookup instead of `verify`; anything
-/// else pays the full check and, when it passes, joins the set.  `None`
-/// means the cache is configured off.  `hit` and `miss` are the counters
-/// to bump.
+/// else pays the full check and, when it passes, joins the set.  `hit`
+/// and `miss` are the counters to bump.
 fn memoised_verify(
     ctx: &mut Ctx<'_, Msg>,
-    cache: Option<&mut LruByteCache<()>>,
+    cache: &mut LruByteCache<()>,
     cache_verify: bool,
     (hit, miss): (Counter, Counter),
-    key: impl FnOnce() -> Hash256,
+    key: Hash256,
     verify: impl Fn() -> bool,
 ) -> bool {
-    let Some(cache) = cache else {
-        ctx.charge(ctx.costs().verify);
-        return verify();
-    };
-    let key = key();
     if cache.get(&key).is_some() {
         ctx.charge(ctx.costs().cache_lookup);
         ctx.metrics().inc(hit);
@@ -382,8 +385,6 @@ impl ClientProcess {
         let map = ShardMap::new(cfg.n_shards, &workload.dataset);
         let cfg_shards = cfg.n_shards.max(1);
         let shards = vec![ShardView::default(); cfg_shards];
-        let stamp_cache = LruByteCache::new(cfg.stamp_cache_entries);
-        let cert_cache = LruByteCache::new(cfg.cert_cache_entries);
         ClientProcess {
             cfg,
             workload,
@@ -406,8 +407,8 @@ impl ClientProcess {
             scans: HashMap::new(),
             pending_writes: HashMap::new(),
             deferred_writes: vec![VecDeque::new(); cfg_shards],
-            stamp_cache,
-            cert_cache,
+            stamp_cache: LruByteCache::new(STAMP_CACHE_ENTRIES),
+            cert_cache: LruByteCache::new(CERT_CACHE_ENTRIES),
             truth,
             counters: ClientCounters::default(),
         }
@@ -476,7 +477,7 @@ impl ClientProcess {
         for shard in 0..self.shards.len() {
             ctx.send(self.directory, Msg::DirLookup { shard: shard as u32 });
         }
-        ctx.set_timer(self.cfg.read_timeout * 4, tag(K_SETUP_TIMEOUT, 0));
+        ctx.set_timer(READ_TIMEOUT * 4, tag(K_SETUP_TIMEOUT, 0));
     }
 
     fn choose_master(&self, shard: usize, auditor: NodeId) -> Option<(NodeId, PublicKey)> {
@@ -540,7 +541,7 @@ impl ClientProcess {
             self.pending_writes.insert(req, (ctx.now(), shard));
             ctx.send(m, Msg::WriteRequest { req_id: req, ops });
             ctx.set_timer(
-                self.cfg.max_latency * 4 + self.cfg.read_timeout,
+                self.cfg.max_latency * 4 + READ_TIMEOUT,
                 tag(K_WRITE_TIMEOUT, req),
             );
         }
@@ -688,7 +689,7 @@ impl ClientProcess {
             ctx.send(target, msg);
             p.awaiting.insert(target);
         }
-        ctx.set_timer(self.cfg.read_timeout, tag(K_READ_TIMEOUT, req));
+        ctx.set_timer(READ_TIMEOUT, tag(K_READ_TIMEOUT, req));
     }
 
     /// Scatters one cross-shard `ScanRange` into per-shard sub-scans:
@@ -801,7 +802,7 @@ impl ClientProcess {
     fn retry_read(&mut self, ctx: &mut Ctx<'_, Msg>, req: u64) {
         let Some(p) = self.pending.get_mut(&req) else { return };
         p.attempts += 1;
-        if p.attempts > self.cfg.read_retries {
+        if p.attempts > READ_RETRIES {
             return self.fail_read(ctx, req);
         }
         ctx.metrics().inc(id::READ_RETRY);
@@ -928,13 +929,11 @@ impl ClientProcess {
         let mkey = *env
             .master_key_of(stamp.master)
             .ok_or(RejectReason::BadStampSignature)?;
-        let cache = (self.cfg.stamp_cache_entries > 0).then_some(&mut self.stamp_cache);
-        let key = || {
-            let statement = stamp.signing_bytes();
-            Sha256::digest_parts(&[b"sdr/stamp-cache/v1", &mkey.encode(), &statement])
-        };
+        let statement = stamp.signing_bytes();
+        let key = Sha256::digest_parts(&[b"sdr/stamp-cache/v1", &mkey.encode(), &statement]);
         let counters = (id::CLIENT_STAMP_CACHE_HIT, id::CLIENT_STAMP_CACHE_MISS);
         let verify = || stamp.verify(&mkey).is_ok();
+        let cache = &mut self.stamp_cache;
         if memoised_verify(ctx, cache, self.cfg.cache_verify, counters, key, verify) {
             Ok(())
         } else {
@@ -955,10 +954,10 @@ impl ClientProcess {
         shard: u32,
         cert: &Certificate,
     ) -> bool {
-        let cache = (self.cfg.cert_cache_entries > 0).then_some(&mut self.cert_cache);
-        let key = || cert.scoped_cache_key(issuer, role, shard);
+        let key = cert.scoped_cache_key(issuer, role, shard);
         let counters = (id::CLIENT_CERT_CACHE_HIT, id::CLIENT_CERT_CACHE_MISS);
         let verify = || cert.verify_scoped(issuer, role, shard).is_ok();
+        let cache = &mut self.cert_cache;
         memoised_verify(ctx, cache, self.cfg.cache_verify, counters, key, verify)
     }
 
@@ -1157,7 +1156,7 @@ impl ClientProcess {
         }));
         let early = std::mem::take(early_chunks);
         // Chunks are in flight: give them a fresh timeout window.
-        ctx.set_timer(self.cfg.read_timeout, tag(K_READ_TIMEOUT, req));
+        ctx.set_timer(READ_TIMEOUT, tag(K_READ_TIMEOUT, req));
         // Replay any chunks the network delivered ahead of this
         // header; they verify exactly as if they had just arrived.
         for (src, index, data) in early {
@@ -1499,7 +1498,7 @@ impl Process<Msg> for ClientProcess {
                         for (n, _) in &self.shards[shard].masters {
                             self.blacklist.remove(n);
                         }
-                        ctx.set_timer(self.cfg.read_timeout, tag(K_BOOT, 0));
+                        ctx.set_timer(READ_TIMEOUT, tag(K_BOOT, 0));
                     }
                 }
             }
@@ -1655,7 +1654,7 @@ impl Process<Msg> for ClientProcess {
                             self.phase = Phase::AwaitSetup;
                             self.awaiting_setup.insert(shard);
                             ctx.send(m, Msg::SetupRequest);
-                            ctx.set_timer(self.cfg.read_timeout * 4, tag(K_SETUP_TIMEOUT, 0));
+                            ctx.set_timer(READ_TIMEOUT * 4, tag(K_SETUP_TIMEOUT, 0));
                         }
                         self.retry_read(ctx, req_id);
                     }

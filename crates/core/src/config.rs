@@ -18,46 +18,9 @@ pub enum HashAlgo {
     Sha256,
 }
 
-/// Security level of a read, for the Section 4 variant.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ReadLevel {
-    /// Normal read: slave executes, double-checked with probability `p`.
-    Normal,
-    /// Security-sensitive read: executed only by the trusted master
-    /// ("the probability … can be set to 1, which means execute only on
-    /// trusted hosts").
-    Sensitive,
-}
-
-/// Greedy-client detector configuration (Section 3.3).
-#[derive(Clone, Copy, Debug, ToJson, FromJson)]
-pub struct GreedyConfig {
-    /// Sliding-window length over which double-checks are counted.
-    pub window: SimDuration,
-    /// A client is suspected greedy when its double-check count exceeds
-    /// `factor ×` the expected count (`p ×` its reads in the window).
-    pub factor: f64,
-    /// Suspicion requires at least this many double-checks in the window
-    /// (avoids flagging unlucky low-volume clients).
-    pub min_count: u64,
-    /// Fraction of a suspected client's double-checks the master ignores
-    /// ("enforce fair play by simply ignoring a large fraction of the
-    /// double-check requests coming from clients suspected to be greedy").
-    pub ignore_fraction: f64,
-}
-
-impl Default for GreedyConfig {
-    fn default() -> Self {
-        GreedyConfig {
-            window: SimDuration::from_secs(30),
-            factor: 4.0,
-            min_count: 12,
-            ignore_fraction: 0.9,
-        }
-    }
-}
-
-/// Full system configuration.
+/// Full system configuration: what a scenario can set or sweep.
+/// Protocol constants no run varies (read timeout and retries, cache
+/// sizes, the greedy-client detector) live beside their one reader.
 #[derive(Clone, Debug, ToJson, FromJson)]
 pub struct SystemConfig {
     /// Number of master subgroups, each owning one contiguous shard of
@@ -93,12 +56,11 @@ pub struct SystemConfig {
     /// Maximum virtual CPU the auditor spends per audit slice (bounds how
     /// long its event handler can stay busy between heartbeats).
     pub audit_slice: SimDuration,
-    /// Client-side read timeout before a retry.
-    pub read_timeout: SimDuration,
-    /// Retries before the client gives up on a read.
-    pub read_retries: u32,
     /// Number of slaves each client reads from (1 = basic protocol;
     /// >1 = the Section 4 replicated-read variant).
+    ///
+    /// At most `n_slaves / (n_masters - 1)`: a client reads only from its
+    /// own master's slaves.
     pub read_quorum: usize,
     /// Whether static point reads (`GetRow`/`ReadFile`) take the
     /// authenticated proof path: the slave answers with an O(log n)
@@ -106,19 +68,6 @@ pub struct SystemConfig {
     /// verifies deterministically, and the auditor never sees the read.
     /// When off, every read goes through pledge + audit.
     pub proof_reads: bool,
-    /// Byte budget of each slave's hot-read proof cache: assembled
-    /// `ProofReadReply` payloads and `StreamProof` headers memoized per
-    /// `(anchor stamp, query)` and wiped whenever the replica state or
-    /// anchor changes.  `0` disables the cache (every read rebuilds its
-    /// proof, the pre-cache pipeline).
-    pub proof_cache_bytes: usize,
-    /// Entries in each client's stamp-verification cache: accepted
-    /// `StateDigestStamp` statements remembered by digest so repeat
-    /// reads under one anchor skip the signature check.  `0` disables.
-    pub stamp_cache_entries: usize,
-    /// Entries in each client's verified-certificate set (memoized
-    /// `verify_scoped` outcomes).  `0` disables.
-    pub cert_cache_entries: usize,
     /// Recheck mode: on every cache hit the host *also* recomputes the
     /// value fresh and compares, counting any divergence in the
     /// `slave.cache_divergence` / `client.cache_divergence` metrics; a
@@ -132,8 +81,6 @@ pub struct SystemConfig {
     /// Fraction of reads that are security-sensitive (Section 4 variant;
     /// 0.0 = everything normal).
     pub sensitive_fraction: f64,
-    /// Greedy-client detection parameters.
-    pub greedy: GreedyConfig,
     /// Signature scheme for all parties (HMAC stand-in for large sims,
     /// MSS for real end-to-end security).
     pub signer: SignatureScheme,
@@ -171,16 +118,10 @@ impl Default for SystemConfig {
             audit_fraction: 1.0,
             auditor_cache: true,
             audit_slice: SimDuration::from_millis(20),
-            read_timeout: SimDuration::from_millis(1_500),
-            read_retries: 3,
             read_quorum: 1,
             proof_reads: true,
-            proof_cache_bytes: 1 << 20,
-            stamp_cache_entries: 64,
-            cert_cache_entries: 256,
             cache_verify: false,
             sensitive_fraction: 0.0,
-            greedy: GreedyConfig::default(),
             signer: SignatureScheme::Hmac,
             mss_height: 10,
             max_write_batch: 1,
@@ -215,8 +156,11 @@ impl SystemConfig {
         if self.keepalive_period >= self.max_latency {
             return Err("keepalive_period must be below max_latency".into());
         }
-        if self.read_quorum == 0 || self.read_quorum > self.n_slaves {
-            return Err("read_quorum must be in 1..=n_slaves".into());
+        // A client reads only from the slaves of the one master it set
+        // up with, and slaves are dealt round-robin over the shard's
+        // non-auditor masters, so the smallest such share bounds k.
+        if self.read_quorum == 0 || self.read_quorum > self.n_slaves / (self.n_masters - 1) {
+            return Err("read_quorum must be in 1..=n_slaves / (n_masters - 1)".into());
         }
         if self.max_write_batch == 0 {
             return Err("max_write_batch must be at least 1".into());
@@ -259,6 +203,17 @@ mod tests {
             ..SystemConfig::default()
         };
         assert!(c.validate().is_err());
+
+        // Two slaves over two non-auditor masters: one slave each.
+        let c = SystemConfig {
+            n_masters: 3,
+            n_slaves: 2,
+            read_quorum: 2,
+            ..SystemConfig::default()
+        };
+        assert!(c.validate().is_err());
+        let c = SystemConfig { n_masters: 2, ..c };
+        c.validate().unwrap();
 
         let c = SystemConfig {
             n_shards: 0,

@@ -65,11 +65,6 @@ impl DirectoryProcess {
     pub fn auditor(&self, shard: usize) -> NodeId {
         self.shards[shard].auditor
     }
-
-    /// The master nodes of `shard` (test inspection).
-    pub fn shard_nodes(&self, shard: usize) -> &[NodeId] {
-        &self.shards[shard].nodes
-    }
 }
 
 impl Process<Msg> for DirectoryProcess {

@@ -63,7 +63,7 @@ pub mod truth;
 pub mod verify;
 pub mod workload;
 
-pub use config::{GreedyConfig, HashAlgo, ReadLevel, SystemConfig};
+pub use config::{HashAlgo, SystemConfig};
 pub use error::CoreError;
 pub use evidence::Evidence;
 pub use messages::{Msg, StateDigestStamp, VersionStamp};

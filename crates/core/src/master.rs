@@ -32,7 +32,7 @@ use sdr_broadcast::{Action, MemberId, TobConfig, TotalOrder, View};
 use sdr_crypto::{CertRole, Certificate, CertificateBody, Hash256, PublicKey, Signer};
 use sdr_sim::{Ctx, NodeId, Process, SimDuration, SimTime};
 use sdr_store::{Database, ExecMemo, SnapshotStore, UpdateOp};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Admission bound on queued *rounds* of writes: keeps worst-case commit
@@ -47,6 +47,19 @@ const TOB_TICK: SimDuration = SimDuration::from_millis(50);
 
 /// Interval between the auditor's audit slices.
 const AUDIT_TICK: SimDuration = SimDuration::from_millis(25);
+
+/// Greedy-client detector (Section 3.3): the sliding window double-checks
+/// are counted over.
+const GREEDY_WINDOW: SimDuration = SimDuration::from_secs(30);
+/// A client is suspected greedy when its count exceeds this multiple of
+/// the median count of the master's other clients…
+const GREEDY_FACTOR: f64 = 4.0;
+/// …and is at least this large (unlucky low-volume clients stay clear).
+const GREEDY_MIN_COUNT: u64 = 12;
+/// Share of a suspect's double-checks the master ignores ("enforce fair
+/// play by simply ignoring a large fraction of the double-check requests
+/// coming from clients suspected to be greedy").
+const GREEDY_IGNORE_FRACTION: f64 = 0.9;
 
 /// Timer tags.
 const T_TOB_TICK: u64 = 1;
@@ -82,10 +95,12 @@ pub struct MasterProcess {
     my_slaves: Vec<NodeId>,
     slave_keys: HashMap<NodeId, PublicKey>,
     slave_owner: HashMap<NodeId, MemberId>,
-    slave_clients: HashMap<NodeId, HashSet<NodeId>>,
+    // Client sets are ordered: the masters message them in turn, and the
+    // message sequence must follow from the world seed alone.
+    slave_clients: HashMap<NodeId, BTreeSet<NodeId>>,
     slave_certs: HashMap<NodeId, Certificate>,
     excluded: HashSet<NodeId>,
-    my_clients: HashSet<NodeId>,
+    my_clients: BTreeSet<NodeId>,
     next_cert_serial: u64,
 
     pending_writes: VecDeque<(NodeId, u64, Vec<UpdateOp>)>,
@@ -153,7 +168,7 @@ impl MasterProcess {
             slave_clients: HashMap::new(),
             slave_certs: HashMap::new(),
             excluded: HashSet::new(),
-            my_clients: HashSet::new(),
+            my_clients: BTreeSet::new(),
             next_cert_serial: 1,
             pending_writes: VecDeque::new(),
             earliest_next_write: SimTime::ZERO,
@@ -230,21 +245,10 @@ impl MasterProcess {
         self.snapshots.node_stats()
     }
 
-    /// Shared-vs-owned node counts of the live replica (memory
-    /// telemetry).
-    pub fn db_node_stats(&self) -> sdr_store::NodeStats {
-        self.db.node_stats()
-    }
-
     /// Chunk-store telemetry of the live replica: dedup hits, logical
     /// vs physical bytes.
     pub fn chunk_stats(&self) -> sdr_store::ChunkStats {
         self.db.fs().chunk_stats()
-    }
-
-    /// Write-access policy (test harness mutation).
-    pub fn policy_mut(&mut self) -> &mut WritePolicy {
-        &mut self.policy
     }
 
     fn node_of(&self, m: MemberId) -> NodeId {
@@ -316,7 +320,7 @@ impl MasterProcess {
             .collect();
         candidates.sort_by_key(|s| {
             (
-                self.slave_clients.get(s).map_or(0, HashSet::len),
+                self.slave_clients.get(s).map_or(0, BTreeSet::len),
                 s.0,
             )
         });
@@ -591,7 +595,7 @@ impl MasterProcess {
             // The auditor shed its slaves above; its clients must re-run
             // setup with another master (Section 3: clients of a departed
             // master redo the setup phase — same flow here).
-            for c in self.my_clients.drain().collect::<Vec<_>>() {
+            for c in std::mem::take(&mut self.my_clients) {
                 ctx.send(
                     c,
                     Msg::Reassign {
@@ -625,17 +629,7 @@ impl MasterProcess {
         // Re-home every client of the excluded slave (Section 3.5: "the
         // master contacts all the clients connected to the (now provably
         // malicious) slave … and assigns each of them to a new slave").
-        // Sort: HashSet iteration order is process-random, and both the
-        // replacement picks and the message sequence must be reproducible
-        // from the world seed.
-        let mut clients: Vec<NodeId> = self
-            .slave_clients
-            .remove(&slave)
-            .unwrap_or_default()
-            .into_iter()
-            .collect();
-        clients.sort_unstable();
-        for client in clients {
+        for client in self.slave_clients.remove(&slave).unwrap_or_default() {
             let replacement = self
                 .pick_slaves(1, Some(slave))
                 .first()
@@ -659,11 +653,10 @@ impl MasterProcess {
     /// ignore it (Section 3.3).
     fn greedy_should_ignore(&mut self, ctx: &mut Ctx<'_, Msg>, client: NodeId) -> bool {
         let now = ctx.now();
-        let window = self.cfg.greedy.window;
         let times = self.dc_times.entry(client).or_default();
         times.push_back(now);
         while let Some(&front) = times.front() {
-            if now.since(front) > window {
+            if now.since(front) > GREEDY_WINDOW {
                 times.pop_front();
             } else {
                 break;
@@ -681,11 +674,11 @@ impl MasterProcess {
         counts.sort_unstable();
         let median = counts.get(counts.len() / 2).copied().unwrap_or(0);
 
-        let suspected = my_count >= self.cfg.greedy.min_count
-            && my_count as f64 > self.cfg.greedy.factor * (median.max(1)) as f64;
+        let suspected = my_count >= GREEDY_MIN_COUNT
+            && my_count as f64 > GREEDY_FACTOR * (median.max(1)) as f64;
         if suspected {
             ctx.metrics().inc(id::GREEDY_SUSPECTED_CHECKS);
-            if ctx.coin() < self.cfg.greedy.ignore_fraction {
+            if ctx.coin() < GREEDY_IGNORE_FRACTION {
                 return true;
             }
         }

@@ -334,7 +334,8 @@ metrics_table! {
         sim_queue_live = computed u64;
         /// Event-slab slots allocated (scheduler resident-set proxy).
         sim_queue_slots = computed u64;
-        /// Cancelled timers discarded lazily by the scheduler.
+        /// Always 0: the scheduler has no timer cancellation.  Kept so
+        /// reports and their readers keep one shape.
         sim_timers_cancelled = computed u64;
         /// Wire bytes summed over every enqueued delivery — what the queue
         /// would hold if each fan-out delivery carried its own copy.

@@ -58,8 +58,6 @@ pub struct LinkSpec {
     pub latency: LatencySpec,
     /// Drop probability.
     pub loss: f64,
-    /// Per-byte transmission delay.
-    pub per_byte: SimDuration,
 }
 
 impl LinkSpec {
@@ -71,7 +69,6 @@ impl LinkSpec {
                 sigma: 0.4,
             },
             loss: 0.0,
-            per_byte: SimDuration::ZERO,
         }
     }
 
@@ -82,7 +79,6 @@ impl LinkSpec {
                 latency: SimDuration::from_millis(ms),
             },
             loss: 0.0,
-            per_byte: SimDuration::ZERO,
         }
     }
 
@@ -91,7 +87,6 @@ impl LinkSpec {
         LinkModel {
             latency: self.latency.to_model(),
             loss: self.loss,
-            per_byte: self.per_byte,
         }
     }
 }
@@ -116,11 +111,6 @@ pub struct NetworkSpec {
 }
 
 impl NetworkSpec {
-    /// Whether any field deviates from the builder default.
-    pub fn is_default(&self) -> bool {
-        self == &NetworkSpec::default()
-    }
-
     /// Checks role indexes against a configuration.  Master and slave
     /// indexes are global (shard-major), so they range over
     /// `n_shards * n_masters` and `n_shards * n_slaves`.

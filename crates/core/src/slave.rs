@@ -331,6 +331,9 @@ pub struct SlaveProcess {
     memo: ExecMemo,
 }
 
+/// Byte budget of each of a slave's two hot-read caches.
+const PROOF_CACHE_BYTES: usize = 1 << 20;
+
 impl SlaveProcess {
     /// Creates a slave starting from `db` with the given behaviour.
     pub fn new(
@@ -341,7 +344,6 @@ impl SlaveProcess {
         master_keys: HashMap<NodeId, PublicKey>,
         memo: ExecMemo,
     ) -> Self {
-        let budget = cfg.proof_cache_bytes;
         SlaveProcess {
             cfg,
             db,
@@ -356,8 +358,8 @@ impl SlaveProcess {
             sync_cooldown_until: SimTime::ZERO,
             dropped_up_to: 0,
             reads_served: 0,
-            reply_cache: LruByteCache::new(budget),
-            stream_proof_cache: LruByteCache::new(budget),
+            reply_cache: LruByteCache::new(PROOF_CACHE_BYTES),
+            stream_proof_cache: LruByteCache::new(PROOF_CACHE_BYTES),
             memo,
         }
     }
@@ -603,7 +605,6 @@ impl SlaveProcess {
 
         let costs = *ctx.costs();
         let (db, memo, verify) = (&self.db, &self.memo, self.cfg.cache_verify);
-        let caching = self.cfg.proof_cache_bytes > 0;
         let anchor = self.latest_digest_stamp.as_ref();
         let mut answer = match kind {
             ReadKind::Pledge => {
@@ -612,8 +613,7 @@ impl SlaveProcess {
             }
             ReadKind::Proof => {
                 let anchor = anchor.expect("checked fresh");
-                let slot =
-                    caching.then(|| (&mut self.reply_cache, cache_key(anchor, &query.encode())));
+                let slot = Some((&mut self.reply_cache, cache_key(anchor, &query.encode())));
                 let (reply, cached) = fetch(ctx, verify, slot, |cost| {
                     let result = run_query(memo, db, &query, &costs, cost)?;
                     // Not a point read or scan, or the table itself is gone.
@@ -645,15 +645,13 @@ impl SlaveProcess {
                 // the raw `(offset, len)` — lets every read landing in the
                 // same chunks share one cached header.  `u64::MAX` keys
                 // the absent-file header.
-                let slot = caching.then(|| {
-                    let (a, b) = db.fs().manifest(path).map_or((u64::MAX, u64::MAX), |m| {
-                        let (a, b) = m.chunk_range(*offset, *len);
-                        (a as u64, b as u64)
-                    });
-                    let subject = [&a.to_be_bytes(), &b.to_be_bytes(), path.as_bytes()].concat();
-                    let key = cache_key(anchor.expect("checked fresh"), &subject);
-                    (&mut self.stream_proof_cache, key)
+                let (a, b) = db.fs().manifest(path).map_or((u64::MAX, u64::MAX), |m| {
+                    let (a, b) = m.chunk_range(*offset, *len);
+                    (a as u64, b as u64)
                 });
+                let subject = [&a.to_be_bytes(), &b.to_be_bytes(), path.as_bytes()].concat();
+                let key = cache_key(anchor.expect("checked fresh"), &subject);
+                let slot = Some((&mut self.stream_proof_cache, key));
                 let (proof, _) = fetch(ctx, verify, slot, |cost| {
                     let proof = db.prove_stream(path, *offset, *len);
                     *cost += proof_fold_charge(proof.depth(), &costs);

@@ -92,7 +92,8 @@ impl SystemStats {
             sim_queue_peak: queue_depth.peak as u64,
             sim_queue_live: queue_depth.live as u64,
             sim_queue_slots: queue_depth.slots as u64,
-            sim_timers_cancelled: queue_depth.drained_cancelled,
+            // Nothing cancels timers; the field stays for report readers.
+            sim_timers_cancelled: 0,
             sim_msg_bytes_logical: sys.world.msg_bytes_logical(),
             sim_msg_bytes_resident: sys.world.msg_bytes_resident(),
             proof_cache_bytes,

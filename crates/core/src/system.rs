@@ -393,11 +393,6 @@ impl System {
         shard * self.config.n_masters + rank
     }
 
-    /// Global slave index of `(shard, index_in_shard)`.
-    pub fn slave_index(&self, shard: usize, index: usize) -> usize {
-        shard * self.config.n_slaves + index
-    }
-
     /// Crashes a master at time `at` (fault injection for E12).
     /// `rank` is the global, shard-major master index.
     pub fn crash_master_at(&mut self, at: SimTime, rank: usize) {

@@ -18,7 +18,7 @@ use std::path::PathBuf;
 
 /// The pinned runs, each with its fixture: a short single-shard
 /// quickstart (one subtle liar, mixed reads and writes, every
-/// timer/cancel path exercised) and one `batched_commit` point at batch
+/// timer path exercised) and one `batched_commit` point at batch
 /// 8, so commit rounds of more than one write are pinned byte for byte
 /// too.
 fn pinned_specs() -> [(ScenarioSpec, PathBuf); 2] {

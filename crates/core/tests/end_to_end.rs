@@ -2,6 +2,7 @@
 
 use sdr_core::{SlaveBehavior, System, SystemBuilder, SystemConfig, Workload};
 use sdr_sim::{SimDuration, SimTime};
+use serde::json::ToJson;
 
 fn small_config(seed: u64) -> SystemConfig {
     SystemConfig {
@@ -396,6 +397,34 @@ fn determinism_same_seed_same_stats() {
     };
     assert_eq!(run(42), run(42));
     assert_ne!(run(42), run(43));
+}
+
+/// A view change that moves the auditor is still a function of the seed.
+/// Every master tells each of its clients where pledges now go, and the
+/// order of those messages sets when each client learns it.  Two runs in
+/// one process, where every hash map gets fresh keys, agree on every
+/// statistic.
+#[test]
+fn auditor_crash_run_is_reproducible_in_one_process() {
+    let run = || {
+        let mut cfg = small_config(21);
+        cfg.n_masters = 4;
+        cfg.n_slaves = 6;
+        cfg.n_clients = 48;
+        let n = cfg.n_slaves;
+        let mut w = Workload {
+            reads_per_sec: 20.0,
+            ..Workload::default()
+        };
+        // Computed queries only, so most accepted reads forward a pledge.
+        (w.mix.get, w.mix.range, w.mix.read_file, w.mix.stream, w.mix.scan) = (0, 0, 0, 0, 0);
+        (w.mix.filter, w.mix.aggregate) = (50, 50);
+        let mut sys = build(cfg, vec![SlaveBehavior::Honest; n], w);
+        sys.crash_master_at(SimTime::from_secs(2), 3);
+        sys.run_for(SimDuration::from_secs(5));
+        sys.stats().to_json().render()
+    };
+    assert_eq!(run(), run());
 }
 
 #[test]

@@ -140,34 +140,6 @@ fn cache_verify_does_not_change_the_report() {
     assert_eq!(run(false), run(true), "cache_verify leaked into the report");
 }
 
-/// Disabling the caches entirely must not change *correctness* either:
-/// same workload, caches on vs off, and every accepted read is still
-/// right (the caches change modeled latency, so only the correctness
-/// counters are compared).
-#[test]
-fn disabled_caches_accept_the_same_reads_correctly() {
-    let run = |proof_cache_bytes: usize, stamp_entries: usize| {
-        let mut cfg = small_config(13);
-        cfg.proof_cache_bytes = proof_cache_bytes;
-        cfg.stamp_cache_entries = stamp_entries;
-        cfg.cert_cache_entries = stamp_entries;
-        let n = cfg.n_slaves;
-        let mut sys = build(cfg, vec![SlaveBehavior::Honest; n], hot_workload(20.0));
-        sys.run_for(SimDuration::from_secs(10));
-        sys.stats()
-    };
-    let cached = run(1 << 20, 64);
-    let uncached = run(0, 0);
-    assert!(cached.proof_cache_hits > 0);
-    assert_eq!(uncached.proof_cache_hits, 0);
-    assert_eq!(uncached.stamp_cache_hits, 0);
-    for s in [&cached, &uncached] {
-        assert_eq!(s.wrong_accepted, 0);
-        assert_eq!(s.proof_reads_rejected, 0);
-        assert!(s.reads_accepted > 50, "accepted only {}", s.reads_accepted);
-    }
-}
-
 /// Assembled range-scan `ProofReadReply`s are memoized under the same
 /// `(anchor, query)` key as point-proof replies, and every anchor move
 /// or applied write wipes them wholesale — so a scan-heavy run with

@@ -53,16 +53,6 @@ impl CostModel {
         }
     }
 
-    /// A model where cryptography is free — for ablations isolating the
-    /// signature cost (used when arguing the auditor's advantage).
-    pub fn free_crypto() -> Self {
-        CostModel {
-            sign: SimDuration::ZERO,
-            verify: SimDuration::ZERO,
-            ..Self::standard()
-        }
-    }
-
     /// Hashing cost for `bytes` of data.
     pub fn hash_cost(&self, bytes: usize) -> SimDuration {
         per_kib(self.hash_per_kib, bytes)
@@ -114,13 +104,5 @@ mod tests {
         assert_eq!(c.hash_cost(2048), c.hash_per_kib * 2);
         // Sub-KiB payloads still cost at least 1 µs.
         assert!(c.hash_cost(10) >= SimDuration::from_micros(1));
-    }
-
-    #[test]
-    fn free_crypto_zeroes_only_crypto() {
-        let c = CostModel::free_crypto();
-        assert_eq!(c.sign, SimDuration::ZERO);
-        assert_eq!(c.verify, SimDuration::ZERO);
-        assert!(c.row_scan > SimDuration::ZERO);
     }
 }

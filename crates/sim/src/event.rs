@@ -20,15 +20,11 @@
 //! * **Far heap** — long-range timers beyond the wheel horizon fall
 //!   back to a binary heap of keys and migrate into the current window
 //!   lazily as time advances.
-//!
-//! Timer cancellation is lazy: [`EventQueue::cancel_timer`] tombstones
-//! the slab slot and the key is discarded when it surfaces, so there is
-//! no scan-and-remove anywhere.
 
 use crate::process::NodeId;
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Bucket width exponent: each wheel bucket spans `2^W_SHIFT` µs.
@@ -58,8 +54,6 @@ pub enum EventKind<M> {
         node: NodeId,
         /// Caller-chosen discriminator.
         tag: u64,
-        /// Unique timer id (for cancellation).
-        id: u64,
     },
     /// Crash a node (fault injection).
     Crash(NodeId),
@@ -90,24 +84,19 @@ struct Key {
 #[derive(Debug)]
 enum Slot<M> {
     Occupied(EventKind<M>),
-    /// Lazily-cancelled timer: the key is still queued somewhere and
-    /// the slot must not be reused until the key surfaces.
-    Cancelled,
     Free(u32),
 }
 
 /// Queue shape telemetry (see [`EventQueue::depth_stats`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueueDepthStats {
-    /// Live (non-cancelled) events currently queued.
+    /// Events currently queued.
     pub live: usize,
     /// High-water mark of live events over the queue's lifetime.
     pub peak: usize,
     /// Slab slots allocated (capacity actually touched, a resident-set
     /// proxy for the queue itself).
     pub slots: usize,
-    /// Cancelled timers discarded lazily so far.
-    pub drained_cancelled: u64,
 }
 
 /// Earliest-first event queue with deterministic tie-breaking.
@@ -130,12 +119,9 @@ pub struct EventQueue<M> {
     wheel: Vec<Vec<Key>>,
     wheel_len: usize,
     far: BinaryHeap<Reverse<Key>>,
-    /// Pending timer id -> slab slot, for O(1) lazy cancellation.
-    timers: HashMap<u64, u32>,
     next_seq: u64,
     live: usize,
     peak_live: usize,
-    drained_cancelled: u64,
 }
 
 impl<M> Default for EventQueue<M> {
@@ -157,11 +143,9 @@ impl<M> EventQueue<M> {
             wheel: (0..NB).map(|_| Vec::new()).collect(),
             wheel_len: 0,
             far: BinaryHeap::new(),
-            timers: HashMap::new(),
             next_seq: 0,
             live: 0,
             peak_live: 0,
-            drained_cancelled: 0,
         }
     }
 
@@ -180,11 +164,6 @@ impl<M> EventQueue<M> {
         }
     }
 
-    fn release(&mut self, idx: u32) {
-        self.slots[idx as usize] = Slot::Free(self.free_head);
-        self.free_head = idx;
-    }
-
     fn take(&mut self, idx: u32) -> EventKind<M> {
         let slot = std::mem::replace(&mut self.slots[idx as usize], Slot::Free(self.free_head));
         self.free_head = idx;
@@ -194,22 +173,11 @@ impl<M> EventQueue<M> {
         }
     }
 
-    fn is_cancelled(&self, idx: u32) -> bool {
-        matches!(self.slots[idx as usize], Slot::Cancelled)
-    }
-
     /// Schedules `kind` at time `at`.
     pub fn push(&mut self, at: SimTime, kind: EventKind<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let timer_id = match &kind {
-            EventKind::Timer { id, .. } => Some(*id),
-            _ => None,
-        };
         let idx = self.alloc(kind);
-        if let Some(id) = timer_id {
-            self.timers.insert(id, idx);
-        }
         let key = Key { at: at.0, seq, idx };
         if key.at < self.cur_end {
             self.overlay.push(Reverse(key));
@@ -225,43 +193,10 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Cancels a pending timer by id; the queued entry is tombstoned
-    /// and discarded lazily when it surfaces.  Returns whether a
-    /// pending timer existed (already-fired ids are a no-op).
-    pub fn cancel_timer(&mut self, id: u64) -> bool {
-        if let Some(idx) = self.timers.remove(&id) {
-            self.slots[idx as usize] = Slot::Cancelled;
-            self.live -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Drops tombstones off both fronts and advances the window until a
-    /// live event is at the front; false when the queue is drained.
+    /// Advances the window until an event is at the front; false when
+    /// the queue is drained.
     fn refill(&mut self) -> bool {
         loop {
-            while self.cur_pos < self.cur.len() {
-                let idx = self.cur[self.cur_pos].idx;
-                if self.is_cancelled(idx) {
-                    self.release(idx);
-                    self.cur_pos += 1;
-                    self.drained_cancelled += 1;
-                } else {
-                    break;
-                }
-            }
-            while let Some(Reverse(k)) = self.overlay.peek() {
-                if self.is_cancelled(k.idx) {
-                    let idx = k.idx;
-                    self.overlay.pop();
-                    self.release(idx);
-                    self.drained_cancelled += 1;
-                } else {
-                    break;
-                }
-            }
             if self.cur_pos < self.cur.len() || !self.overlay.is_empty() {
                 return true;
             }
@@ -303,7 +238,7 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Removes and returns the earliest live event.
+    /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event<M>> {
         if !self.refill() {
             return None;
@@ -325,9 +260,6 @@ impl<M> EventQueue<M> {
             (None, None) => unreachable!("refill returned true"),
         };
         let kind = self.take(key.idx);
-        if let EventKind::Timer { id, .. } = &kind {
-            self.timers.remove(id);
-        }
         self.live -= 1;
         Some(Event {
             at: SimTime(key.at),
@@ -336,7 +268,7 @@ impl<M> EventQueue<M> {
         })
     }
 
-    /// Time of the earliest live event without removing it (advances
+    /// Time of the earliest event without removing it (advances
     /// the internal window cursor, hence `&mut`).
     pub fn peek_time(&mut self) -> Option<SimTime> {
         if !self.refill() {
@@ -352,12 +284,12 @@ impl<M> EventQueue<M> {
         }))
     }
 
-    /// Number of pending live events (cancelled timers excluded).
+    /// Number of pending events.
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// Whether no live events are pending.
+    /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
@@ -368,7 +300,6 @@ impl<M> EventQueue<M> {
             live: self.live,
             peak: self.peak_live,
             slots: self.slots.len(),
-            drained_cancelled: self.drained_cancelled,
         }
     }
 }
@@ -460,11 +391,10 @@ mod tests {
         }
     }
 
-    fn timer(id: u64) -> EventKind<u64> {
+    fn timer(tag: u64) -> EventKind<u64> {
         EventKind::Timer {
             node: NodeId(0),
-            tag: 0,
-            id,
+            tag,
         }
     }
 
@@ -520,30 +450,6 @@ mod tests {
         q.push(SimTime(50), deliver(4));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.at.0).collect();
         assert_eq!(order, vec![50, 150, 200]);
-    }
-
-    #[test]
-    fn cancelled_timer_never_surfaces() {
-        let mut q = EventQueue::new();
-        q.push(SimTime(10), timer(7));
-        q.push(SimTime(20), deliver(1));
-        assert!(q.cancel_timer(7));
-        assert!(!q.cancel_timer(7), "double-cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        let e = q.pop().unwrap();
-        assert_eq!(e.at, SimTime(20));
-        assert!(q.pop().is_none());
-        assert_eq!(q.depth_stats().drained_cancelled, 1);
-    }
-
-    #[test]
-    fn peek_skips_cancelled_front() {
-        let mut q = EventQueue::new();
-        q.push(SimTime(10), timer(1));
-        q.push(SimTime(5_000_000), deliver(2));
-        q.cancel_timer(1);
-        // peek must report the live event, not the tombstone.
-        assert_eq!(q.peek_time(), Some(SimTime(5_000_000)));
     }
 
     #[test]

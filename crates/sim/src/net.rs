@@ -1,4 +1,4 @@
-//! Network models: latency distributions, loss, and link overrides.
+//! Network models: latency distributions, loss, and per-node link overrides.
 
 use crate::process::NodeId;
 use crate::time::SimDuration;
@@ -67,8 +67,6 @@ pub struct LinkModel {
     pub latency: LatencyModel,
     /// Probability a message is silently dropped.
     pub loss: f64,
-    /// Additional delay per payload byte (bandwidth model); zero disables.
-    pub per_byte: SimDuration,
 }
 
 impl LinkModel {
@@ -77,7 +75,6 @@ impl LinkModel {
         LinkModel {
             latency: LatencyModel::Constant(latency),
             loss: 0.0,
-            per_byte: SimDuration::ZERO,
         }
     }
 
@@ -86,19 +83,12 @@ impl LinkModel {
         LinkModel {
             latency: LatencyModel::LogNormal { median, sigma: 0.4 },
             loss: 0.0,
-            per_byte: SimDuration::ZERO,
         }
     }
 
     /// Returns this link with the given loss probability.
     pub fn with_loss(mut self, loss: f64) -> Self {
         self.loss = loss.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Returns this link with a per-byte transmission delay.
-    pub fn with_per_byte(mut self, per_byte: SimDuration) -> Self {
-        self.per_byte = per_byte;
         self
     }
 }
@@ -109,15 +99,13 @@ impl Default for LinkModel {
     }
 }
 
-/// Full network configuration: a default link plus per-pair overrides.
+/// Full network configuration: a default link plus per-node overrides.
 #[derive(Clone, Debug, Default)]
 pub struct NetworkConfig {
     /// Link used when no override matches.
     pub default_link: LinkModel,
-    /// Directed overrides keyed by `(from, to)`.
-    pub overrides: HashMap<(NodeId, NodeId), LinkModel>,
     /// Per-node overrides applying to all traffic touching that node
-    /// (checked after pair overrides; `from` first, then `to`).
+    /// (`from` first, then `to`).
     pub node_overrides: HashMap<NodeId, LinkModel>,
 }
 
@@ -126,14 +114,8 @@ impl NetworkConfig {
     pub fn new(default_link: LinkModel) -> Self {
         NetworkConfig {
             default_link,
-            overrides: HashMap::new(),
             node_overrides: HashMap::new(),
         }
-    }
-
-    /// Sets a directed per-pair override.
-    pub fn set_link(&mut self, from: NodeId, to: NodeId, link: LinkModel) {
-        self.overrides.insert((from, to), link);
     }
 
     /// Sets an override for every link touching `node`.
@@ -143,9 +125,8 @@ impl NetworkConfig {
 
     /// Resolves the link model for a `(from, to)` pair.
     pub fn link(&self, from: NodeId, to: NodeId) -> &LinkModel {
-        self.overrides
-            .get(&(from, to))
-            .or_else(|| self.node_overrides.get(&from))
+        self.node_overrides
+            .get(&from)
             .or_else(|| self.node_overrides.get(&to))
             .unwrap_or(&self.default_link)
     }
@@ -208,25 +189,25 @@ mod tests {
         let mut cfg = NetworkConfig::new(LinkModel::constant(SimDuration(1)));
         let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
         cfg.set_node_link(b, LinkModel::constant(SimDuration(2)));
-        cfg.set_link(a, b, LinkModel::constant(SimDuration(3)));
+        cfg.set_node_link(c, LinkModel::constant(SimDuration(3)));
 
-        // Pair override wins.
+        // The sender's override wins.
         assert_eq!(
-            cfg.link(a, b).latency,
+            cfg.link(c, b).latency,
             LatencyModel::Constant(SimDuration(3))
         );
-        // Node override next.
+        // Either end's override applies.
         assert_eq!(
             cfg.link(b, c).latency,
             LatencyModel::Constant(SimDuration(2))
         );
         assert_eq!(
-            cfg.link(c, b).latency,
+            cfg.link(a, b).latency,
             LatencyModel::Constant(SimDuration(2))
         );
         // Default otherwise.
         assert_eq!(
-            cfg.link(a, c).latency,
+            cfg.link(a, NodeId(3)).latency,
             LatencyModel::Constant(SimDuration(1))
         );
     }

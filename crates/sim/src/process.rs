@@ -23,8 +23,8 @@ impl fmt::Display for NodeId {
 
 /// Message payloads carried by the simulated network.
 ///
-/// `wire_len` feeds the per-byte component of link latency; returning 0 (the
-/// default) disables size-dependent delay for that message type.
+/// `wire_len` feeds the world's message-byte accounting
+/// ([`crate::World::msg_bytes_logical`]); the default is 0.
 ///
 /// `Clone` is required because queued payloads are shared behind `Arc`:
 /// a multicast's fan-out deliveries all point at one allocation, and

@@ -31,12 +31,10 @@ pub struct Ctx<'a, M: Payload> {
     self_id: NodeId,
     charged: SimDuration,
     sends: Vec<(Fanout, Arc<M>, SimDuration, bool)>,
-    timers: Vec<(SimTime, u64, u64)>,
-    cancels: Vec<u64>,
+    timers: Vec<(SimTime, u64)>,
     rng: &'a mut SmallRng,
     metrics: &'a mut Metrics,
     costs: &'a CostModel,
-    next_timer_id: &'a mut u64,
 }
 
 impl<'a, M: Payload> Ctx<'a, M> {
@@ -86,17 +84,9 @@ impl<'a, M: Payload> Ctx<'a, M> {
         self.sends.push((Fanout::One(to), msg, self.charged, false));
     }
 
-    /// Arms a timer firing `delay` from now; returns an id for cancellation.
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> u64 {
-        let id = *self.next_timer_id;
-        *self.next_timer_id += 1;
-        self.timers.push((self.now + delay, tag, id));
-        id
-    }
-
-    /// Cancels a previously armed timer by id.
-    pub fn cancel_timer(&mut self, id: u64) {
-        self.cancels.push(id);
+    /// Arms a timer firing `delay` from now.
+    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
+        self.timers.push((self.now + delay, tag));
     }
 
     /// Charges `work` of virtual CPU time to this node.
@@ -154,7 +144,6 @@ pub struct World<M: Payload> {
     rngs: Vec<SmallRng>,
     metrics: Metrics,
     costs: CostModel,
-    next_timer_id: u64,
     seed: u64,
     events_processed: u64,
     msg_bytes_logical: u64,
@@ -174,7 +163,6 @@ impl<M: Payload> World<M> {
             rngs: Vec::new(),
             metrics: Metrics::new(),
             costs,
-            next_timer_id: 0,
             seed,
             events_processed: 0,
             msg_bytes_logical: 0,
@@ -227,11 +215,6 @@ impl<M: Payload> World<M> {
     /// The cost model.
     pub fn costs(&self) -> &CostModel {
         &self.costs
-    }
-
-    /// The node's display name.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.meta[id.index()].name
     }
 
     /// Whether the node is currently crashed.
@@ -295,9 +278,10 @@ impl<M: Payload> World<M> {
     pub fn with_process<P: Process<M>, R>(&mut self, id: NodeId, f: impl FnOnce(&mut P) -> R) -> R {
         let slot = self.procs[id.index()].as_mut().expect("process present");
         let any: &mut dyn Any = slot.as_mut();
-        let typed = any
-            .downcast_mut::<P>()
-            .unwrap_or_else(|| panic!("node {} is not a {}", id, std::any::type_name::<P>()));
+        let typed = any.downcast_mut::<P>().unwrap_or_else(|| {
+            let name = &self.meta[id.index()].name;
+            panic!("node {name} is not a {}", std::any::type_name::<P>())
+        });
         f(typed)
     }
 
@@ -376,15 +360,14 @@ impl<M: Payload> World<M> {
                 let msg = Arc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone());
                 self.dispatch(to, at, |p, ctx| p.on_message(ctx, from, msg));
             }
-            EventKind::Timer { node, tag, id } => {
-                let _ = id;
+            EventKind::Timer { node, tag } => {
                 let meta = &self.meta[node.index()];
                 if meta.crashed {
                     return true;
                 }
                 if meta.cpu_free_at > at {
                     let free = meta.cpu_free_at;
-                    self.queue.push(free, EventKind::Timer { node, tag, id });
+                    self.queue.push(free, EventKind::Timer { node, tag });
                     return true;
                 }
                 self.dispatch(node, at, |p, ctx| p.on_timer(ctx, tag));
@@ -422,11 +405,9 @@ impl<M: Payload> World<M> {
             charged: SimDuration::ZERO,
             sends: Vec::new(),
             timers: Vec::new(),
-            cancels: Vec::new(),
             rng: &mut self.rngs[node.index()],
             metrics: &mut self.metrics,
             costs: &self.costs,
-            next_timer_id: &mut self.next_timer_id,
         };
         f(proc.as_mut(), &mut ctx);
 
@@ -434,7 +415,6 @@ impl<M: Payload> World<M> {
             charged,
             sends,
             timers,
-            cancels,
             ..
         } = ctx;
 
@@ -461,11 +441,8 @@ impl<M: Payload> World<M> {
                 }
             }
         }
-        for (fire_at, tag, id) in timers {
-            self.queue.push(fire_at, EventKind::Timer { node, tag, id });
-        }
-        for id in cancels {
-            self.queue.cancel_timer(id);
+        for (fire_at, tag) in timers {
+            self.queue.push(fire_at, EventKind::Timer { node, tag });
         }
     }
 
@@ -490,11 +467,7 @@ impl<M: Payload> World<M> {
             self.metrics.inc(metrics::SIM_LOST_MESSAGES);
             return false;
         }
-        let mut latency = link.latency.sample(&mut self.net_rng);
-        let size = msg.wire_len();
-        if size > 0 && link.per_byte > SimDuration::ZERO {
-            latency += SimDuration(link.per_byte.as_micros() * size as u64);
-        }
+        let latency = link.latency.sample(&mut self.net_rng);
         self.metrics.inc(metrics::SIM_MESSAGES_SENT);
         self.queue
             .push(depart + latency, EventKind::Deliver { to, from, msg });
@@ -705,27 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_timer_does_not_fire() {
-        struct CancelSelf {
-            fired: bool,
-        }
-        impl Process<u64> for CancelSelf {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
-                let id = ctx.set_timer(SimDuration::from_millis(5), 1);
-                ctx.cancel_timer(id);
-            }
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_, u64>, _tag: u64) {
-                self.fired = true;
-            }
-            fn on_message(&mut self, _c: &mut Ctx<'_, u64>, _f: NodeId, _m: u64) {}
-        }
-        let mut w = world(1);
-        let n = w.spawn("c", Box::new(CancelSelf { fired: false }));
-        w.run_until(SimTime::from_millis(50));
-        w.with_process::<CancelSelf, _>(n, |p| assert!(!p.fired));
-    }
-
-    #[test]
     fn determinism_same_seed_same_trace() {
         fn trace(seed: u64) -> Vec<(SimTime, u64)> {
             let mut w = World::new(
@@ -733,7 +685,6 @@ mod tests {
                 NetworkConfig::new(LinkModel {
                     latency: crate::net::LatencyModel::Exponential(SimDuration::from_millis(10)),
                     loss: 0.1,
-                    per_byte: SimDuration::ZERO,
                 }),
                 CostModel::standard(),
             );

@@ -12,8 +12,6 @@ enum QueueOp {
     Push(u64),
     /// Push a timer at now + delay.
     PushTimer(u64),
-    /// Cancel the n-th armed timer (mod the number armed so far).
-    Cancel(usize),
     /// Pop the earliest event (advances "now").
     Pop,
 }
@@ -24,7 +22,6 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
         // wheel (ms), and the far heap (seconds).
         (0u64..2_000_000).prop_map(QueueOp::Push),
         (0u64..2_000_000).prop_map(QueueOp::PushTimer),
-        proptest::arbitrary::any::<usize>().prop_map(QueueOp::Cancel),
         Just(QueueOp::Pop),
         Just(QueueOp::Pop),
     ]
@@ -62,20 +59,15 @@ proptest! {
         }
     }
 
-    /// Differential oracle: for arbitrary interleavings of pushes,
-    /// timer cancellations, and pops, the bucket queue yields exactly
-    /// the `(time, seq)` sequence of the seed `BinaryHeap` scheduler
-    /// (cancelled timers modelled there as a lazy tombstone set, as the
-    /// seed world did).
+    /// Differential oracle: for arbitrary interleavings of pushes and
+    /// pops, the bucket queue yields exactly the `(time, seq)` sequence
+    /// of the seed `BinaryHeap` scheduler.
     #[test]
-    fn bucket_queue_matches_baseline_heap_with_cancels(
+    fn bucket_queue_matches_baseline_heap(
         ops in proptest::collection::vec(queue_op(), 1..400),
     ) {
         let mut q: EventQueue<u64> = EventQueue::new();
-        let mut heap: BaselineHeap<Option<u64>> = BaselineHeap::new();
-        let mut cancelled: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut armed: Vec<u64> = Vec::new();
-        let mut next_timer = 0u64;
+        let mut heap: BaselineHeap<()> = BaselineHeap::new();
         let mut now = 0u64;
         let mut got: Vec<(u64, u64)> = Vec::new();
         let mut want: Vec<(u64, u64)> = Vec::new();
@@ -89,34 +81,15 @@ proptest! {
                         from: NodeId(0),
                         msg: Arc::new(0),
                     });
-                    heap.push(at, None);
+                    heap.push(at, ());
                 }
                 QueueOp::PushTimer(delay) => {
                     let at = SimTime(now + delay);
-                    let id = next_timer;
-                    next_timer += 1;
-                    armed.push(id);
-                    q.push(at, EventKind::Timer { node: NodeId(0), tag: 0, id });
-                    heap.push(at, Some(id));
-                }
-                QueueOp::Cancel(n) => {
-                    if !armed.is_empty() {
-                        let id = armed[n % armed.len()];
-                        q.cancel_timer(id);
-                        cancelled.insert(id);
-                    }
+                    q.push(at, EventKind::Timer { node: NodeId(0), tag: 0 });
+                    heap.push(at, ());
                 }
                 QueueOp::Pop => {
-                    // The baseline pops tombstones silently, exactly as
-                    // the seed world's cancelled-set check did.
-                    let base = loop {
-                        match heap.pop() {
-                            Some((_, _, Some(id))) if cancelled.contains(&id) => continue,
-                            other => break other,
-                        }
-                    };
-                    let ours = q.pop();
-                    match (ours, base) {
+                    match (q.pop(), heap.pop()) {
                         (Some(ev), Some((at, seq, _))) => {
                             prop_assert_eq!(ev.at, at, "time mismatch");
                             prop_assert_eq!(ev.seq, seq, "seq mismatch");
@@ -132,13 +105,7 @@ proptest! {
         }
         // Drain both to the end.
         loop {
-            let base = loop {
-                match heap.pop() {
-                    Some((_, _, Some(id))) if cancelled.contains(&id) => continue,
-                    other => break other,
-                }
-            };
-            match (q.pop(), base) {
+            match (q.pop(), heap.pop()) {
                 (Some(ev), Some((at, seq, _))) => {
                     got.push((ev.at.0, ev.seq));
                     want.push((at.0, seq));

@@ -84,14 +84,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Integer view.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
 }
 
 impl PartialEq for Value {

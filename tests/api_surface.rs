@@ -69,7 +69,6 @@ type SystemStats = core::SystemStats;
 const WRITE_COMMITTED: sim::Counter = core::metrics::WRITE_COMMITTED;
 const METRIC_LOOKUP: fn(&str) -> Option<sim::Series> = core::metrics::lookup;
 type HashAlgo = core::HashAlgo;
-type ReadLevel = core::ReadLevel;
 
 // core::scenario — the declarative experiment front door.
 type ScenarioSpec = core::scenario::ScenarioSpec;
