@@ -852,6 +852,60 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_leaves_rows_shared_with_the_table_untouched() {
+        let insert = |key: u64, v: i64| UpdateOp::Insert {
+            table: "t".into(),
+            key,
+            doc: Document::new().with("v", v),
+        };
+        let mut db = Database::new();
+        db.apply_write(&[
+            UpdateOp::CreateTable {
+                table: "t".into(),
+                indexes: vec![],
+            },
+            insert(1, 10),
+            insert(2, 20),
+            insert(3, 30),
+        ])
+        .unwrap();
+        let digest = db.state_digest();
+        let rows = |db: &Database| -> Vec<(u64, Document)> {
+            db.table("t")
+                .unwrap()
+                .iter()
+                .map(|(k, d)| (k, d.clone()))
+                .collect()
+        };
+        let before = rows(&db);
+        let query = Query::Range {
+            table: "t".into(),
+            low: 0,
+            high: 10,
+            limit: None,
+        };
+        let (honest, _) = sdr_store::execute(&db, &query).unwrap();
+
+        let forged = corrupt(&honest, 3);
+        let forged_hash = forged.sha1();
+        assert_ne!(forged_hash, honest.sha1());
+        assert_eq!(rows(&db), before);
+        assert_eq!(db.state_digest(), digest);
+
+        // The forgery keeps rows 1 and 2; a later write to row 1 must not
+        // reach it (what a liar pledged stays what it ships), nor the
+        // honest result.
+        db.apply_write(&[UpdateOp::Update {
+            table: "t".into(),
+            key: 1,
+            changes: Document::new().with("v", 11i64),
+        }])
+        .unwrap();
+        assert_eq!(forged.sha1(), forged_hash);
+        assert_eq!(honest, QueryResult::Rows(before));
+    }
+
+    #[test]
     fn behavior_malice_flags() {
         assert!(!SlaveBehavior::Honest.is_malicious());
         assert!(SlaveBehavior::ConsistentLiar {

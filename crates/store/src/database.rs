@@ -209,6 +209,7 @@ pub fn digest_from_parts(
 mod tests {
     use super::*;
     use crate::document::Document;
+    use crate::value::Value;
 
     fn insert_op(key: u64, v: i64) -> UpdateOp {
         UpdateOp::Insert {
@@ -320,6 +321,58 @@ mod tests {
         assert_eq!(snap.fs().read("/a").as_deref(), Some("one"));
         assert_eq!(snap.state_digest(), snap_digest);
         assert_ne!(db.state_digest(), snap_digest);
+    }
+
+    #[test]
+    fn writes_leave_shared_rows_in_snapshots_and_results_unchanged() {
+        let mut db = Database::new();
+        db.apply_write(&[
+            UpdateOp::CreateTable {
+                table: "t".into(),
+                indexes: vec!["v".into()],
+            },
+            insert_op(1, 10),
+            insert_op(2, 20),
+        ])
+        .unwrap();
+        let row = db.table("t").unwrap().get(1).unwrap().clone();
+        let snap = db.clone();
+        let digest = snap.state_digest();
+        let query = crate::query::Query::Range {
+            table: "t".into(),
+            low: 0,
+            high: 10,
+            limit: None,
+        };
+        let (result, _) = crate::exec::execute(&db, &query).unwrap();
+        let result_hash = result.sha256();
+
+        db.apply_write(&[
+            UpdateOp::Update {
+                table: "t".into(),
+                key: 1,
+                changes: Document::new().with("v", 11i64).with("w", 1i64),
+            },
+            UpdateOp::Delete {
+                table: "t".into(),
+                key: 2,
+            },
+        ])
+        .unwrap();
+
+        assert_eq!(
+            db.table("t").unwrap().get(1).unwrap().get("v"),
+            Some(&Value::Int(11))
+        );
+        assert_eq!(row, Document::new().with("v", 10i64));
+        assert_eq!(snap.table("t").unwrap().get(1), Some(&row));
+        assert_eq!(
+            snap.table("t").unwrap().get(2),
+            Some(&Document::new().with("v", 20i64))
+        );
+        assert_eq!(snap.state_digest(), digest);
+        assert_eq!(result.sha256(), result_hash);
+        assert_eq!(crate::exec::execute(&snap, &query).unwrap().0, result);
     }
 
     #[test]

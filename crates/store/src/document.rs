@@ -3,14 +3,24 @@
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A record: an ordered map of field names to typed values.
 ///
 /// `BTreeMap` keeps field iteration (and therefore the canonical encoding)
 /// deterministic regardless of insertion order.
+///
+/// A `Document` is a shared, copy-on-write handle: `clone` bumps a count,
+/// so a row held by a table, a snapshot, a query result, a proof and a
+/// message is one allocation.  `set`, `remove` and `with` copy the fields
+/// on the first write to a shared row, so no holder ever sees another's
+/// change.  Shared contents are never mutated, which is what makes the
+/// pointer-equality shortcut of `==` sound.  Nothing derived from the
+/// contents (hash, encoding) is cached here: verifiers hash the bytes they
+/// are handed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Document {
-    fields: BTreeMap<String, Value>,
+    fields: Arc<BTreeMap<String, Value>>,
 }
 
 impl Document {
@@ -21,13 +31,13 @@ impl Document {
 
     /// Builder-style field insertion.
     pub fn with(mut self, field: impl Into<String>, value: impl Into<Value>) -> Self {
-        self.fields.insert(field.into(), value.into());
+        self.set(field, value);
         self
     }
 
     /// Sets a field, returning the previous value if any.
     pub fn set(&mut self, field: impl Into<String>, value: impl Into<Value>) -> Option<Value> {
-        self.fields.insert(field.into(), value.into())
+        Arc::make_mut(&mut self.fields).insert(field.into(), value.into())
     }
 
     /// Reads a field.
@@ -37,7 +47,7 @@ impl Document {
 
     /// Removes a field.
     pub fn remove(&mut self, field: &str) -> Option<Value> {
-        self.fields.remove(field)
+        Arc::make_mut(&mut self.fields).remove(field)
     }
 
     /// Number of fields.
@@ -57,26 +67,25 @@ impl Document {
 
     /// Keeps only the named fields (projection); unknown names are ignored.
     pub fn project(&self, fields: &[String]) -> Document {
-        let mut out = Document::new();
-        for f in fields {
-            if let Some(v) = self.fields.get(f) {
-                out.fields.insert(f.clone(), v.clone());
-            }
-        }
-        out
+        fields
+            .iter()
+            .filter_map(|f| Some((f.clone(), self.fields.get(f)?.clone())))
+            .collect()
     }
 
     /// Appends the canonical encoding to `out` (field-name ordered).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.fields.len() as u32).to_be_bytes());
-        for (k, v) in &self.fields {
+        for (k, v) in self.fields.iter() {
             out.extend_from_slice(&(k.len() as u32).to_be_bytes());
             out.extend_from_slice(k.as_bytes());
             v.encode_into(out);
         }
     }
 
-    /// Approximate size in bytes (for cost accounting).
+    /// Logical size in bytes of the fields (for cost accounting and cache
+    /// weights), not the resident bytes of this handle: every clone of a
+    /// shared row reports the full size.
     pub fn size(&self) -> usize {
         self.fields
             .iter()
@@ -102,7 +111,7 @@ impl fmt::Display for Document {
 impl FromIterator<(String, Value)> for Document {
     fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
         Document {
-            fields: iter.into_iter().collect(),
+            fields: Arc::new(iter.into_iter().collect()),
         }
     }
 }
@@ -160,6 +169,52 @@ mod tests {
     fn display_renders_fields() {
         let s = doc().to_string();
         assert!(s.contains("name") && s.contains("price"));
+    }
+
+    fn encoded(d: &Document) -> Vec<u8> {
+        let mut out = Vec::new();
+        d.encode_into(&mut out);
+        out
+    }
+
+    #[test]
+    fn writes_to_a_clone_leave_the_original_alone() {
+        let original = doc();
+        let bytes = encoded(&original);
+        let shown = original.to_string();
+
+        let mut set = original.clone();
+        set.set("price", 99i64);
+        let mut removed = original.clone();
+        removed.remove("name");
+        let with = original.clone().with("extra", true);
+
+        assert_eq!(encoded(&original), bytes);
+        assert_eq!(original.to_string(), shown);
+        assert_eq!(original.get("price"), Some(&Value::Int(19)));
+        assert!(original.get("name").is_some() && original.get("extra").is_none());
+        assert_eq!(set.get("price"), Some(&Value::Int(99)));
+        assert!(removed.get("name").is_none());
+        assert_eq!(with.get("extra"), Some(&Value::Bool(true)));
+        for changed in [&set, &removed, &with] {
+            assert_ne!(encoded(changed), bytes);
+            assert_ne!(changed, &original);
+        }
+    }
+
+    #[test]
+    fn equality_ignores_sharing() {
+        let a = doc();
+        let shared = a.clone();
+        let separate = doc();
+        assert_eq!(a, shared);
+        assert_eq!(a, separate);
+        assert_eq!(encoded(&shared), encoded(&separate));
+        // A write that stores the same value copies, yet stays equal.
+        let mut rewritten = a.clone();
+        rewritten.set("price", 19i64);
+        assert_eq!(rewritten, a);
+        assert_ne!(a, a.clone().with("price", 20i64));
     }
 
     #[test]

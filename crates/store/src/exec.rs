@@ -104,14 +104,17 @@ pub fn execute(db: &Database, query: &Query) -> Result<(QueryResult, QueryCost),
             match group_by {
                 None => QueryResult::Scalar(aggregate(rows.iter().map(|(_, d)| *d), agg)?),
                 Some(field) => {
-                    let mut groups: BTreeMap<Value, Vec<&Document>> = BTreeMap::new();
+                    static NULL: Value = Value::Null;
+                    let mut groups: BTreeMap<&Value, Vec<&Document>> = BTreeMap::new();
                     for (_, d) in &rows {
-                        let key = d.get(field).cloned().unwrap_or(Value::Null);
-                        groups.entry(key).or_default().push(d);
+                        groups
+                            .entry(d.get(field).unwrap_or(&NULL))
+                            .or_default()
+                            .push(d);
                     }
                     let mut out = Vec::with_capacity(groups.len());
                     for (key, docs) in groups {
-                        out.push((key, aggregate(docs.into_iter(), agg)?));
+                        out.push((key.clone(), aggregate(docs.into_iter(), agg)?));
                     }
                     QueryResult::Groups(out)
                 }

@@ -122,14 +122,6 @@ impl Ord for Value {
     }
 }
 
-impl std::hash::Hash for Value {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        let mut buf = Vec::with_capacity(self.size());
-        self.encode_into(&mut buf);
-        buf.hash(state);
-    }
-}
-
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
