@@ -53,10 +53,7 @@ impl<D: Digest> Hmac<D> {
     /// Finalizes and returns the MAC value.
     pub fn finalize(self) -> D::Output {
         let inner_hash = self.inner.finalize();
-        let mut outer = D::new();
-        outer.update(&self.opad_key);
-        outer.update(inner_hash.as_ref());
-        outer.finalize()
+        D::digest_parts(&[&self.opad_key, inner_hash.as_ref()])
     }
 
     /// One-shot MAC of `data` under `key`.

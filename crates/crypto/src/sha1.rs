@@ -5,7 +5,7 @@
 //! results inside pledges.  The rest of the system uses SHA-256 by default,
 //! and the pledge hash algorithm is configurable.
 
-use crate::digest::{BlockBuffer, Digest, Hash160};
+use crate::digest::{be_bytes, short_message, stream_parts, BlockBuffer, Digest, Hash160};
 
 pub(crate) const H0: [u32; 5] = [
     0x6745_2301,
@@ -101,11 +101,14 @@ impl Digest for Sha1 {
     fn finalize(mut self) -> Hash160 {
         self.buffer
             .finalize(|blocks| Self::compress(&mut self.state, blocks));
-        let mut out = [0u8; 20];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        Hash160(be_bytes(self.state))
+    }
+
+    fn digest_parts(parts: &[&[u8]]) -> Hash160 {
+        match short_message(H0, parts, Self::compress) {
+            Some(state) => Hash160(be_bytes(state)),
+            None => stream_parts::<Self>(parts),
         }
-        Hash160(out)
     }
 }
 

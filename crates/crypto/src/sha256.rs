@@ -1,6 +1,6 @@
 //! SHA-256 (FIPS 180-2), the default hash for signatures and state digests.
 
-use crate::digest::{BlockBuffer, Digest, Hash256};
+use crate::digest::{be_bytes, short_message, stream_parts, BlockBuffer, Digest, Hash256};
 
 pub(crate) const H0: [u32; 8] = [
     0x6a09_e667,
@@ -117,11 +117,14 @@ impl Digest for Sha256 {
     fn finalize(mut self) -> Hash256 {
         self.buffer
             .finalize(|blocks| Self::compress(&mut self.state, blocks));
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        Hash256(be_bytes(self.state))
+    }
+
+    fn digest_parts(parts: &[&[u8]]) -> Hash256 {
+        match short_message(H0, parts, Self::compress) {
+            Some(state) => Hash256(be_bytes(state)),
+            None => stream_parts::<Self>(parts),
         }
-        Hash256(out)
     }
 }
 

@@ -13,15 +13,22 @@
 //! Outputs are bit-identical to the scalar code's; only host time changes.
 
 use std::arch::x86_64::*;
+use std::sync::LazyLock;
 
 use crate::sha256::K;
 
 /// Whether this CPU executes every instruction the functions below use.
+///
+/// The CPU is probed once; every later call is one load of the cached
+/// answer, since `compress` asks on every call.
 pub(crate) fn available() -> bool {
-    is_x86_feature_detected!("sha")
-        && is_x86_feature_detected!("sse2")
-        && is_x86_feature_detected!("ssse3")
-        && is_x86_feature_detected!("sse4.1")
+    static AVAILABLE: LazyLock<bool> = LazyLock::new(|| {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    });
+    *AVAILABLE
 }
 
 /// Bytes `16 * i .. 16 * i + 16` of `block` as one vector, in memory order.

@@ -191,38 +191,30 @@ impl FileManifest {
     /// length and chunk count.
     pub fn slice(&self, offset: u64, len: u64) -> ManifestSlice {
         let (first, end) = self.chunk_range(offset, len);
-        let proof = if first < end {
-            let tree = MerkleTree::from_leaves(self.entry_leaves())
+        // One tree gives both the proof and the root it proves against.
+        let (chunks_root, proof) = if first < end {
+            let tree = MerkleTree::from_leaves(entry_leaves(0, &self.chunks))
                 .expect("non-empty chunk range implies non-empty tree");
-            tree.prove_range(first, end)
-                .expect("chunk_range is in bounds")
+            let proof = tree
+                .prove_range(first, end)
+                .expect("chunk_range is in bounds");
+            (tree.root(), proof)
         } else {
-            MerkleRangeProof {
+            let proof = MerkleRangeProof {
                 first: 0,
                 siblings: Vec::new(),
-            }
+            };
+            (self.chunks_root(), proof)
         };
         ManifestSlice {
             total_len: self.total_len,
             chunk_count: self.chunks.len() as u32,
-            chunks_root: self.chunks_root(),
+            chunks_root,
             first: first as u32,
             start: self.chunk_offset(first),
             entries: self.chunks[first..end].to_vec(),
             proof,
         }
-    }
-
-    fn entry_leaves(&self) -> Vec<Hash256> {
-        let mut start = 0u64;
-        self.chunks
-            .iter()
-            .map(|e| {
-                let leaf = entry_leaf(start, e);
-                start += u64::from(e.len);
-                leaf
-            })
-            .collect()
     }
 }
 
@@ -231,27 +223,31 @@ impl FileManifest {
 /// lets a verifier place a slice's bytes in the file without the
 /// preceding entries: a slave cannot shift a slice sideways.
 fn entry_leaf(start: u64, entry: &ManifestEntry) -> Hash256 {
-    let mut buf = Vec::with_capacity(44);
-    buf.extend_from_slice(&start.to_be_bytes());
-    buf.extend_from_slice(entry.id.0.as_ref());
-    buf.extend_from_slice(&entry.len.to_be_bytes());
+    let mut buf = [0u8; 44];
+    buf[..8].copy_from_slice(&start.to_be_bytes());
+    buf[8..40].copy_from_slice(entry.id.0.as_ref());
+    buf[40..].copy_from_slice(&entry.len.to_be_bytes());
     leaf_hash(&buf)
 }
 
-fn chunks_root_of(chunks: &[ManifestEntry]) -> Hash256 {
-    if chunks.is_empty() {
-        return leaf_hash(b"sdr/manifest/v2/empty");
-    }
-    let mut start = 0u64;
-    let leaves = chunks
+/// The leaves of consecutive chunk-table entries, the first starting at
+/// byte `start`.
+fn entry_leaves(mut start: u64, entries: &[ManifestEntry]) -> Vec<Hash256> {
+    entries
         .iter()
         .map(|e| {
             let leaf = entry_leaf(start, e);
             start += u64::from(e.len);
             leaf
         })
-        .collect();
-    MerkleTree::from_leaves(leaves)
+        .collect()
+}
+
+fn chunks_root_of(chunks: &[ManifestEntry]) -> Hash256 {
+    if chunks.is_empty() {
+        return leaf_hash(b"sdr/manifest/v2/empty");
+    }
+    MerkleTree::from_leaves(entry_leaves(0, chunks))
         .expect("non-empty leaves")
         .root()
 }
@@ -311,16 +307,7 @@ impl ManifestSlice {
             if end > self.chunk_count as usize || self.proof.first != u64::from(self.first) {
                 return Err(ProofError::ShapeMismatch);
             }
-            let mut start = self.start;
-            let leaves: Vec<Hash256> = self
-                .entries
-                .iter()
-                .map(|e| {
-                    let leaf = entry_leaf(start, e);
-                    start += u64::from(e.len);
-                    leaf
-                })
-                .collect();
+            let leaves = entry_leaves(self.start, &self.entries);
             self.proof
                 .verify(&self.chunks_root, self.chunk_count as usize, &leaves)
                 .map_err(|_| ProofError::RootMismatch)?;
@@ -505,6 +492,7 @@ impl ChunkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::RangeInclusive;
 
     /// Deterministic pseudo-random content (text-ish, like the dataset's
     /// log files) long enough to cross many cut points.
@@ -734,6 +722,29 @@ mod tests {
         let mut enc = Vec::new();
         m.content_encode(&mut enc);
         assert_eq!(slice.verified_encoding().unwrap(), enc);
+    }
+
+    #[test]
+    fn slice_root_equals_chunks_root() {
+        let many: Vec<u8> = (0..200_000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let files: [(&[u8], RangeInclusive<usize>); 3] =
+            [(b"", 0..=0), (b"one short chunk", 1..=1), (&many, 2..=usize::MAX)];
+        for (data, chunks) in files {
+            let m = FileManifest::of(data);
+            assert!(chunks.contains(&m.chunks.len()));
+            let len = data.len() as u64;
+            // The whole file, a middle range, and an empty overlap.
+            for (offset, n) in [(0, len), (len / 3, len / 3 + 1), (len + 10, 5)] {
+                let slice = m.slice(offset, n);
+                assert_eq!(
+                    slice.chunks_root,
+                    m.chunks_root(),
+                    "{len} B, [{offset}, +{n})"
+                );
+            }
+        }
     }
 
     #[test]

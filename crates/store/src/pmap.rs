@@ -11,10 +11,10 @@
 //! independence), so structural digests double as content digests.
 //!
 //! Every node caches the Merkle hash of its subtree (built from
-//! [`sdr_crypto::merkle::leaf_hash`] / [`node_hash`]); path copying
-//! naturally discards the caches along a mutated path and nothing else,
-//! so re-computing the root digest after a point update re-hashes only
-//! O(log n) nodes.
+//! [`sdr_crypto::merkle::leaf_hash`] / [`sdr_crypto::merkle::node_hash`]);
+//! path copying naturally discards the caches along a mutated path and
+//! nothing else, so re-computing the root digest after a point update
+//! re-hashes only O(log n) nodes.
 //!
 //! Because the digest *is* a search tree, the map can also emit
 //! **authenticated reads**: [`PMap::prove_range`] produces a
@@ -37,7 +37,7 @@
 //! | `root_hash`            | O(1) amortized   | O(log n) after a mutation   |
 //! | `prove_range`/`verify` | O(log n + k)     | same (k = rows in range)    |
 
-use sdr_crypto::merkle::{entry_commitment, leaf_hash, node_hash, treap_node_hash};
+use sdr_crypto::merkle::{entry_commitment, leaf_hash, treap_node_hash};
 use sdr_crypto::Hash256;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -302,12 +302,12 @@ impl<K: PKey, V: Clone + MerkleContent> PMap<K, V> {
     /// path (O(log n) nodes) is re-hashed.  Because the tree shape is
     /// history-independent, equal content implies equal digests.
     pub fn root_hash(&self) -> Hash256 {
-        link_hash(&self.root)
+        link_hash(&self.root, &mut EntryScratch::default())
     }
 
     /// Recomputes the digest ignoring every cache (test oracle).
     pub fn root_hash_uncached(&self) -> Hash256 {
-        link_hash_uncached(&self.root)
+        link_hash_uncached(&self.root, &mut EntryScratch::default())
     }
 
     /// Produces one O(log n + k) proof for every entry in the range that
@@ -328,8 +328,9 @@ impl<K: PKey, V: Clone + MerkleContent> PMap<K, V> {
     /// follows because a pruned subtree hash is only legal where the BST
     /// bounds prove the subtree cannot intersect the range.
     pub fn prove_range(&self, start: &K, end: Bound<&K>) -> RangeProof<K> {
+        let span = Span { start, end };
         RangeProof {
-            root: range_node(&self.root, &Span { start, end }, None, None),
+            root: range_node(&self.root, &span, None, None, &mut EntryScratch::default()),
         }
     }
 }
@@ -378,13 +379,14 @@ fn range_node<'t, K: PKey, V: Clone + MerkleContent>(
     span: &Span<'_, K>,
     lo: Option<&'t K>,
     hi: Option<&'t K>,
+    scratch: &mut EntryScratch,
 ) -> RangeNode<K> {
     let Some(n) = link.as_deref() else {
         return RangeNode::Empty;
     };
     // The subtree's keys all lie in the open interval (lo, hi).
     if span.disjoint(lo, hi) {
-        return RangeNode::Pruned(link_hash(link));
+        return RangeNode::Pruned(link_hash(link, scratch));
     }
     if span.covers(lo, hi) {
         // The verifier rebuilds the whole subtree from the rows, so only
@@ -395,9 +397,9 @@ fn range_node<'t, K: PKey, V: Clone + MerkleContent>(
     }
     RangeNode::Path {
         key: n.key.clone(),
-        value_commitment: (!span.contains(&n.key)).then(|| value_commitment(&n.value)),
-        left: Box::new(range_node(&n.left, span, lo, Some(&n.key))),
-        right: Box::new(range_node(&n.right, span, Some(&n.key), hi)),
+        value_commitment: (!span.contains(&n.key)).then(|| scratch.value_commitment(&n.value)),
+        left: Box::new(range_node(&n.left, span, lo, Some(&n.key), scratch)),
+        right: Box::new(range_node(&n.right, span, Some(&n.key), hi, scratch)),
     }
 }
 
@@ -482,8 +484,8 @@ pub struct RangeProof<K> {
 }
 
 impl<K: PKey> RangeProof<K> {
-    /// Folds the proof and the claimed rows (`(key, canonical value
-    /// encoding)`, ascending) into the root digest they imply.
+    /// Folds the proof and the claimed rows (`(key, value)`, ascending)
+    /// into the root digest they imply.
     ///
     /// Checks, structurally: every pruned subtree is provably disjoint
     /// from the range (completeness), every in-range skeleton node
@@ -492,34 +494,43 @@ impl<K: PKey> RangeProof<K> {
     /// exactly, and no level lies deeper than [`MAX_PROOF_DEPTH`].  The
     /// caller compares the result against a trusted digest (or uses
     /// [`RangeProof::verify`]).
-    pub fn computed_root(
+    pub fn computed_root<V: MerkleContent>(
         &self,
         start: &K,
         end: Bound<&K>,
-        rows: &[(K, Vec<u8>)],
+        rows: &[(K, V)],
     ) -> Result<Hash256, ProofError> {
-        let rows = rows.iter().map(|(k, enc)| claimed_row(k, enc)).collect();
-        self.fold(Span { start, end }, rows)
+        let mut scratch = EntryScratch::default();
+        let rows = rows.iter().map(|(k, v)| scratch.claimed(k, v)).collect();
+        self.fold(Span { start, end }, rows, scratch)
     }
 
     /// [`RangeProof::computed_root`] for the range of one, `[key, key]`:
     /// `value` is the claimed encoding, `Some` claiming presence and
     /// `None` absence.
     pub fn point_root(&self, key: &K, value: Option<&[u8]>) -> Result<Hash256, ProofError> {
-        let row = value.map(|v| claimed_row(key, v)).into_iter().collect();
-        self.fold(Span { start: key, end: Bound::Included(key) }, row)
+        let mut scratch = EntryScratch::default();
+        let row = value
+            .map(|v| {
+                let entry = scratch.entry_commitment(key, &leaf_hash(v));
+                (key, priority(&scratch.key), entry)
+            })
+            .into_iter()
+            .collect();
+        self.fold(Span { start: key, end: Bound::Included(key) }, row, scratch)
     }
 
     fn fold<'a>(
         &self,
         span: Span<'a, K>,
         rows: Vec<Claimed<'a, K>>,
+        scratch: EntryScratch,
     ) -> Result<Hash256, ProofError> {
         let mut fold = Fold {
             span,
             rows,
             cursor: 0,
-            buf: Vec::with_capacity(16),
+            scratch,
         };
         let hash = fold.node(&self.root, None, None, 1)?;
         if fold.cursor != fold.rows.len() {
@@ -529,12 +540,12 @@ impl<K: PKey> RangeProof<K> {
     }
 
     /// Verifies the proof against a trusted root digest.
-    pub fn verify(
+    pub fn verify<V: MerkleContent>(
         &self,
         root: &Hash256,
         start: &K,
         end: Bound<&K>,
-        rows: &[(K, Vec<u8>)],
+        rows: &[(K, V)],
     ) -> Result<(), ProofError> {
         if self.computed_root(start, end, rows)? == *root {
             Ok(())
@@ -558,10 +569,44 @@ impl<K: PKey> RangeProof<K> {
 /// commitment.
 type Claimed<'a, K> = (&'a K, u64, Hash256);
 
-fn claimed_row<'a, K: PKey>(key: &'a K, value: &[u8]) -> Claimed<'a, K> {
-    let mut buf = Vec::with_capacity(16);
-    key.encode_key(&mut buf);
-    (key, priority(&buf), entry_commitment(&leaf_hash(&buf), &leaf_hash(value)))
+/// Encoding buffers for entry commitments, reused from one entry to the
+/// next, so neither the prover's digest nor the verifier's fold
+/// allocates per entry.
+#[derive(Default)]
+struct EntryScratch {
+    key: Vec<u8>,
+    value: Vec<u8>,
+}
+
+impl EntryScratch {
+    /// Commitment to a value: the leaf hash of its canonical encoding.
+    fn value_commitment<V: MerkleContent>(&mut self, value: &V) -> Hash256 {
+        self.value.clear();
+        value.content_encode(&mut self.value);
+        leaf_hash(&self.value)
+    }
+
+    /// An entry's commitment binds the key's commitment (the leaf hash of
+    /// its canonical encoding) and the value's *separately*, rather than
+    /// hashing their concatenation, so authentication paths can ship a
+    /// path node's key in the clear — absence proofs need it to check
+    /// search-order consistency — while the value travels as 32 bytes.
+    /// Leaves the key's encoding in `self.key`.
+    fn entry_commitment<K: PKey>(&mut self, key: &K, value_commitment: &Hash256) -> Hash256 {
+        self.key.clear();
+        key.encode_key(&mut self.key);
+        entry_commitment(&leaf_hash(&self.key), value_commitment)
+    }
+
+    fn entry<K: PKey, V: MerkleContent>(&mut self, key: &K, value: &V) -> Hash256 {
+        let value_commitment = self.value_commitment(value);
+        self.entry_commitment(key, &value_commitment)
+    }
+
+    fn claimed<'a, K: PKey, V: MerkleContent>(&mut self, key: &'a K, value: &V) -> Claimed<'a, K> {
+        let entry = self.entry(key, value);
+        (key, priority(&self.key), entry)
+    }
 }
 
 /// One [`RangeProof`] fold: the range, the claimed rows (ascending), and
@@ -570,8 +615,7 @@ struct Fold<'a, K> {
     span: Span<'a, K>,
     rows: Vec<Claimed<'a, K>>,
     cursor: usize,
-    /// Scratch space for key encodings.
-    buf: Vec<u8>,
+    scratch: EntryScratch,
 }
 
 impl<K: PKey> Fold<'_, K> {
@@ -630,11 +674,7 @@ impl<K: PKey> Fold<'_, K> {
                         self.cursor = i + 1;
                         self.rows[i].2
                     }
-                    (false, Some(vc)) => {
-                        self.buf.clear();
-                        key.encode_key(&mut self.buf);
-                        entry_commitment(&leaf_hash(&self.buf), vc)
-                    }
+                    (false, Some(vc)) => self.scratch.entry_commitment(key, vc),
                     _ => return Err(ProofError::ShapeMismatch),
                 };
                 let right_hash = self.node(right, Some(key), hi, depth + 1)?;
@@ -777,46 +817,32 @@ fn empty_hash() -> Hash256 {
     *EMPTY.get_or_init(|| leaf_hash(b"sdr/pmap/empty"))
 }
 
-/// Commitment to a key: the leaf hash of its canonical encoding.
-fn key_commitment<K: PKey>(key: &K) -> Hash256 {
-    let mut buf = Vec::with_capacity(16);
-    key.encode_key(&mut buf);
-    leaf_hash(&buf)
-}
-
-/// Commitment to a value: the leaf hash of its canonical encoding.
-fn value_commitment<V: MerkleContent>(value: &V) -> Hash256 {
-    let mut buf = Vec::with_capacity(64);
-    value.content_encode(&mut buf);
-    leaf_hash(&buf)
-}
-
-/// An entry's commitment binds key and value commitments *separately*
-/// (rather than hashing their concatenation) so authentication paths can
-/// ship a path node's key in the clear — absence proofs need it to check
-/// search-order consistency — while the value travels as 32 bytes.
-fn entry_hash<K: PKey, V: MerkleContent>(node: &Node<K, V>) -> Hash256 {
-    entry_commitment(&key_commitment(&node.key), &value_commitment(&node.value))
-}
-
-fn link_hash<K: PKey, V: Clone + MerkleContent>(link: &Link<K, V>) -> Hash256 {
+fn link_hash<K: PKey, V: Clone + MerkleContent>(
+    link: &Link<K, V>,
+    scratch: &mut EntryScratch,
+) -> Hash256 {
     match link {
         None => empty_hash(),
         Some(n) => *n.hash.get_or_init(|| {
-            node_hash(
-                &node_hash(&link_hash(&n.left), &entry_hash(n)),
-                &link_hash(&n.right),
+            treap_node_hash(
+                &link_hash(&n.left, scratch),
+                &scratch.entry(&n.key, &n.value),
+                &link_hash(&n.right, scratch),
             )
         }),
     }
 }
 
-fn link_hash_uncached<K: PKey, V: Clone + MerkleContent>(link: &Link<K, V>) -> Hash256 {
+fn link_hash_uncached<K: PKey, V: Clone + MerkleContent>(
+    link: &Link<K, V>,
+    scratch: &mut EntryScratch,
+) -> Hash256 {
     match link {
         None => empty_hash(),
-        Some(n) => node_hash(
-            &node_hash(&link_hash_uncached(&n.left), &entry_hash(n)),
-            &link_hash_uncached(&n.right),
+        Some(n) => treap_node_hash(
+            &link_hash_uncached(&n.left, scratch),
+            &scratch.entry(&n.key, &n.value),
+            &link_hash_uncached(&n.right, scratch),
         ),
     }
 }
@@ -1137,12 +1163,6 @@ mod tests {
         assert_ne!(a.root_hash(), map_of(&[1]).root_hash());
     }
 
-    fn enc(v: &str) -> Vec<u8> {
-        let mut out = Vec::new();
-        v.to_string().content_encode(&mut out);
-        out
-    }
-
     /// The range of one, `[k, k]`: a point read.
     fn prove_point(m: &PMap<u64, String>, k: u64) -> RangeProof<u64> {
         m.prove_range(&k, Bound::Included(&k))
@@ -1154,7 +1174,7 @@ mod tests {
         k: u64,
         value: Option<&str>,
     ) -> Result<(), ProofError> {
-        let row: Vec<(u64, Vec<u8>)> = value.map(|v| (k, enc(v))).into_iter().collect();
+        let row: Vec<(u64, String)> = value.map(|v| (k, v.to_string())).into_iter().collect();
         proof.verify(root, &k, Bound::Included(&k), &row)
     }
 
@@ -1283,10 +1303,10 @@ mod tests {
     }
 
     /// The rows a correct slave would return for `[start, end)`.
-    fn rows_of(m: &PMap<u64, String>, start: u64, end: u64) -> Vec<(u64, Vec<u8>)> {
+    fn rows_of(m: &PMap<u64, String>, start: u64, end: u64) -> Vec<(u64, String)> {
         m.iter_from(&start)
             .take_while(|(k, _)| **k < end)
-            .map(|(k, v)| (*k, enc(v)))
+            .map(|(k, v)| (*k, v.clone()))
             .collect()
     }
 
@@ -1303,7 +1323,7 @@ mod tests {
                     .unwrap_or_else(|e| panic!("[{start},{end}): {e}"));
                 // The closed range adds exactly the row at `end`, if any.
                 let mut closed = rows.clone();
-                closed.extend(m.get(&end).map(|v| (end, enc(v))));
+                closed.extend(m.get(&end).map(|v| (end, v.clone())));
                 m.prove_range(&start, Bound::Included(&end))
                     .verify(&root, &start, Bound::Included(&end), &closed)
                     .unwrap_or_else(|e| panic!("[{start},{end}]: {e}"));
@@ -1325,7 +1345,41 @@ mod tests {
 
         let empty: PMap<u64, String> = PMap::new();
         let proof = empty.prove_range(&0, Bound::Excluded(&1000));
-        proof.verify(&empty.root_hash(), &0, Bound::Excluded(&1000), &[]).unwrap();
+        proof.verify::<String>(&empty.root_hash(), &0, Bound::Excluded(&1000), &[]).unwrap();
+    }
+
+    #[test]
+    fn document_rows_fold_to_the_maps_root() {
+        use crate::document::Document;
+        let mut m: PMap<u64, Document> = PMap::new();
+        for k in 0..300i64 {
+            let row = Document::new()
+                .with("id", k)
+                .with("name", format!("row-{k}"))
+                .with("score", k as f64 / 7.0);
+            m.insert(3 * k as u64, row);
+        }
+        let root = m.root_hash();
+        assert_eq!(root, m.root_hash_uncached());
+        let ranges = [
+            (0, Bound::Unbounded),
+            (100, Bound::Excluded(&500)),
+            (9, Bound::Included(&9)),
+            (7, Bound::Included(&7)),
+        ];
+        for (start, end) in ranges {
+            let rows: Vec<(u64, Document)> = m
+                .iter_from(&start)
+                .take_while(|(k, _)| match end {
+                    Bound::Excluded(e) => *k < e,
+                    Bound::Included(e) => *k <= e,
+                    Bound::Unbounded => true,
+                })
+                .map(|(k, v)| (*k, v.clone()))
+                .collect();
+            let proof = m.prove_range(&start, end);
+            assert_eq!(proof.computed_root(&start, end, &rows), Ok(root), "from {start}");
+        }
     }
 
     #[test]
@@ -1348,7 +1402,7 @@ mod tests {
         }
         // Inserting a phantom row is caught.
         let mut extra = rows.clone();
-        extra.insert(5, (15, enc("phantom")));
+        extra.insert(5, (15, "phantom".to_string()));
         assert!(proof.verify(&root, &start, end, &extra).is_err());
         // Reordering is caught.
         let mut swapped = rows.clone();
@@ -1356,7 +1410,7 @@ mod tests {
         assert!(proof.verify(&root, &start, end, &swapped).is_err());
         // A wrong value is caught.
         let mut forged = rows.clone();
-        forged[7].1 = enc("wrong");
+        forged[7].1 = "wrong".to_string();
         assert_eq!(
             proof.verify(&root, &start, end, &forged),
             Err(ProofError::RootMismatch)
@@ -1497,11 +1551,11 @@ mod tests {
             k.encode_key(&mut buf);
             priority(&buf)
         };
-        let (mut rows, mut floor) = (vec![(1u64, enc("x"))], u64::MAX);
+        let (mut rows, mut floor) = (vec![(1u64, "x".to_string())], u64::MAX);
         for k in 2.. {
             let p = prio(k);
             if p < floor && floor - p < u64::MAX / 256 {
-                rows.push((k, enc("x")));
+                rows.push((k, "x".to_string()));
                 floor = p;
                 if rows.len() > MAX_PROOF_DEPTH + 50 {
                     break;

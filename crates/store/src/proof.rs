@@ -79,15 +79,7 @@ impl TableProof {
         version: u64,
         rows: &[(u64, Document)],
     ) -> Result<(), ProofError> {
-        let encoded: Vec<(u64, Vec<u8>)> = rows
-            .iter()
-            .map(|(k, doc)| {
-                let mut out = Vec::with_capacity(64);
-                doc.content_encode(&mut out);
-                (*k, out)
-            })
-            .collect();
-        let rows_root = self.range.computed_root(&self.start, self.end.as_ref(), &encoded)?;
+        let rows_root = self.range.computed_root(&self.start, self.end.as_ref(), rows)?;
 
         // The table's value in the outer map is (row count, rows root) —
         // recompute its encoding from the inner fold, so a forged

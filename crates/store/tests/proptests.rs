@@ -245,12 +245,6 @@ proptest! {
         ops in proptest::collection::vec((0u64..48, "[a-z]{0,6}", any::<bool>()), 1..80),
         probes in proptest::collection::vec(0u64..64, 1..12),
     ) {
-        let enc = |v: &str| {
-            let mut out = Vec::new();
-            use sdr_store::pmap::MerkleContent;
-            v.to_string().content_encode(&mut out);
-            out
-        };
         let mut map: PMap<u64, String> = PMap::new();
         let mut model: BTreeMap<u64, String> = BTreeMap::new();
         for (key, val, is_remove) in &ops {
@@ -264,8 +258,8 @@ proptest! {
         }
         let root = map.root_hash();
         let point = |map: &PMap<u64, String>, key: &u64| map.prove_range(key, Bound::Included(key));
-        let claim = |key: &u64, val: Option<&str>| -> Vec<(u64, Vec<u8>)> {
-            val.map(|v| (*key, enc(v))).into_iter().collect()
+        let claim = |key: &u64, val: Option<&str>| -> Vec<(u64, String)> {
+            val.map(|v| (*key, v.to_string())).into_iter().collect()
         };
         let verify = |proof: &RangeProof<u64>, root, key: &u64, val: Option<&str>| {
             proof.verify(root, key, Bound::Included(key), &claim(key, val))
@@ -408,7 +402,7 @@ proptest! {
         a in 0u64..70,
         b in 0u64..70,
     ) {
-        use sdr_store::{MerkleContent, PMap};
+        use sdr_store::PMap;
 
         let (start, end) = if a <= b { (a, b) } else { (b, a) };
         let entries: BTreeMap<u64, String> = pairs.into_iter().collect();
@@ -419,14 +413,10 @@ proptest! {
         let root = m.root_hash();
 
         // The honest answer: `iter_from` truncated at `end`.
-        let rows: Vec<(u64, Vec<u8>)> = m
+        let rows: Vec<(u64, String)> = m
             .iter_from(&start)
             .take_while(|(k, _)| **k < end)
-            .map(|(k, v)| {
-                let mut enc = Vec::new();
-                v.content_encode(&mut enc);
-                (*k, enc)
-            })
+            .map(|(k, v)| (*k, v.clone()))
             .collect();
         let keys: Vec<u64> = rows.iter().map(|(k, _)| *k).collect();
         let expect: Vec<u64> =
@@ -447,7 +437,7 @@ proptest! {
         if rows.is_empty() {
             // Claiming a row where the range is provably empty must die.
             if start < end {
-                let phantom = vec![(start, b"phantom".to_vec())];
+                let phantom = vec![(start, "phantom".to_string())];
                 prop_assert!(proof.verify(&root, &start, end_bound, &phantom).is_err());
             }
         } else {
@@ -459,7 +449,7 @@ proptest! {
                 "omitting a row must break completeness"
             );
             let mut altered = rows.clone();
-            altered[i].1.push(0xFF);
+            altered[i].1.push('!');
             prop_assert!(proof.verify(&root, &start, end_bound, &altered).is_err());
             let mut doubled = rows.clone();
             let dup = doubled[i].clone();
