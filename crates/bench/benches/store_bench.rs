@@ -95,6 +95,50 @@ fn bench_queries(c: &mut Criterion) {
             b.iter(|| black_box(execute(&db, &query).expect("query ok")))
         });
     }
+
+    // The catalogue's limited shapes on one `churn_mix` shard (25k
+    // products, 12.5k reviews indexed on `product_id`): a limited scan
+    // stops at its limit and a limited join probes the review index,
+    // which the unlimited rows above cannot show.
+    let shard = DatasetSpec {
+        n_products: 25_000,
+        n_reviews: 12_500,
+        n_files: 0,
+        lines_per_file: 0,
+        shared_block_lines: 0,
+        hot_fraction: 0.01,
+        skew: 0.0,
+        seed: 11,
+    }
+    .build();
+    let limited: [(&str, Query); 2] = [
+        (
+            "filter_scan_limit50",
+            Query::Filter {
+                table: "products".into(),
+                predicate: Predicate::cmp("price", CmpOp::Ge, 450i64)
+                    .and(Predicate::cmp("stock", CmpOp::Gt, 0i64)),
+                projection: Some(vec!["name".into(), "price".into()]),
+                limit: Some(50),
+            },
+        ),
+        (
+            "join_limit100",
+            Query::Join {
+                left: "products".into(),
+                right: "reviews".into(),
+                left_field: "id".into(),
+                right_field: "product_id".into(),
+                predicate: Predicate::cmp("r.stars", CmpOp::Ge, 4i64),
+                limit: Some(100),
+            },
+        ),
+    ];
+    for (name, query) in limited {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(execute(&shard, &query).expect("query ok")))
+        });
+    }
     group.finish();
 }
 

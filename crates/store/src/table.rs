@@ -5,7 +5,8 @@ use crate::error::StoreError;
 use crate::pmap::{MerkleContent, PMap};
 use crate::value::Value;
 use sdr_crypto::Hash256;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_set, BTreeMap, BTreeSet};
+use std::iter::Copied;
 use std::sync::Arc;
 
 /// One secondary index: indexed value → set of primary keys.
@@ -185,15 +186,19 @@ impl Table {
             .map(|(&k, d)| (k, d))
     }
 
-    /// Primary keys whose `field` equals `value`, via the secondary index.
+    /// Primary keys whose `field` equals `value`, ascending, borrowed
+    /// from the secondary index's posting set (its `len` is the posting
+    /// length).
     ///
     /// Returns `None` when the field is not indexed (caller must scan).
-    pub fn index_keys(&self, field: &str, value: &Value) -> Option<Vec<u64>> {
-        self.indexes.get(field).map(|idx| {
-            idx.get(value)
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default()
-        })
+    pub fn index_keys(
+        &self,
+        field: &str,
+        value: &Value,
+    ) -> Option<Copied<btree_set::Iter<'_, u64>>> {
+        static EMPTY: BTreeSet<u64> = BTreeSet::new();
+        let postings = self.indexes.get(field)?.get(value).map_or(&EMPTY, |s| &**s);
+        Some(postings.iter().copied())
     }
 
     /// The Merkle digest of the row set (cached; see [`PMap::root_hash`]).
@@ -266,6 +271,10 @@ mod tests {
             .with("category", cat)
     }
 
+    fn keys(t: &Table, field: &str, value: Value) -> Option<Vec<u64>> {
+        t.index_keys(field, &value).map(Iterator::collect)
+    }
+
     fn table() -> Table {
         let mut t = Table::new("products");
         t.create_index("category");
@@ -299,14 +308,14 @@ mod tests {
     fn index_lookup() {
         let t = table();
         assert_eq!(
-            t.index_keys("category", &Value::Str("tools".into())),
+            keys(&t, "category", Value::Str("tools".into())),
             Some(vec![1, 2])
         );
         assert_eq!(
-            t.index_keys("category", &Value::Str("food".into())),
+            keys(&t, "category", Value::Str("food".into())),
             Some(vec![])
         );
-        assert_eq!(t.index_keys("price", &Value::Int(10)), None);
+        assert_eq!(keys(&t, "price", Value::Int(10)), None);
     }
 
     #[test]
@@ -315,11 +324,11 @@ mod tests {
         t.update(2, &Document::new().with("category", "marine"))
             .unwrap();
         assert_eq!(
-            t.index_keys("category", &Value::Str("tools".into())),
+            keys(&t, "category", Value::Str("tools".into())),
             Some(vec![1])
         );
         assert_eq!(
-            t.index_keys("category", &Value::Str("marine".into())),
+            keys(&t, "category", Value::Str("marine".into())),
             Some(vec![2])
         );
         // Other fields survive the merge.
@@ -331,7 +340,7 @@ mod tests {
         let mut t = table();
         t.delete(3).unwrap();
         assert_eq!(
-            t.index_keys("category", &Value::Str("explosives".into())),
+            keys(&t, "category", Value::Str("explosives".into())),
             Some(vec![])
         );
         assert_eq!(t.delete(3), Err(StoreError::NoSuchKey(3)));
@@ -341,7 +350,7 @@ mod tests {
     fn index_created_after_rows_exist() {
         let mut t = table();
         t.create_index("price");
-        assert_eq!(t.index_keys("price", &Value::Int(50)), Some(vec![3]));
+        assert_eq!(keys(&t, "price", Value::Int(50)), Some(vec![3]));
     }
 
     #[test]
@@ -349,11 +358,11 @@ mod tests {
         let mut t = table();
         t.upsert(1, product("anvil-xl", 200, "heavy"));
         assert_eq!(
-            t.index_keys("category", &Value::Str("heavy".into())),
+            keys(&t, "category", Value::Str("heavy".into())),
             Some(vec![1])
         );
         assert_eq!(
-            t.index_keys("category", &Value::Str("tools".into())),
+            keys(&t, "category", Value::Str("tools".into())),
             Some(vec![2])
         );
     }
@@ -403,7 +412,7 @@ mod tests {
             Some(&Value::Str("anvil".into()))
         );
         assert_eq!(
-            snap.index_keys("category", &Value::Str("tools".into())),
+            keys(&snap, "category", Value::Str("tools".into())),
             Some(vec![1, 2])
         );
         assert_eq!(snap.rows_digest(), snap_digest);

@@ -1,13 +1,14 @@
 //! Property-based tests for the store: ordering, encoding, index/scan
-//! equivalence, pattern matching, write atomicity, and the proof engine
-//! under mutation.
+//! equivalence, the computed-query plans against a reference executor,
+//! pattern matching, write atomicity, and the proof engine under
+//! mutation.
 
 use proptest::prelude::*;
 use sdr_crypto::Hash256;
 use sdr_store::pmap::RangeNode;
 use sdr_store::{
-    execute, CmpOp, Database, Document, PMap, Pattern, Predicate, Query, QueryResult, RangeProof,
-    StateProof, Table, UpdateOp, Value,
+    execute, Aggregate, CmpOp, Database, Document, PMap, Pattern, Predicate, Query, QueryCost,
+    QueryResult, RangeProof, StateProof, StoreError, Table, UpdateOp, Value,
 };
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -717,6 +718,311 @@ fn mutate_answer(result: &mut QueryResult, m: Mutation, pick: u64) -> bool {
 }
 
 /// Keys with the edges of the key space over-represented.
+/// The straightforward plans for the computed queries, kept as the
+/// oracle for `execute`'s: filters evaluate every candidate row and then
+/// truncate, joins build a map over the whole right table, aggregates
+/// collect each group's rows and reduce them afterwards.  A join with
+/// limit 0 returns no rows and probes no left row.
+mod reference {
+    use super::*;
+
+    pub fn execute(db: &Database, query: &Query) -> Result<(QueryResult, QueryCost), StoreError> {
+        let mut cost = QueryCost::default();
+        let result = match query {
+            Query::Filter { table, predicate, projection, limit } => {
+                let t = db.table(table)?;
+                let cap = limit.map(|l| l as usize).unwrap_or(usize::MAX);
+                let rows = filter_rows(t, predicate, &mut cost);
+                let mut out = Vec::new();
+                for (k, d) in rows {
+                    if out.len() >= cap {
+                        break;
+                    }
+                    let doc = match projection {
+                        Some(fields) => d.project(fields),
+                        None => d.clone(),
+                    };
+                    out.push((k, doc));
+                }
+                QueryResult::Rows(out)
+            }
+            Query::Aggregate { table, predicate, agg, group_by } => {
+                let t = db.table(table)?;
+                let rows = filter_rows(t, predicate, &mut cost);
+                match group_by {
+                    None => QueryResult::Scalar(aggregate(rows.iter().map(|(_, d)| *d), agg)?),
+                    Some(field) => {
+                        static NULL: Value = Value::Null;
+                        let mut groups: BTreeMap<&Value, Vec<&Document>> = BTreeMap::new();
+                        for (_, d) in &rows {
+                            groups.entry(d.get(field).unwrap_or(&NULL)).or_default().push(d);
+                        }
+                        let mut out = Vec::with_capacity(groups.len());
+                        for (key, docs) in groups {
+                            out.push((key.clone(), aggregate(docs.into_iter(), agg)?));
+                        }
+                        QueryResult::Groups(out)
+                    }
+                }
+            }
+            Query::Join { left, right, left_field, right_field, predicate, limit } => {
+                let lt = db.table(left)?;
+                let rt = db.table(right)?;
+                let cap = limit.map(|l| l as usize).unwrap_or(usize::MAX);
+                let mut build: BTreeMap<Value, Vec<(u64, &Document)>> = BTreeMap::new();
+                for (k, d) in rt.iter() {
+                    cost.rows_scanned += 1;
+                    if let Some(v) = d.get(right_field) {
+                        build.entry(v.clone()).or_default().push((k, d));
+                    }
+                }
+                let mut out = Vec::new();
+                if cap > 0 {
+                    'probe: for (lk, ld) in lt.iter() {
+                        cost.rows_scanned += 1;
+                        let Some(v) = ld.get(left_field) else { continue };
+                        let Some(matches) = build.get(v) else { continue };
+                        for (rk, rd) in matches {
+                            let mut merged = ld.clone();
+                            for (f, val) in rd.iter() {
+                                merged.set(format!("r.{f}"), val.clone());
+                            }
+                            merged.set("r.#key", Value::Int(*rk as i64));
+                            if predicate.eval(&merged) {
+                                out.push((lk, merged));
+                                if out.len() >= cap {
+                                    break 'probe;
+                                }
+                            }
+                        }
+                    }
+                }
+                QueryResult::Rows(out)
+            }
+            other => panic!("not a computed query: {other:?}"),
+        };
+        cost.rows_returned = result.row_count() as u64;
+        Ok((result, cost))
+    }
+
+    fn filter_rows<'t>(
+        table: &'t Table,
+        predicate: &Predicate,
+        cost: &mut QueryCost,
+    ) -> Vec<(u64, &'t Document)> {
+        let indexed: Vec<String> = table.indexed_fields().map(str::to_string).collect();
+        for field in &indexed {
+            if let Some(value) = predicate.index_hint(field) {
+                if let Some(keys) = table.index_keys(field, value) {
+                    let mut out = Vec::new();
+                    for k in keys {
+                        cost.index_probes += 1;
+                        if let Some(d) = table.get(k) {
+                            if predicate.eval(d) {
+                                out.push((k, d));
+                            }
+                        }
+                    }
+                    return out;
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for (k, d) in table.iter() {
+            cost.rows_scanned += 1;
+            if predicate.eval(d) {
+                out.push((k, d));
+            }
+        }
+        out
+    }
+
+    fn aggregate<'a, I: Iterator<Item = &'a Document>>(
+        rows: I,
+        agg: &Aggregate,
+    ) -> Result<Value, StoreError> {
+        match agg {
+            Aggregate::Count => Ok(Value::Int(rows.count() as i64)),
+            Aggregate::Sum(field) => {
+                let (mut sum, mut any_float, mut isum) = (0.0, false, 0i64);
+                for d in rows {
+                    match d.get(field) {
+                        Some(Value::Int(i)) => {
+                            isum = isum.wrapping_add(*i);
+                            sum += *i as f64;
+                        }
+                        Some(Value::Float(f)) => {
+                            any_float = true;
+                            sum += f;
+                        }
+                        Some(Value::Null) | None => {}
+                        Some(_) => return Err(StoreError::BadQuery("sum over non-numeric field")),
+                    }
+                }
+                Ok(if any_float { Value::Float(sum) } else { Value::Int(isum) })
+            }
+            Aggregate::Min(field) => {
+                Ok(rows.filter_map(|d| d.get(field)).min().cloned().unwrap_or(Value::Null))
+            }
+            Aggregate::Max(field) => {
+                Ok(rows.filter_map(|d| d.get(field)).max().cloned().unwrap_or(Value::Null))
+            }
+            Aggregate::Avg(field) => {
+                let (mut sum, mut n) = (0.0, 0u64);
+                for d in rows {
+                    match d.get(field) {
+                        None | Some(Value::Null) => {}
+                        Some(v) => match v.as_f64() {
+                            Some(x) => {
+                                sum += x;
+                                n += 1;
+                            }
+                            None => return Err(StoreError::BadQuery("avg over non-numeric field")),
+                        },
+                    }
+                }
+                Ok(if n == 0 { Value::Null } else { Value::Float(sum / n as f64) })
+            }
+        }
+    }
+}
+
+/// A field that is missing, Null, a small Int, the equal Float, a
+/// fraction or a string: numeric ties across types, Null and missing
+/// group keys, and non-numeric aggregate inputs.
+fn arb_field() -> impl Strategy<Value = Option<Value>> {
+    prop_oneof![
+        Just(None),
+        Just(Some(Value::Null)),
+        (0i64..4).prop_map(|i| Some(Value::Int(i))),
+        (0i64..4).prop_map(|i| Some(Value::Float(i as f64))),
+        Just(Some(Value::Float(0.5))),
+        "[ab]".prop_map(|s| Some(Value::Str(s))),
+    ]
+}
+
+/// A numeric-only field (missing, Null, Int or the equal Float), so
+/// `Sum` and `Avg` also succeed on most tables.
+fn arb_number() -> impl Strategy<Value = Option<Value>> {
+    prop_oneof![
+        Just(None),
+        Just(Some(Value::Null)),
+        (-3i64..4).prop_map(|i| Some(Value::Int(i))),
+        (-3i64..4).prop_map(|i| Some(Value::Float(i as f64))),
+    ]
+}
+
+fn doc_of(fields: &[(&str, &Option<Value>)]) -> Document {
+    let mut doc = Document::new();
+    for (name, value) in fields {
+        if let Some(v) = value {
+            doc.set(*name, v.clone());
+        }
+    }
+    doc
+}
+
+/// Every filter, aggregate and join shape over `l` and `r`.
+fn computed_queries(cat: &str, floor: i64) -> Vec<Query> {
+    let limits = [None, Some(0), Some(1), Some(2), Some(1_000)];
+    let predicates = [
+        Predicate::True,
+        Predicate::eq("c", cat),
+        Predicate::eq("c", cat).and(Predicate::cmp("n", CmpOp::Ge, floor)),
+        Predicate::cmp("n", CmpOp::Ge, floor),
+    ];
+    let mut queries = Vec::new();
+    for limit in limits {
+        for predicate in &predicates {
+            for projection in [None, Some(vec!["n".to_string(), "g".to_string()])] {
+                queries.push(Query::Filter {
+                    table: "l".into(),
+                    predicate: predicate.clone(),
+                    projection,
+                    limit,
+                });
+            }
+        }
+        for predicate in [Predicate::True, Predicate::cmp("r.s", CmpOp::Ge, floor)] {
+            queries.push(Query::Join {
+                left: "l".into(),
+                right: "r".into(),
+                left_field: "j".into(),
+                right_field: "j".into(),
+                predicate,
+                limit,
+            });
+        }
+    }
+    for field in ["x", "n"] {
+        let aggs = [
+            Aggregate::Count,
+            Aggregate::Sum(field.into()),
+            Aggregate::Min(field.into()),
+            Aggregate::Max(field.into()),
+            Aggregate::Avg(field.into()),
+        ];
+        for agg in aggs {
+            for group_by in [None, Some("g".to_string())] {
+                for predicate in &predicates {
+                    queries.push(Query::Aggregate {
+                        table: "l".into(),
+                        predicate: predicate.clone(),
+                        agg: agg.clone(),
+                        group_by: group_by.clone(),
+                    });
+                }
+            }
+        }
+    }
+    queries
+}
+
+proptest! {
+    /// Plan equivalence: on random tables, with and without the indexes
+    /// the plans can use, `execute` returns exactly the reference
+    /// executor's result and cost (or error) for every filter, join and
+    /// aggregate shape.
+    #[test]
+    fn computed_plans_match_the_reference_executor(
+        left in proptest::collection::vec(
+            (0u64..48, (arb_field(), arb_field(), arb_number()), arb_field(), "[a-c]"),
+            0..40,
+        ),
+        right in proptest::collection::vec((0u64..48, arb_field(), 0i64..5), 0..40),
+        (left_indexed, right_indexed) in (any::<bool>(), any::<bool>()),
+        cat in "[a-c]",
+        floor in -1i64..5,
+    ) {
+        let indexes = |on: bool, field: &str| if on { vec![field.to_string()] } else { vec![] };
+        let mut ops = vec![
+            UpdateOp::CreateTable { table: "l".into(), indexes: indexes(left_indexed, "c") },
+            UpdateOp::CreateTable { table: "r".into(), indexes: indexes(right_indexed, "j") },
+        ];
+        for (key, (g, x, n), j, c) in &left {
+            let c = Some(Value::Str(c.clone()));
+            ops.push(UpdateOp::Upsert {
+                table: "l".into(),
+                key: *key,
+                doc: doc_of(&[("g", g), ("x", x), ("n", n), ("j", j), ("c", &c)]),
+            });
+        }
+        for (key, j, stars) in &right {
+            ops.push(UpdateOp::Upsert {
+                table: "r".into(),
+                key: *key,
+                doc: doc_of(&[("j", j), ("s", &Some(Value::Int(*stars)))]),
+            });
+        }
+        let mut db = Database::new();
+        db.apply_write(&ops).expect("valid batch");
+
+        for q in computed_queries(&cat, floor) {
+            prop_assert_eq!(execute(&db, &q), reference::execute(&db, &q), "{:?}", q);
+        }
+    }
+}
+
 fn corpus_key() -> impl Strategy<Value = u64> {
     prop_oneof![Just(0u64), Just(u64::MAX), 0u64..64, any::<u64>()]
 }
